@@ -25,9 +25,10 @@ against it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, wraps
 from typing import Optional, Union
 
 import numpy as np
@@ -111,12 +112,72 @@ def _pval(p: Union[PParam, float]) -> float:
     return PParam(p).p
 
 
-def _tols(tol: Optional[Tolerance]) -> tuple[Tolerance, Tolerance]:
-    """(quadrature, inversion) tolerances for one public call."""
-    if tol is None:
-        return _QUAD_TOL, _INV_TOL
-    itol = Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
-    return tol, itol
+# ---------------------------------------------------------------------------
+# Families.  At most _FAMILY_CAP stay registered (the oldest goes first), and
+# a memo is emptied when it reaches _MEMO_CAP entries.  A miss recomputes
+# exactly what a hit returns, so values never depend on cache state.
+_FAMILY_CAP = 16
+_MEMO_CAP = 1 << 14
+
+
+class _Family:
+    """What depends on (p, tol) alone: tolerances, series polynomials, the
+    half-period, and x-keyed memos of _sin_state, _sinh_raw, _arcsin_quad,
+    _arsinh_quad and, for integer p in [2, 64], _snap_to_identity."""
+
+    def __init__(self, pf: float, tol: Optional[Tolerance]) -> None:
+        self.pf = pf
+        self.qtol, self.itol = _QUAD_TOL, _INV_TOL
+        if tol is not None:
+            self.qtol, self.itol = tol, Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
+        self.sin_poly = series.zp(1.0, *series.inverse_coeffs(pf))
+        self.sinh_poly = series.zp(1.0, *series.hyper_inverse_coeffs(pf))
+        self.sin, self.sinh, self.asin, self.asinh = {}, {}, {}, {}
+        self.snap = {} if pf.is_integer() and 2.0 <= pf <= 64.0 else None
+
+    @cached_property
+    def upper(self) -> tuple[float, float]:
+        """pi_p/2, and the slack by which a circular argument may exceed it."""
+        ph_v, ph_e = _arcsin_quad(self, 1.0)
+        return ph_v, ph_e + 4.0 * _EPS * ph_v
+
+
+class _Registry(dict):
+    """(p, tol) -> _Family; a miss validates p and files the family under (float p, tol)."""
+
+    _lock = threading.Lock()
+
+    def __missing__(self, key: tuple) -> _Family:
+        canon = (_pval(key[0]), key[1])
+        with self._lock:
+            if canon not in self:
+                if len(self) >= _FAMILY_CAP:
+                    del self[next(iter(self))]
+                self[canon] = _Family(*canon)
+            return self[canon]
+
+
+_FAMILIES = _Registry()
+
+
+def _memoized(name: str):
+    """Serve solve(fam, x, *args) from the family's dict attribute `name`,
+    keyed on x alone: any further arguments must follow from (fam, x)."""
+
+    def wrap(solve):
+        @wraps(solve)
+        def lookup(fam: _Family, x: float, *args):
+            memo = getattr(fam, name)
+            got = memo.get(x)
+            if got is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                got = memo[x] = solve(fam, x, *args)
+            return got
+
+        return lookup
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +226,19 @@ def _hyp_tail_integrand(pf: float):
     return f
 
 
-@lru_cache(maxsize=None)
-def _arcsin_quad(pf: float, x: float, qtol: Tolerance) -> tuple[float, float]:
-    res = integrate(_circ_integrand(pf, x), 0.0, x, qtol, vectorized=True)
+@_memoized("asin")
+def _arcsin_quad(fam: _Family, x: float) -> tuple[float, float]:
+    res = integrate(_circ_integrand(fam.pf, x), 0.0, x, fam.qtol, vectorized=True)
     return res.value, res.abs_err
 
 
-@lru_cache(maxsize=None)
-def _arsinh_quad(pf: float, x: float, qtol: Tolerance) -> tuple[float, float]:
+@_memoized("asinh")
+def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
     if x <= 1.0:
-        res = integrate(_hyp_integrand(pf), 0.0, x, qtol, vectorized=True)
+        res = integrate(_hyp_integrand(fam.pf), 0.0, x, fam.qtol, vectorized=True)
         return res.value, res.abs_err
-    base_v, base_e = _arsinh_quad(pf, 1.0, qtol)
-    tail = integrate(_hyp_tail_integrand(pf), 0.0, math.log(x), qtol, vectorized=True)
+    base_v, base_e = _arsinh_quad(fam, 1.0)
+    tail = integrate(_hyp_tail_integrand(fam.pf), 0.0, math.log(x), fam.qtol, vectorized=True)
     v = base_v + tail.value
     return v, base_e + tail.abs_err + 2.0 * _EPS * abs(v)
 
@@ -188,33 +249,29 @@ def pi_p(p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation
     Cross-checked in the test suite against the closed form
     2 pi / (p sin(pi/p)).
     """
-    pf = _pval(p)
-    qtol, _ = _tols(tol)
-    v, e = _arcsin_quad(pf, 1.0, qtol)
+    v, e = _arcsin_quad(_FAMILIES[p, tol], 1.0)
     return Evaluation(2.0 * v, 2.0 * e)
 
 
 def arcsin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Inverse generalized sine on [0, 1]."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arcsin_p requires x in [0, 1], got {x}")
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    qtol, _ = _tols(tol)
-    v, e = _arcsin_quad(pf, x, qtol)
+    v, e = _arcsin_quad(fam, x)
     return Evaluation(v, e)
 
 
 def arsinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Inverse generalized hyperbolic sine on x >= 0."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
     if x < 0.0:
         raise DomainError(f"arsinh_p requires x >= 0, got {x}")
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    qtol, _ = _tols(tol)
-    v, e = _arsinh_quad(pf, x, qtol)
+    v, e = _arsinh_quad(fam, x)
     return Evaluation(v, e)
 
 
@@ -222,18 +279,14 @@ def arsinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
 # Inversion: sin_p and sinh_p
 
 
-def _half_period(pf: float, qtol: Tolerance) -> tuple[float, float]:
-    v, e = _arcsin_quad(pf, 1.0, qtol)
-    return v, e
-
-
-def _tail_T(pf: float, om: float, qtol: Tolerance) -> tuple[float, float]:
+def _tail_T(fam: _Family, om: float) -> tuple[float, float]:
     """arcsin_p(1) - arcsin_p(s) as a function of om = 1 - s^p.
 
     Substituting v = om * r in the deficit integral gives the fixed-interval
     form (om^q / p) * integral_0^1 r^(-1/p) (1 - om r)^(-q) dr with
     q = (p-1)/p, which stays well conditioned however tiny om is.
     """
+    pf = fam.pf
     q = (pf - 1.0) / pf
 
     def f(r: np.ndarray) -> np.ndarray:
@@ -241,20 +294,19 @@ def _tail_T(pf: float, om: float, qtol: Tolerance) -> tuple[float, float]:
             r = np.asarray(r, dtype=float)
             return np.exp(-np.log(r) / pf - q * np.log1p(-om * r))
 
-    res = integrate(f, 0.0, 1.0, qtol, vectorized=True)
+    res = integrate(f, 0.0, 1.0, fam.qtol, vectorized=True)
     pref = math.exp(q * math.log(om)) / pf
     return pref * res.value, pref * res.abs_err
 
 
-def _endpoint_state(
-    pf: float, tau: float, tau_err: float, qtol: Tolerance, itol: Tolerance
-) -> tuple[float, float, float, float]:
+def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, float, float, float]:
     """(s, s_err, om, om_err) near the right endpoint, tau = pi_p/2 - x.
 
     Solved for w = log(om) because the root in s-space can sit closer to 1
     than one ulp; in log space the grid is geometric and Newton keeps full
     relative accuracy all the way into the corner.
     """
+    pf = fam.pf
     q = (pf - 1.0) / pf
     lead = math.log((pf - 1.0) * max(tau, tau_err, 5e-324)) / q
     if tau <= tau_err or lead < -690.0:
@@ -269,16 +321,16 @@ def _endpoint_state(
     w_lo = lead - math.log(1.2) / q - 1.0
 
     def G(w: float) -> float:
-        return _tail_T(pf, math.exp(w), qtol)[0] / tau
+        return _tail_T(fam, math.exp(w))[0] / tau
 
     def dG(w: float) -> float:
         om = math.exp(w)
         return math.exp(q * (w - math.log1p(-om))) / (pf * tau)
 
-    res = invert_monotone(G, 1.0, w_lo, w_hi, deriv=dG, tol=itol)
+    res = invert_monotone(G, 1.0, w_lo, w_hi, deriv=dG, tol=fam.itol)
     w = res.value
     om = math.exp(w)
-    restol = 2.0 * itol.abs_tol + 2.0 * qtol.rel_tol + tau_err / tau
+    restol = 2.0 * fam.itol.abs_tol + 2.0 * fam.qtol.rel_tol + tau_err / tau
     w_err = 2.0 * restol / dG(w) + 4.0 * _EPS * abs(w)
     om_err = om * min(w_err, 1.0)
     s = math.exp(math.log1p(-om) / pf)
@@ -292,37 +344,35 @@ def _endpoint_state(
 _OM_SWITCH = 1e-2
 
 
-@lru_cache(maxsize=None)
-def _sin_state(
-    pf: float, x: float, qtol: Tolerance, itol: Tolerance
-) -> tuple[float, float, float, float]:
+@_memoized("sin")
+def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     """(s, s_err, om, om_err) with s = sin_p(x) and om = cos_p(x)^p.
 
     om is carried separately because 1 - s^p loses all relative accuracy
     once s rounds to 1; every cosine-like quantity downstream feeds on it.
     """
+    pf = fam.pf
     if x == 0.0:
         return 0.0, 0.0, 1.0, 0.0
     if x < _SERIES_X or x ** pf < _SERIES_Z:
         z = x ** pf
-        poly = series.zp(1.0, *series.inverse_coeffs(pf))
-        s = x * series.zp_eval(poly, z)
-        s_err = x * series.zp_trunc_err(poly, z)
+        s = x * series.zp_eval(fam.sin_poly, z)
+        s_err = x * series.zp_trunc_err(fam.sin_poly, z)
         om = _cos_pow(pf, s)
         return s, s_err, om, pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
 
-    ph_v, ph_e = _half_period(pf, qtol)
+    ph_v, ph_e = _arcsin_quad(fam, 1.0)
     tau = ph_v - x
     tau_err = ph_e + _EPS * ph_v
     q = (pf - 1.0) / pf
     om_pred = math.exp(math.log((pf - 1.0) * max(tau, tau_err)) / q)
     if om_pred < _OM_SWITCH:
-        return _endpoint_state(pf, tau, tau_err, qtol, itol)
+        return _endpoint_state(fam, tau, tau_err)
 
     def F(s: float) -> float:
         if s <= 0.0:
             return 0.0
-        return _arcsin_quad(pf, min(s, 1.0), qtol)[0]
+        return _arcsin_quad(fam, min(s, 1.0))[0]
 
     def dF(s: float) -> float:
         if s <= 0.0:
@@ -330,29 +380,29 @@ def _sin_state(
         om = _cos_pow(pf, s)
         return math.inf if om == 0.0 else math.exp(-math.log(om) / pf)
 
-    res = invert_monotone(F, x, 0.0, 1.0, deriv=dF, tol=itol)
+    res = invert_monotone(F, x, 0.0, 1.0, deriv=dF, tol=fam.itol)
     s = res.value
     # Residual tolerance back through the slope: dF >= 1, so the x-space
     # residual bounds the s-space error directly; add the quadrature band.
-    restol = itol.abs_tol * (1.0 + abs(x)) + 2.0 * qtol.rel_tol * abs(x)
+    restol = fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
     s_err = 2.0 * restol * _cos_val(pf, s) + 4.0 * _EPS * s
     om = _cos_pow(pf, s)
     om_err = pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
     return s, s_err, om, om_err
 
 
-@lru_cache(maxsize=None)
-def _sinh_raw(pf: float, x: float, qtol: Tolerance, itol: Tolerance) -> tuple[float, float]:
+@_memoized("sinh")
+def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     """sinh_p(x) with an error bound, for x >= 0."""
+    pf = fam.pf
     if x == 0.0:
         return 0.0, 0.0
     if x < _SERIES_X or (x < 1.0 and x ** pf < _SERIES_Z):
         z = x ** pf
-        poly = series.zp(1.0, *series.hyper_inverse_coeffs(pf))
-        return x * series.zp_eval(poly, z), x * series.zp_trunc_err(poly, z)
+        return x * series.zp_eval(fam.sinh_poly, z), x * series.zp_trunc_err(fam.sinh_poly, z)
 
     def F(s: float) -> float:
-        return 0.0 if s <= 0.0 else _arsinh_quad(pf, s, qtol)[0]
+        return 0.0 if s <= 0.0 else _arsinh_quad(fam, s)[0]
 
     def dF(s: float) -> float:
         return 1.0 if s <= 0.0 else math.exp(-_log_cosh(pf, s))
@@ -363,9 +413,9 @@ def _sinh_raw(pf: float, x: float, qtol: Tolerance, itol: Tolerance) -> tuple[fl
         if hi > _BRACKET_CAP:
             raise DomainError(f"sinh_p({x}) exceeds floating-point range")
 
-    res = invert_monotone(F, x, x, hi, deriv=dF, tol=itol)
+    res = invert_monotone(F, x, x, hi, deriv=dF, tol=fam.itol)
     s = res.value
-    restol = itol.abs_tol * (1.0 + abs(x)) + 2.0 * qtol.rel_tol * abs(x)
+    restol = fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
     s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
     return s, s_err
 
@@ -394,19 +444,13 @@ def _log_cosh(pf: float, s: float) -> float:
     return math.log1p(math.exp(pf * ls)) / pf
 
 
-def _domain_upper(pf: float, qtol: Tolerance) -> tuple[float, float]:
-    ph_v, ph_e = _half_period(pf, qtol)
-    return ph_v, ph_e + 4.0 * _EPS * ph_v
-
-
 def sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized sine on [0, pi_p/2]; increasing from 0 to 1."""
-    pf = _pval(p)
-    qtol, itol = _tols(tol)
-    ph_v, slack = _domain_upper(pf, qtol)
+    fam = _FAMILIES[p, tol]
+    ph_v, slack = fam.upper
     if not (0.0 <= x <= ph_v + slack):
         raise DomainError(f"sin_p requires x in [0, pi_p/2 = {ph_v}], got {x}")
-    s, s_err, _, _ = _sin_state(pf, x, qtol, itol)
+    s, s_err, _, _ = _sin_state(fam, x)
     return Evaluation(min(s, 1.0), s_err)
 
 
@@ -423,28 +467,26 @@ def _cos_from_state(pf: float, om: float, om_err: float) -> Evaluation:
 
 def cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized cosine (1 - sin_p^p)^(1/p); decreasing from 1 to 0."""
-    pf = _pval(p)
-    qtol, itol = _tols(tol)
-    ph_v, slack = _domain_upper(pf, qtol)
+    fam = _FAMILIES[p, tol]
+    ph_v, slack = fam.upper
     if not (0.0 <= x <= ph_v + slack):
         raise DomainError(f"cos_p requires x in [0, pi_p/2 = {ph_v}], got {x}")
-    _, _, om, om_err = _sin_state(pf, x, qtol, itol)
-    return _cos_from_state(pf, om, om_err)
+    _, _, om, om_err = _sin_state(fam, x)
+    return _cos_from_state(fam.pf, om, om_err)
 
 
 def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """sin_p/cos_p on [0, pi_p/2); raises PoleError against the right end."""
-    pf = _pval(p)
-    qtol, itol = _tols(tol)
-    ph_v, slack = _domain_upper(pf, qtol)
+    fam = _FAMILIES[p, tol]
+    ph_v, slack = fam.upper
     if not (0.0 <= x <= ph_v + slack):
         raise DomainError(f"tan_p requires x in [0, pi_p/2 = {ph_v}), got {x}")
     if x > ph_v - _POLE_WINDOW:
         raise PoleError(f"tan_p pole: x = {x} within {_POLE_WINDOW} of pi_p/2 = {ph_v}")
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    s, s_err, om, om_err = _sin_state(pf, x, qtol, itol)
-    c = _cos_from_state(pf, om, om_err)
+    s, s_err, om, om_err = _sin_state(fam, x)
+    c = _cos_from_state(fam.pf, om, om_err)
     if c.value == 0.0:
         raise PoleError(f"tan_p pole: cos_p vanished at x = {x}")
     v = s / c.value
@@ -454,44 +496,41 @@ def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) ->
 
 def sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized hyperbolic sine on x >= 0; sinh_p(x) > x for x > 0."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
     if x < 0.0:
         raise DomainError(f"sinh_p requires x >= 0, got {x}")
-    qtol, itol = _tols(tol)
-    v, e = _sinh_raw(pf, x, qtol, itol)
+    v, e = _sinh_raw(fam, x)
     return Evaluation(v, e)
 
 
-def _snap_to_identity(pf: float, s: float, v: float) -> float:
-    """Move v onto the double nearest the root of v^p = 1 + s^p (integer p only).
+@_memoized("snap")
+def _snap_to_identity(fam: _Family, x: float, s: float, v: float) -> float:
+    """Move v = cosh_p(x) onto the double nearest the root of v^p = 1 + s^p.
 
     The log/exp route carries a relative error of a few ulp scaled by |log|,
     which the p-th power then amplifies by p.  For integer p the defining
     equation is rational, so one Newton step in exact arithmetic lands within
     half an ulp of the true root; exp rounding no longer leaks into the
-    residual 1 + sinh_p^p - cosh_p^p.
+    residual 1 + sinh_p^p - cosh_p^p.  Callers apply it only where the family
+    keeps a snap memo (integer p in [2, 64]) and s > 0, 1 < v < inf.
     """
-    n = int(pf)
-    if float(n) != pf or not 2 <= n <= 64:
-        return v
-    if s <= 0.0 or v <= 1.0 or not math.isfinite(v):
-        return v
+    n = int(fam.pf)
     fv = Fraction(v)
     r = fv ** n - (1 + Fraction(s) ** n)
-    if r == 0:
-        return v
-    return float(fv - r / (n * fv ** (n - 1)))
+    return v if r == 0 else float(fv - r / (n * fv ** (n - 1)))
 
 
 def cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized hyperbolic cosine (1 + sinh_p^p)^(1/p) >= 1."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
+    pf = fam.pf
     if x < 0.0:
         raise DomainError(f"cosh_p requires x >= 0, got {x}")
-    qtol, itol = _tols(tol)
-    s, s_err = _sinh_raw(pf, x, qtol, itol)
+    s, s_err = _sinh_raw(fam, x)
     lch = _log_cosh(pf, s)
-    v = _snap_to_identity(pf, s, math.exp(lch))
+    v = math.exp(lch)
+    if fam.snap is not None and s > 0.0 and 1.0 < v < math.inf:
+        v = _snap_to_identity(fam, x, s, v)
     # d cosh/d sinh = tanh^(p-1) <= 1.
     slope = 1.0 if s == 0.0 else math.exp((pf - 1.0) * (math.log(s) - lch))
     return Evaluation(v, slope * s_err + 4.0 * _EPS * v)
@@ -499,11 +538,11 @@ def cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -
 
 def tanh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """sinh_p/cosh_p on x >= 0, with values in [0, 1)."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
+    pf = fam.pf
     if x < 0.0:
         raise DomainError(f"tanh_p requires x >= 0, got {x}")
-    qtol, itol = _tols(tol)
-    s, s_err = _sinh_raw(pf, x, qtol, itol)
+    s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(0.0, 0.0)
     lch = _log_cosh(pf, s)
@@ -522,18 +561,18 @@ def d_sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) 
 
 def d_cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1); singular at pi_p/2 when p > 2."""
-    pf = _pval(p)
-    qtol, itol = _tols(tol)
-    ph_v, slack = _domain_upper(pf, qtol)
+    fam = _FAMILIES[p, tol]
+    ph_v, slack = fam.upper
     if not (0.0 <= x <= ph_v + slack):
         raise DomainError(f"d_cos_p requires x in [0, pi_p/2 = {ph_v}], got {x}")
+    pf = fam.pf
     if pf > 2.0 and x > ph_v - _POLE_WINDOW:
         raise DomainError(
             f"d_cos_p is singular at pi_p/2 for p > 2 (x = {x}, pi_p/2 = {ph_v})"
         )
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    s, s_err, om, om_err = _sin_state(pf, x, qtol, itol)
+    s, s_err, om, om_err = _sin_state(fam, x)
     c = _cos_from_state(pf, om, om_err)
     if c.value == 0.0:  # reachable only for p <= 2; the p = 2 case is -sin_p
         v = -(s ** (pf - 1.0)) if pf == 2.0 else 0.0
@@ -554,11 +593,11 @@ def d_sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
 
 def d_cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx cosh_p = cosh_p^(2-p) sinh_p^(p-1) (forced by the identity)."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
+    pf = fam.pf
     if x < 0.0:
         raise DomainError(f"d_cosh_p requires x >= 0, got {x}")
-    qtol, itol = _tols(tol)
-    s, s_err = _sinh_raw(pf, x, qtol, itol)
+    s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(0.0, (pf - 1.0) * s_err)
     lch = _log_cosh(pf, s)
@@ -569,11 +608,11 @@ def d_cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
 
 def d_tanh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx tanh_p = 1 - tanh_p^p."""
-    pf = _pval(p)
+    fam = _FAMILIES[p, tol]
+    pf = fam.pf
     if x < 0.0:
         raise DomainError(f"d_tanh_p requires x >= 0, got {x}")
-    qtol, itol = _tols(tol)
-    s, s_err = _sinh_raw(pf, x, qtol, itol)
+    s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(1.0, pf * s_err + 4.0 * _EPS)
     lch = _log_cosh(pf, s)

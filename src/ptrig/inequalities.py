@@ -40,12 +40,12 @@ from .core import (
     DomainError,
     PoleError,
     PParam,
-    _domain_upper,
+    _FAMILIES,
+    _Family,
     _log_cosh,
     _pval,
     _sin_state,
     _sinh_raw,
-    _tols,
     cosh_p,
     pi_p,
 )
@@ -237,7 +237,6 @@ class SharpConstants:
 @lru_cache(maxsize=None)
 def _consts(pf: float) -> tuple:
     """(alpha, beta, beta_err, lam, lam_err) with lam = log(pi_p/2)."""
-    qtol, _ = _tols(None)
     half = pi_p(pf)
     ph, ph_err = half.value / 2.0, half.abs_err / 2.0
     ch = cosh_p(ph, pf)
@@ -263,52 +262,56 @@ def sharp_constants(p: Union[PParam, float]) -> SharpConstants:
 # ---------------------------------------------------------------------------
 # log-space primitives with error bounds, for the direct (z above switch) route
 
-def _l1(pf: float, x: float, qtol, itol) -> tuple:
+def _l1(fam: _Family, x: float) -> tuple:
     """log(x / sin_p(x)) > 0."""
-    s, s_err, _, _ = _sin_state(pf, x, qtol, itol)
+    s, s_err, _, _ = _sin_state(fam, x)
     v = -math.log1p((s - x) / x)
     return v, (s_err + 2.0 * _EPS * (s + x)) / s
 
 
-def _l4(pf: float, x: float, qtol, itol) -> tuple:
+def _l4(fam: _Family, x: float) -> tuple:
     """-log cos_p(x) > 0."""
-    _, _, om, om_err = _sin_state(pf, x, qtol, itol)
+    _, _, om, om_err = _sin_state(fam, x)
     if om <= 0.0:
         raise PoleError(f"cos_p vanished at x = {x}")
-    v = -math.log(om) / pf
-    return v, om_err / (pf * om) + 2.0 * _EPS * abs(v)
+    v = -math.log(om) / fam.pf
+    return v, om_err / (fam.pf * om) + 2.0 * _EPS * abs(v)
 
 
-def _l2(pf: float, x: float, qtol, itol) -> tuple:
+def _l2(fam: _Family, x: float) -> tuple:
     """log(sinh_p(x) / x) > 0."""
-    sh, sh_err = _sinh_raw(pf, x, qtol, itol)
+    sh, sh_err = _sinh_raw(fam, x)
     v = math.log1p((sh - x) / x)
     return v, (sh_err + 2.0 * _EPS * (sh + x)) / sh
 
 
-def _l3(pf: float, x: float, qtol, itol) -> tuple:
+def _l3(fam: _Family, x: float) -> tuple:
     """log cosh_p(x) > 0."""
-    sh, sh_err = _sinh_raw(pf, x, qtol, itol)
-    v = _log_cosh(pf, sh)
+    sh, sh_err = _sinh_raw(fam, x)
+    v = _log_cosh(fam.pf, sh)
     # d log cosh_p / d sinh_p = sinh^(p-1) / (1 + sinh^p)
-    w = math.exp((pf - 1.0) * math.log(sh) - pf * v)
+    w = math.exp((fam.pf - 1.0) * math.log(sh) - fam.pf * v)
     return v, sh_err * w + 4.0 * _EPS * v
 
 
-def _dee(pf: float, x: float, qtol, itol) -> tuple:
+def _dee(fam: _Family, x: float) -> tuple:
     """(sin_p - x cos_p) / sin_p = 1 - x cos_p/sin_p, positive on the domain."""
-    l1v, l1e = _l1(pf, x, qtol, itol)
-    l4v, l4e = _l4(pf, x, qtol, itol)
+    l1v, l1e = _l1(fam, x)
+    l4v, l4e = _l4(fam, x)
     g = l1v - l4v
     return -math.expm1(g), math.exp(g) * (l1e + l4e)
 
 
-def _ee(pf: float, x: float, qtol, itol) -> tuple:
+def _ee(fam: _Family, x: float) -> tuple:
     """(x cosh_p - sinh_p) / sinh_p = x/tanh_p - 1, positive for x > 0."""
-    l2v, l2e = _l2(pf, x, qtol, itol)
-    l3v, l3e = _l3(pf, x, qtol, itol)
+    l2v, l2e = _l2(fam, x)
+    l3v, l3e = _l3(fam, x)
     g = l3v - l2v
     return math.expm1(g), math.exp(g) * (l2e + l3e)
+
+
+# Direct-route primitive behind each series.SmallZSeries name.
+_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "d": _dee, "e": _ee}
 
 
 def _series_z(pf: float, x: float) -> Optional[float]:
@@ -326,8 +329,8 @@ def _ratio(num: float, num_err: float, den: float, den_err: float, scale: float 
     return Evaluation(v, abs(v) * rel + 2.0 * _EPS * abs(v))
 
 
-def _require_circular(pf: float, x: float, qtol) -> None:
-    ph_v, _ = _domain_upper(pf, qtol)
+def _require_circular(fam: _Family, x: float) -> None:
+    ph_v, _ = fam.upper
     if not 0.0 < x < ph_v:
         raise DomainError(f"x must lie strictly inside (0, pi_p/2 = {ph_v}), got {x}")
 
@@ -337,97 +340,56 @@ def _require_positive(x: float) -> None:
         raise DomainError(f"x must be positive, got {x}")
 
 
+def _ratio_functional(
+    fam: _Family, x: float, num: str, den: str, limit: float, scale: float = 1.0
+) -> Evaluation:
+    """scale * num/den for two primitives named as in series.SmallZSeries;
+    limit is the value as z -> 0, returned below the z-floor."""
+    z = _series_z(fam.pf, x)
+    if z is None:
+        return _ratio(*_DIRECT[num](fam, x), *_DIRECT[den](fam, x), scale=scale)
+    if z <= _Z_FLOOR:
+        return Evaluation(limit, 4.0 * _EPS * limit)
+    sz = series.primitives(fam.pf)
+    a, b = getattr(sz, num), getattr(sz, den)
+    return _ratio(
+        series.zp_eval(a, z), series.zp_trunc_err(a, z),
+        series.zp_eval(b, z), series.zp_trunc_err(b, z), scale,
+    )
+
+
 def thm1_f(x: float, p: Union[PParam, float]) -> Evaluation:
     """log(x/sin_p(x)) / log(sinh_p(x)/x); increasing on (0, pi_p/2) from 1."""
-    pf = _pval(p)
-    qtol, itol = _tols(None)
-    _require_circular(pf, x, qtol)
-    z = _series_z(pf, x)
-    if z is not None:
-        if z <= _Z_FLOOR:
-            return Evaluation(1.0, 4.0 * _EPS)
-        sz = series.primitives(pf)
-        return _ratio(
-            series.zp_eval(sz.l1, z),
-            series.zp_trunc_err(sz.l1, z),
-            series.zp_eval(sz.l2, z),
-            series.zp_trunc_err(sz.l2, z),
-        )
-    n, ne = _l1(pf, x, qtol, itol)
-    d, de = _l2(pf, x, qtol, itol)
-    return _ratio(n, ne, d, de)
+    fam = _FAMILIES[p, None]
+    _require_circular(fam, x)
+    return _ratio_functional(fam, x, "l1", "l2", 1.0)
 
 
 def thm2_g(x: float, p: Union[PParam, float]) -> Evaluation:
     """log(x/sin_p(x)) / log(cosh_p(x)); increasing on (0, pi_p/2) from 1/(1+p)."""
-    pf = _pval(p)
-    qtol, itol = _tols(None)
-    _require_circular(pf, x, qtol)
-    z = _series_z(pf, x)
-    if z is not None:
-        alpha = 1.0 / (1.0 + pf)
-        if z <= _Z_FLOOR:
-            return Evaluation(alpha, 4.0 * _EPS * alpha)
-        sz = series.primitives(pf)
-        return _ratio(
-            series.zp_eval(sz.l1, z),
-            series.zp_trunc_err(sz.l1, z),
-            series.zp_eval(sz.l3, z),
-            series.zp_trunc_err(sz.l3, z),
-        )
-    n, ne = _l1(pf, x, qtol, itol)
-    d, de = _l3(pf, x, qtol, itol)
-    return _ratio(n, ne, d, de)
+    fam = _FAMILIES[p, None]
+    _require_circular(fam, x)
+    return _ratio_functional(fam, x, "l1", "l3", 1.0 / (1.0 + fam.pf))
 
 
 def lem22_f(x: float, p: Union[PParam, float]) -> Evaluation:
     """p sin_p log(x/sin_p) / (sin_p - x cos_p); decreasing on (0, pi_p/2) from 1."""
-    pf = _pval(p)
-    qtol, itol = _tols(None)
-    _require_circular(pf, x, qtol)
-    z = _series_z(pf, x)
-    if z is not None:
-        if z <= _Z_FLOOR:
-            return Evaluation(1.0, 4.0 * _EPS)
-        sz = series.primitives(pf)
-        return _ratio(
-            series.zp_eval(sz.l1, z),
-            series.zp_trunc_err(sz.l1, z),
-            series.zp_eval(sz.d, z),
-            series.zp_trunc_err(sz.d, z),
-            scale=pf,
-        )
-    n, ne = _l1(pf, x, qtol, itol)
-    d, de = _dee(pf, x, qtol, itol)
-    return _ratio(n, ne, d, de, scale=pf)
+    fam = _FAMILIES[p, None]
+    _require_circular(fam, x)
+    return _ratio_functional(fam, x, "l1", "d", 1.0, scale=fam.pf)
 
 
 def lem23_g(x: float, p: Union[PParam, float]) -> Evaluation:
     """p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p); increasing on (0, inf), 1 to p."""
-    pf = _pval(p)
-    qtol, itol = _tols(None)
+    fam = _FAMILIES[p, None]
     _require_positive(x)
-    z = _series_z(pf, x)
-    if z is not None:
-        if z <= _Z_FLOOR:
-            return Evaluation(1.0, 4.0 * _EPS)
-        sz = series.primitives(pf)
-        return _ratio(
-            series.zp_eval(sz.l2, z),
-            series.zp_trunc_err(sz.l2, z),
-            series.zp_eval(sz.e, z),
-            series.zp_trunc_err(sz.e, z),
-            scale=pf,
-        )
-    n, ne = _l2(pf, x, qtol, itol)
-    d, de = _ee(pf, x, qtol, itol)
-    return _ratio(n, ne, d, de, scale=pf)
+    return _ratio_functional(fam, x, "l2", "e", 1.0, scale=fam.pf)
 
 
 def lem24_gap(x: float, p: Union[PParam, float]) -> Evaluation:
     """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), strictly positive for x > 0."""
-    pf = _pval(p)
-    qtol, itol = _tols(None)
+    fam = _FAMILIES[p, None]
+    pf = fam.pf
     _require_positive(x)
     z = _series_z(pf, x)
     if z is not None:
@@ -435,8 +397,8 @@ def lem24_gap(x: float, p: Union[PParam, float]) -> Evaluation:
             return Evaluation(0.0, 0.0)
         sz = series.primitives(pf)
         return Evaluation(series.zp_eval(sz.lem24, z), series.zp_trunc_err(sz.lem24, z))
-    sh, sh_err = _sinh_raw(pf, x, qtol, itol)
-    l3v, l3e = _l3(pf, x, qtol, itol)
+    sh, sh_err = _sinh_raw(fam, x)
+    l3v, l3e = _l3(fam, x)
     t = math.exp((pf - 1.0) * (math.log(sh) - l3v))
     t_err = t * (pf - 1.0) * (sh_err / sh + l3e)
     v = l3v - (x / pf) * t
@@ -458,9 +420,7 @@ _FUNCTIONALS = {
 
 def _interval(tag: FunctionId, pf: float) -> tuple:
     if tag in _CIRCULAR_TAGS:
-        qtol, _ = _tols(None)
-        ph_v, _ = _domain_upper(pf, qtol)
-        return 0.0, ph_v
+        return 0.0, _FAMILIES[pf, None].upper[0]
     return 0.0, _HYP_UPPER
 
 
@@ -520,37 +480,38 @@ def _chain_polys(tag: FunctionId, pf: float) -> tuple:
     return tuple(polys), tuple(cerrs), tuple(gap_polys), tuple(gap_cerrs)
 
 
-def _chain_logs(tag: FunctionId, pf: float, x: float, qtol, itol) -> list:
+def _chain_logs(tag: FunctionId, fam: _Family, x: float) -> list:
     """Term logs [(value, err), ...] at x via the direct route."""
+    pf = fam.pf
     alpha, beta, beta_err, lam, lam_err = _consts(pf)
     if tag is FunctionId.THM1_CHAIN:
-        l1 = _l1(pf, x, qtol, itol)
-        l2 = _l2(pf, x, qtol, itol)
+        l1 = _l1(fam, x)
+        l2 = _l2(fam, x)
         return [(-pf * l2[0], pf * l2[1]), (-l1[0], l1[1]), (-l2[0], l2[1])]
     if tag is FunctionId.THM2_CHAIN:
-        l1 = _l1(pf, x, qtol, itol)
-        l3 = _l3(pf, x, qtol, itol)
+        l1 = _l1(fam, x)
+        l3 = _l3(fam, x)
         return [
             (-beta * l3[0], beta * l3[1] + beta_err * l3[0]),
             (-l1[0], l1[1]),
             (-alpha * l3[0], alpha * l3[1] + _EPS * alpha * l3[0]),
         ]
     if tag is FunctionId.LEM22_CHAIN:
-        l1 = _l1(pf, x, qtol, itol)
-        d = _dee(pf, x, qtol, itol)
+        l1 = _l1(fam, x)
+        d = _dee(fam, x)
         return [
             (-d[0] / pf, d[1] / pf),
             (-l1[0], l1[1]),
             (-lam * d[0], lam * d[1] + lam_err * d[0]),
         ]
     if tag is FunctionId.LEM23_CHAIN:
-        l2 = _l2(pf, x, qtol, itol)
-        e = _ee(pf, x, qtol, itol)
+        l2 = _l2(fam, x)
+        e = _ee(fam, x)
         return [(e[0] / pf, e[1] / pf), (l2[0], l2[1]), (e[0], e[1])]
     if tag is FunctionId.COROLLARY_CHAIN:
-        l1 = _l1(pf, x, qtol, itol)
-        l3 = _l3(pf, x, qtol, itol)
-        l4 = _l4(pf, x, qtol, itol)
+        l1 = _l1(fam, x)
+        l3 = _l3(fam, x)
+        l4 = _l4(fam, x)
         return [
             (-beta * l4[0], beta * l4[1] + beta_err * l4[0]),
             (-beta * l3[0], beta * l3[1] + beta_err * l3[0]),
@@ -561,16 +522,16 @@ def _chain_logs(tag: FunctionId, pf: float, x: float, qtol, itol) -> list:
     raise ValueError(f"{tag} is not a chain claim")
 
 
-def _chain_point(tag: FunctionId, pf: float, x: float, qtol, itol) -> tuple:
+def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
     """(term values, pair margins, pair budgets) at one grid point.
 
     Margins are value-space gaps T_(k+1) - T_k computed as T_k expm1(gap_k)
     with gap_k the log-space difference, so a tiny gap between O(1) terms
     never passes through a float subtraction of the terms themselves.
     """
-    z = _series_z(pf, x)
+    z = _series_z(fam.pf, x)
     if z is not None:
-        polys, cerrs, gap_polys, gap_cerrs = _chain_polys(tag, pf)
+        polys, cerrs, gap_polys, gap_cerrs = _chain_polys(tag, fam.pf)
         logs = [
             (series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(c, z))
             for q, c in zip(polys, cerrs)
@@ -580,7 +541,7 @@ def _chain_point(tag: FunctionId, pf: float, x: float, qtol, itol) -> tuple:
             for q, c in zip(gap_polys, gap_cerrs)
         ]
     else:
-        logs = _chain_logs(tag, pf, x, qtol, itol)
+        logs = _chain_logs(tag, fam, x)
         gaps = [
             (logs[k + 1][0] - logs[k][0], logs[k][1] + logs[k + 1][1])
             for k in range(len(logs) - 1)
@@ -645,9 +606,9 @@ def verify_chain(
     """
     if claim not in _CHAIN_TAGS:
         raise ValueError(f"{claim} is not a chain claim")
-    pf = _pval(p)
+    fam = _FAMILIES[p, None]
+    pf = fam.pf
     grid = grid or GridSpec()
-    qtol, itol = _tols(None)
     lo, hi = _interval(claim, pf)
     xs = grid_points(grid, lo, hi)
 
@@ -658,7 +619,7 @@ def verify_chain(
     for x in xs:
         xf = float(x)
         try:
-            values, margins, budgets = _chain_point(claim, pf, xf, qtol, itol)
+            values, margins, budgets = _chain_point(claim, fam, xf)
         except _CORE_ERRORS as exc:
             raise EvaluationFailed(claim.value, xf, pf, exc) from exc
         if claim is FunctionId.THM2_CHAIN:
@@ -783,9 +744,9 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
     polynomial, because e.g. thm1_f - 1 vanishes like z while thm1_f itself
     rounds to 1.0 long before that.
     """
-    pf = _pval(p)
+    fam = _FAMILIES[p, None]
+    pf = fam.pf
     grid = grid or GridSpec()
-    qtol, itol = _tols(None)
     alpha, beta, beta_err, _, _ = _consts(pf)
     lo, hi = _interval(FunctionId.THM1_F, pf)
     xs = grid_points(grid, lo, hi)

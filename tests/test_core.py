@@ -1,7 +1,10 @@
 """Core evaluator tests: classical reductions, frozen high-precision values,
 identities, round trips, error-bound honesty, and domain policing."""
 
+import itertools
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from ptrig import (
     Tolerance,
     TrigValue,
 )
+from ptrig import core
 from tests.conftest import classical_pi_p
 
 P_GRID = [1.5, 2.0, 2.5, 3.0, 5.0, 10.0]
@@ -366,3 +370,88 @@ class TestProperties:
         assert sh.value >= x
         back = ptrig.arsinh_p(sh.value, p)
         assert abs(back.value - x) <= 1e-7 * max(1.0, x)
+
+
+class TestFamilyRegistry:
+    """One family per (p, tol), held in a bounded registry; its memos never
+    change a value, only whether it is recomputed."""
+
+    P = 2.75
+    fresh = itertools.count()
+
+    @staticmethod
+    def evaluate(p, tol=None):
+        half = ptrig.pi_p(p).value / 2
+        circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_cos_p)
+        hyperbolic = (ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p, ptrig.d_cosh_p, ptrig.d_tanh_p)
+        evs = [ptrig.pi_p(p, tol), ptrig.arcsin_p(0.9, p, tol), ptrig.arsinh_p(4.0, p, tol)]
+        for x in (0.01 * half, 0.6 * half, (1.0 - 1e-7) * half):
+            evs += [f(x, p, tol) for f in circular]
+        for x in (0.02, 0.9, 2.5):
+            evs += [f(x, p, tol) for f in hyperbolic]
+        return [repr(ev) for ev in evs]
+
+    @classmethod
+    def evict_all(cls):
+        """Register _FAMILY_CAP families never seen before."""
+        for _ in range(core._FAMILY_CAP):
+            ptrig.arcsin_p(0.5, 40.0 + next(cls.fresh) / 16)
+
+    @pytest.mark.parametrize("tol", [None, Tolerance(1e-11, 1e-11, 60)])
+    def test_cold_warm_and_evicted_values_are_identical(self, tol):
+        self.evict_all()
+        cold = self.evaluate(self.P, tol)
+        warm = self.evaluate(self.P, tol)
+        self.evict_all()
+        assert (self.P, tol) not in core._FAMILIES
+        assert self.evaluate(self.P, tol) == warm == cold
+
+    def test_registry_stays_at_its_cap(self):
+        for k in range(core._FAMILY_CAP + 5):
+            ptrig.arcsin_p(0.5, 3.0 + k / 7)
+        assert len(core._FAMILIES) == core._FAMILY_CAP
+
+    def test_full_memos_are_emptied_without_changing_values(self, monkeypatch):
+        self.evict_all()
+        want = self.evaluate(self.P)
+        self.evict_all()
+        monkeypatch.setattr(core, "_MEMO_CAP", 2)
+        assert self.evaluate(self.P) == want
+        fam = core._FAMILIES[self.P, None]
+        assert all(len(memo) <= 2 for memo in (fam.sin, fam.sinh, fam.asin, fam.asinh))
+
+    def test_pparam_and_float_share_one_family(self):
+        assert core._FAMILIES[PParam(self.P), None] is core._FAMILIES[self.P, None]
+
+    def test_integer_p_cosh_snap_is_memoized(self):
+        core._FAMILIES.pop((3.0, None), None)
+        first = ptrig.cosh_p(0.7, 3.0)
+        assert 0.7 in core._FAMILIES[3.0, None].snap
+        assert ptrig.cosh_p(0.7, 3.0) == first
+        assert core._FAMILIES[3.5, None].snap is None
+
+    def test_concurrent_callers_see_the_same_values(self):
+        ps = [1.5 + k / 8 for k in range(core._FAMILY_CAP + 8)]
+        want = {p: ptrig.arcsin_p(0.8, p) for p in ps}
+        errors = []
+
+        def worker(offset):
+            try:
+                for p in ps[offset:] + ps[:offset]:
+                    assert ptrig.arcsin_p(0.8, p) == want[p]
+            except Exception as exc:  # collected and asserted empty below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(3 * k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(core._FAMILIES) <= core._FAMILY_CAP
