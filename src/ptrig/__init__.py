@@ -1,8 +1,10 @@
 """Generalized trigonometric and hyperbolic functions with a verification engine.
 
 The one-parameter family sin_p, cos_p, tan_p, sinh_p, cosh_p, tanh_p (p > 1)
-is evaluated from the defining integrals by singularity-aware quadrature and
-safeguarded inversion, with cancellation-safe series near zero.  On top of the
+is evaluated from the defining integrals, the circular one through
+hypergeometric series with rigorous tail bounds and the hyperbolic one by
+tanh-sinh quadrature, with safeguarded inversion and cancellation-safe series
+near zero.  On top of the
 evaluators sits a grid-based engine that certifies monotonicity claims and
 inequality chains with explicit error budgets, plus the ``ptrig`` command line
 front end.
@@ -12,7 +14,6 @@ from .core import (
     DomainError,
     PoleError,
     PParam,
-    TrigValue,
     arcsin_p,
     arsinh_p,
     cos_p,
@@ -79,7 +80,6 @@ __all__ = [
     "PoleError",
     "SharpConstants",
     "Tolerance",
-    "TrigValue",
     "VerificationReport",
     "arcsin_p",
     "arsinh_p",

@@ -3,12 +3,27 @@
 arcsin_p and arsinh_p are the defining integrals
 
     arcsin_p(x) = integral_0^x (1 - t^p)^(-1/p) dt,   x in [0, 1],
-    arsinh_p(x) = integral_0^x (1 + t^p)^(-1/p) dt,   x >= 0,
+    arsinh_p(x) = integral_0^x (1 + t^p)^(-1/p) dt,   x >= 0.
 
-evaluated by tanh-sinh quadrature; sin_p and sinh_p invert them with
-safeguarded Newton iteration, switching to verified reversion series near
-zero where inversion would lose the deficit x - sin_p(x) to cancellation.
-The remaining functions follow from the identities
+The circular side is evaluated without quadrature.  The half-period has the
+closed form pi_p/2 = pi / (p sin(pi/p)), and with w = x^p, om = 1 - w and
+q = 1 - 1/p both arcsin_p and its distance to pi_p/2 are incomplete beta
+integrals with positive hypergeometric series (DLMF §8.17):
+
+    arcsin_p(x) = x * sum_k (1/p)_k/k! w^k/(kp + 1),                 w <= 1/2,
+    T(om) = pi_p/2 - arcsin_p(x) = (om^q/p) * sum_k (q)_k/k! om^k/(k + q).
+
+Above w = 1/2 arcsin_p(x) = arcsin_p(2^(-1/p)) + T(1/2) - T(om), with the
+leading terms of the two T series differenced in closed form, so no digits
+are lost as p -> 1 where pi_p/2 grows like 1/(p - 1).  Every term ratio is
+below w or om, both at most 1/2, so the dropped tail is at most the last
+term kept; with a rounding allowance per term this is the error bound.  The
+hyperbolic integral is still taken by tanh-sinh quadrature.
+
+sin_p and sinh_p invert the integrals with safeguarded Newton iteration,
+switching to verified reversion series near zero where inversion would lose
+the deficit x - sin_p(x) to cancellation.  Near pi_p/2, sin_p inverts T in
+log space instead.  The remaining functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
@@ -17,9 +32,10 @@ circular functions are defined on [0, pi_p/2] only (no periodic extension);
 the hyperbolic ones on x >= 0 up to floating-point range.
 
 Every public operation returns an :class:`Evaluation` whose abs_err chains
-the quadrature estimate, the inversion residual converted through the local
-slope, and series truncation, so downstream margin certification can budget
-against it.
+the series or quadrature bound, the inversion residual converted through the
+local slope, and the small-argument series truncation, so downstream margin
+certification can budget against it.  A series or quadrature whose bound
+cannot meet the requested tolerance raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -34,13 +50,12 @@ from typing import Optional, Union
 import numpy as np
 
 from . import series
-from .numerics import Evaluation, Tolerance, integrate, invert_monotone
+from .numerics import Evaluation, NonConvergence, Tolerance, integrate, invert_monotone
 
 __all__ = [
     "DomainError",
     "PoleError",
     "PParam",
-    "TrigValue",
     "pi_p",
     "arcsin_p",
     "sin_p",
@@ -97,15 +112,6 @@ class PParam:
             raise ValueError(f"parameter p must be finite and > 1, got {self.p}")
 
 
-@dataclass(frozen=True)
-class TrigValue:
-    """One sampled function value: argument, parameter, evaluation."""
-
-    x: float
-    p: PParam
-    value: Evaluation
-
-
 def _pval(p: Union[PParam, float]) -> float:
     if isinstance(p, PParam):
         return p.p
@@ -122,11 +128,13 @@ _MEMO_CAP = 1 << 14
 
 class _Family:
     """What depends on (p, tol) alone: tolerances, series polynomials, the
-    half-period, and x-keyed memos of _sin_state, _sinh_raw, _arcsin_quad,
-    _arsinh_quad and, for integer p in [2, 64], _snap_to_identity."""
+    half-period, x-keyed memos of _sin_state, _sinh_raw, _arcsin_quad,
+    _arsinh_quad and, for integer p in [2, 64], _snap_to_identity, and the
+    per-p results other modules keep through _family_owned."""
 
     def __init__(self, pf: float, tol: Optional[Tolerance]) -> None:
         self.pf = pf
+        self.q = (pf - 1.0) / pf
         self.qtol, self.itol = _QUAD_TOL, _INV_TOL
         if tol is not None:
             self.qtol, self.itol = tol, Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
@@ -134,12 +142,34 @@ class _Family:
         self.sinh_poly = series.zp(1.0, *series.hyper_inverse_coeffs(pf))
         self.sin, self.sinh, self.asin, self.asinh = {}, {}, {}, {}
         self.snap = {} if pf.is_integer() and 2.0 <= pf <= 64.0 else None
+        self.derived = {}
+
+    @cached_property
+    def half(self) -> tuple[float, float]:
+        """pi_p/2 = pi / (p sin(pi/p)) and its error bound.
+
+        Below p = 2 the same sine is taken at pi q = pi - pi/p, an angle in
+        (0, pi/2) that keeps full relative accuracy as p -> 1.
+        """
+        theta = math.pi / self.pf if self.pf >= 2.0 else math.pi * self.q
+        v = math.pi / (self.pf * math.sin(theta))
+        return _within(self.qtol, v, 4.0 * _EPS * v)
 
     @cached_property
     def upper(self) -> tuple[float, float]:
         """pi_p/2, and the slack by which a circular argument may exceed it."""
-        ph_v, ph_e = _arcsin_quad(self, 1.0)
+        ph_v, ph_e = self.half
         return ph_v, ph_e + 4.0 * _EPS * ph_v
+
+    @cached_property
+    def glue(self) -> tuple[float, float]:
+        """arcsin_p(2^(-1/p)) + T(1/2) less its k = 0 term, with its error bound."""
+        pf, q = self.pf, self.q
+        sa, ea = _beta_tail(1.0 / pf, 0.5)
+        sq, eq = _beta_tail(q, 0.5)
+        root, hq = 0.5 ** (1.0 / pf), 0.5 ** q
+        v = root * (1.0 + sa / pf) + hq * sq / pf
+        return v, (root * ea + hq * eq) / pf + 4.0 * _EPS * v
 
 
 class _Registry(dict):
@@ -180,28 +210,52 @@ def _memoized(name: str):
     return wrap
 
 
+def _family_owned(build):
+    """Keep build(fam, *key) in fam.derived, so that what another module
+    derives from p alone lives and goes with the family."""
+
+    @wraps(build)
+    def lookup(fam: _Family, *key):
+        name = (build.__name__, *key)
+        got = fam.derived.get(name)
+        if got is None:
+            got = fam.derived[name] = build(fam, *key)
+        return got
+
+    return lookup
+
+
 # ---------------------------------------------------------------------------
 # Defining integrals
 
 
-def _circ_integrand(pf: float, b: float):
-    """(1 - t^p)^(-1/p) on [0, b], b <= 1; offset-aware near the right end.
+def _within(tol: Tolerance, v: float, err: float) -> tuple[float, float]:
+    """(v, err), or NonConvergence when err exceeds what tol asks of v."""
+    if err > max(tol.abs_tol, tol.rel_tol * abs(v)):
+        raise NonConvergence(f"error bound {err:.3e} above tolerance at value {v:.17g}")
+    return v, err
 
-    For nodes addressed by their distance to b the power 1 - t^p is formed
-    through expm1/log1p, which keeps full relative accuracy as t -> 1 where
-    direct subtraction would round to zero.
+
+def _beta_tail(a: float, x: float) -> tuple[float, float]:
+    """S = sum_{k>=1} (a)_k/k! x^k/(k+a) and its error bound, 0 < a < 1, 0 <= x <= 1/2.
+
+    x^a (1/a + S) is the incomplete beta integral of u^(a-1) (1-u)^(-a) over
+    [0, x].  Every term is positive and each term ratio
+    (a+k)^2 x / ((k+1)(k+1+a)) is below x, so the terms after the last one
+    kept sum to at most last * x/(1-x).  Rounding is allowed eps * S for each
+    term summed, plus a few for the term recurrence and the rounding of x.
     """
-    logb = math.log(b)
-
-    def f(t: np.ndarray, tc: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            t = np.asarray(t, dtype=float)
-            tc = np.asarray(tc, dtype=float)
-            logt = np.where(tc < 0.0, logb + np.log1p(tc / b), np.log(np.abs(t) + 1e-320))
-            one_minus = -np.expm1(pf * logt)
-            return np.exp(-np.log(one_minus) / pf)
-
-    return f
+    c = a * x
+    k = 1
+    term = c / (1.0 + a)
+    total = term
+    r = x / (1.0 - x)
+    while term * r > 0.5 * _EPS * total:
+        c *= (a + k) / (k + 1) * x
+        k += 1
+        term = c / (k + a)
+        total += term
+    return total, term * r + (k + 3) * _EPS * total
 
 
 def _hyp_integrand(pf: float):
@@ -227,9 +281,33 @@ def _hyp_tail_integrand(pf: float):
 
 
 @_memoized("asin")
-def _arcsin_quad(fam: _Family, x: float) -> tuple[float, float]:
-    res = integrate(_circ_integrand(fam.pf, x), 0.0, x, fam.qtol, vectorized=True)
-    return res.value, res.abs_err
+def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
+    """arcsin_p(s) and its error bound for 0 < s <= 1, from the series in
+    w = s^p up to w = 1/2 and from the endpoint series in om above it."""
+    pf, q = fam.pf, fam.q
+    if s >= 1.0:
+        return fam.half
+    w = s ** pf
+    if w <= 0.5:
+        S, e = _beta_tail(1.0 / pf, w)
+        v = s * (1.0 + S / pf)
+        return _within(fam.qtol, v, s * e / pf + 2.0 * _EPS * v)
+    # glue + T(1/2) - T(om): the k = 0 terms of the two T series differ by
+    # ((1/2)^q - om^q)/q, taken through expm1.  The (6 + |log om|) eps term
+    # covers that difference's rounding, the relative error of om and of q.
+    om = -math.expm1(pf * math.log(s))
+    log_om = math.log(om)
+    omq, hq = om ** q, 0.5 ** q
+    S, e = _beta_tail(q, om)
+    head = -hq * math.expm1(q * math.log(2.0 * om)) / q
+    g_v, g_e = fam.glue
+    v = g_v + (head - omq * S) / pf
+    err = (
+        g_e
+        + (omq * e + (6.0 + abs(log_om)) * _EPS * (head + hq + omq * (1.0 + S))) / pf
+        + 2.0 * _EPS * v
+    )
+    return _within(fam.qtol, v, err)
 
 
 @_memoized("asinh")
@@ -244,12 +322,11 @@ def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
 
 
 def pi_p(p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
-    """The half-period constant: pi_p = 2 arcsin_p(1).
+    """The half-period constant pi_p = 2 arcsin_p(1) = 2 pi / (p sin(pi/p)).
 
-    Cross-checked in the test suite against the closed form
-    2 pi / (p sin(pi/p)).
+    Cross-checked in the test suite against the defining integral.
     """
-    v, e = _arcsin_quad(_FAMILIES[p, tol], 1.0)
+    v, e = _FAMILIES[p, tol].half
     return Evaluation(2.0 * v, 2.0 * e)
 
 
@@ -280,23 +357,17 @@ def arsinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
 
 
 def _tail_T(fam: _Family, om: float) -> tuple[float, float]:
-    """arcsin_p(1) - arcsin_p(s) as a function of om = 1 - s^p.
+    """T(om) = arcsin_p(1) - arcsin_p(s) for om = 1 - s^p in (0, 1/2].
 
-    Substituting v = om * r in the deficit integral gives the fixed-interval
-    form (om^q / p) * integral_0^1 r^(-1/p) (1 - om r)^(-q) dr with
-    q = (p-1)/p, which stays well conditioned however tiny om is.
+    T(om) = (om^q / p) * (1/q + sum_{k>=1} (q)_k/k! om^k/(k+q)) with
+    q = (p-1)/p, all positive terms, so it keeps full relative accuracy
+    however tiny om is.
     """
-    pf = fam.pf
-    q = (pf - 1.0) / pf
-
-    def f(r: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            r = np.asarray(r, dtype=float)
-            return np.exp(-np.log(r) / pf - q * np.log1p(-om * r))
-
-    res = integrate(f, 0.0, 1.0, fam.qtol, vectorized=True)
-    pref = math.exp(q * math.log(om)) / pf
-    return pref * res.value, pref * res.abs_err
+    q = fam.q
+    S, e = _beta_tail(q, om)
+    pref = om ** q / fam.pf
+    v = pref * (1.0 / q + S)
+    return _within(fam.qtol, v, pref * e + 4.0 * _EPS * v)
 
 
 def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, float, float, float]:
@@ -306,13 +377,15 @@ def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, fl
     than one ulp; in log space the grid is geometric and Newton keeps full
     relative accuracy all the way into the corner.
     """
-    pf = fam.pf
-    q = (pf - 1.0) / pf
+    pf, q = fam.pf, fam.q
     lead = math.log((pf - 1.0) * max(tau, tau_err, 5e-324)) / q
     if tau <= tau_err or lead < -690.0:
         # Either at/past the endpoint within its own uncertainty, or om is
         # below floating-point range: report the corner with an om band.
-        om_ub = math.exp(max(lead, -745.0) + 1.0)
+        # T(om) >= om^q/(p-1) and the true tau is at most tau + tau_err,
+        # which bounds om; the + 1 in the exponent absorbs rounding.
+        lead_ub = math.log((pf - 1.0) * (max(tau, 0.0) + tau_err)) / q
+        om_ub = math.exp(max(lead_ub, -745.0) + 1.0)
         return 1.0, 2.0 * _EPS, 0.0, om_ub
 
     # Closed-form bracket: T(om) lies between om^q/(p-1) and that times
@@ -361,11 +434,10 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
         om = _cos_pow(pf, s)
         return s, s_err, om, pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
 
-    ph_v, ph_e = _arcsin_quad(fam, 1.0)
+    ph_v, ph_e = fam.half
     tau = ph_v - x
     tau_err = ph_e + _EPS * ph_v
-    q = (pf - 1.0) / pf
-    om_pred = math.exp(math.log((pf - 1.0) * max(tau, tau_err)) / q)
+    om_pred = math.exp(math.log((pf - 1.0) * max(tau, tau_err)) / fam.q)
     if om_pred < _OM_SWITCH:
         return _endpoint_state(fam, tau, tau_err)
 
@@ -383,7 +455,7 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     res = invert_monotone(F, x, 0.0, 1.0, deriv=dF, tol=fam.itol)
     s = res.value
     # Residual tolerance back through the slope: dF >= 1, so the x-space
-    # residual bounds the s-space error directly; add the quadrature band.
+    # residual bounds the s-space error directly; add the series band.
     restol = fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
     s_err = 2.0 * restol * _cos_val(pf, s) + 4.0 * _EPS * s
     om = _cos_pow(pf, s)
@@ -459,8 +531,9 @@ def _cos_from_state(pf: float, om: float, om_err: float) -> Evaluation:
         return Evaluation(0.0, om_err ** (1.0 / pf))
     c = math.exp(math.log(om) / pf)
     # Linearized propagation, capped by the full enclosure width when the
-    # relative uncertainty of om is not small.
-    lin = c * om_err / (pf * om)
+    # relative uncertainty of om is not small.  The relative error is formed
+    # first: for tiny om the product c * om_err would underflow to zero.
+    lin = c * (om_err / om) / pf
     cap = (om + om_err) ** (1.0 / pf) - max(om - om_err, 0.0) ** (1.0 / pf)
     return Evaluation(c, min(lin, cap) + 4.0 * _EPS * c)
 
@@ -487,11 +560,13 @@ def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) ->
         return Evaluation(0.0, 0.0)
     s, s_err, om, om_err = _sin_state(fam, x)
     c = _cos_from_state(fam.pf, om, om_err)
-    if c.value == 0.0:
-        raise PoleError(f"tan_p pole: cos_p vanished at x = {x}")
+    if c.value <= c.abs_err:
+        raise PoleError(f"tan_p pole: cos_p = {c.value} is not resolved from 0 at x = {x}")
     v = s / c.value
-    rel = s_err / s + c.abs_err / c.value
-    return Evaluation(v, abs(v) * rel + 4.0 * _EPS * abs(v))
+    # The far end of the enclosure s/c over both error bands; first-order
+    # propagation would understate it once c's relative error is not small.
+    hi = (s + s_err) / (c.value - c.abs_err)
+    return Evaluation(v, (hi - v) + 4.0 * _EPS * v)
 
 
 def sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -42,6 +41,7 @@ from .core import (
     PParam,
     _FAMILIES,
     _Family,
+    _family_owned,
     _log_cosh,
     _pval,
     _sin_state,
@@ -234,9 +234,15 @@ class SharpConstants:
             )
 
 
-@lru_cache(maxsize=None)
-def _consts(pf: float) -> tuple:
+@_family_owned
+def _zseries(fam: _Family) -> series.SmallZSeries:
+    return series.primitives(fam.pf)
+
+
+@_family_owned
+def _consts(fam: _Family) -> tuple:
     """(alpha, beta, beta_err, lam, lam_err) with lam = log(pi_p/2)."""
+    pf = fam.pf
     half = pi_p(pf)
     ph, ph_err = half.value / 2.0, half.abs_err / 2.0
     ch = cosh_p(ph, pf)
@@ -254,9 +260,9 @@ def _consts(pf: float) -> tuple:
 
 
 def sharp_constants(p: Union[PParam, float]) -> SharpConstants:
-    pf = _pval(p)
-    alpha, beta, _, _, _ = _consts(pf)
-    return SharpConstants(alpha=alpha, beta=beta, p=PParam(pf))
+    fam = _FAMILIES[p, None]
+    alpha, beta, _, _, _ = _consts(fam)
+    return SharpConstants(alpha=alpha, beta=beta, p=PParam(fam.pf))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ def _ratio_functional(
         return _ratio(*_DIRECT[num](fam, x), *_DIRECT[den](fam, x), scale=scale)
     if z <= _Z_FLOOR:
         return Evaluation(limit, 4.0 * _EPS * limit)
-    sz = series.primitives(fam.pf)
+    sz = _zseries(fam)
     a, b = getattr(sz, num), getattr(sz, den)
     return _ratio(
         series.zp_eval(a, z), series.zp_trunc_err(a, z),
@@ -395,7 +401,7 @@ def lem24_gap(x: float, p: Union[PParam, float]) -> Evaluation:
     if z is not None:
         if z <= _Z_FLOOR:
             return Evaluation(0.0, 0.0)
-        sz = series.primitives(pf)
+        sz = _zseries(fam)
         return Evaluation(series.zp_eval(sz.lem24, z), series.zp_trunc_err(sz.lem24, z))
     sh, sh_err = _sinh_raw(fam, x)
     l3v, l3e = _l3(fam, x)
@@ -424,8 +430,8 @@ def _interval(tag: FunctionId, pf: float) -> tuple:
     return 0.0, _HYP_UPPER
 
 
-@lru_cache(maxsize=None)
-def _chain_polys(tag: FunctionId, pf: float) -> tuple:
+@_family_owned
+def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
     """Term log-polynomials in z, const-error weights, and zero_coeff'd gaps.
 
     Returns (polys, cerr_polys, gap_polys, gap_cerrs) where gap k spans the
@@ -433,8 +439,9 @@ def _chain_polys(tag: FunctionId, pf: float) -> tuple:
     carry the cancellation removed exactly; evaluating that difference
     polynomial is what keeps margins certifiable down to z ~ 1e-290.
     """
-    sz = series.primitives(pf)
-    alpha, beta, beta_err, lam, lam_err = _consts(pf)
+    pf = fam.pf
+    sz = _zseries(fam)
+    alpha, beta, beta_err, lam, lam_err = _consts(fam)
     zero = series.zp()
     if tag is FunctionId.THM1_CHAIN:
         polys = [-pf * sz.l2, -sz.l1, -sz.l2]
@@ -483,7 +490,7 @@ def _chain_polys(tag: FunctionId, pf: float) -> tuple:
 def _chain_logs(tag: FunctionId, fam: _Family, x: float) -> list:
     """Term logs [(value, err), ...] at x via the direct route."""
     pf = fam.pf
-    alpha, beta, beta_err, lam, lam_err = _consts(pf)
+    alpha, beta, beta_err, lam, lam_err = _consts(fam)
     if tag is FunctionId.THM1_CHAIN:
         l1 = _l1(fam, x)
         l2 = _l2(fam, x)
@@ -531,7 +538,7 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
     """
     z = _series_z(fam.pf, x)
     if z is not None:
-        polys, cerrs, gap_polys, gap_cerrs = _chain_polys(tag, fam.pf)
+        polys, cerrs, gap_polys, gap_cerrs = _chain_polys(fam, tag)
         logs = [
             (series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(c, z))
             for q, c in zip(polys, cerrs)
@@ -571,14 +578,15 @@ def _decide(margin: float, budget: float) -> Optional[bool]:
     return None
 
 
-def _thm2_routes_agree(pf: float, x: float, margins: list, budgets: list) -> None:
+def _thm2_routes_agree(fam: _Family, x: float, margins: list, budgets: list) -> None:
     """Cross-check the chain against alpha < thm2_g < beta at the same point.
 
     Chain pair 0 is cosh^-beta vs sin/x (sign of beta - g); pair 1 is sin/x
     vs cosh^-alpha (sign of g - alpha).  A decisive disagreement between the
     two routes means the point cannot be reported either way.
     """
-    alpha, beta, beta_err, _, _ = _consts(pf)
+    pf = fam.pf
+    alpha, beta, beta_err, _, _ = _consts(fam)
     g = thm2_g(x, pf)
     route2 = [
         _decide(beta - g.value, g.abs_err + beta_err),
@@ -623,7 +631,7 @@ def verify_chain(
         except _CORE_ERRORS as exc:
             raise EvaluationFailed(claim.value, xf, pf, exc) from exc
         if claim is FunctionId.THM2_CHAIN:
-            _thm2_routes_agree(pf, xf, margins, budgets)
+            _thm2_routes_agree(fam, xf, margins, budgets)
         point_margin = min(margins)
         k = margins.index(point_margin)
         if not point_margin > budgets[k]:
@@ -747,11 +755,11 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
     fam = _FAMILIES[p, None]
     pf = fam.pf
     grid = grid or GridSpec()
-    alpha, beta, beta_err, _, _ = _consts(pf)
+    alpha, beta, beta_err, _, _ = _consts(fam)
     lo, hi = _interval(FunctionId.THM1_F, pf)
     xs = grid_points(grid, lo, hi)
 
-    sz = series.primitives(pf)
+    sz = _zseries(fam)
     # f - 1, p - f over l2; g - alpha, beta - g over l3 (coefficient space).
     f_low = series.zero_coeff(sz.l1 - sz.l2, 1)
     f_high = pf * sz.l2 - sz.l1

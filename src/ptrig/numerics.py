@@ -16,7 +16,6 @@ forms in the test suite.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,36 +126,10 @@ def _node_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta, wdens
 
 
-def _integrand_arity(f: Callable) -> int:
-    """1 for f(x), 2 for f(x, xc) with xc the signed offset from the nearest
-    endpoint (positive measured from a, negative from b)."""
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return 1
-    n = 0
-    for prm in sig.parameters.values():
-        if prm.kind in (prm.POSITIONAL_ONLY, prm.POSITIONAL_OR_KEYWORD):
-            if prm.default is prm.empty:
-                n += 1
-        elif prm.kind == prm.VAR_POSITIONAL:
-            return 2
-    return 2 if n >= 2 else 1
-
-
-def _eval_nodes(
-    f: Callable,
-    arity: int,
-    vectorized: bool,
-    x: np.ndarray,
-    xc: np.ndarray,
-) -> np.ndarray:
+def _eval_nodes(f: Callable, vectorized: bool, x: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         if vectorized:
-            out = f(x, xc) if arity == 2 else f(x)
-            return np.asarray(out, dtype=float)
-        if arity == 2:
-            return np.array([float(f(xi, ci)) for xi, ci in zip(x, xc)], dtype=float)
+            return np.asarray(f(x), dtype=float)
         return np.array([float(f(xi)) for xi in x], dtype=float)
 
 
@@ -171,14 +144,15 @@ def integrate(
     """Integrate f over (a, b) by adaptive tanh-sinh quadrature.
 
     The integrand may diverge at either endpoint with an integrable algebraic
-    singularity.  To evaluate such integrands to full double precision, f may
-    accept a second argument: ``f(x, xc)`` receives the signed distance from
-    x to the nearest endpoint (xc > 0 near a, xc < 0 near b), which retains
-    sub-ulp resolution after x itself has rounded onto the endpoint.
-    One-argument integrands are fully supported; samples that come back
-    non-finite at nodes hugging an endpoint are treated as singular overflow
-    and dropped, with their estimated mass added to the error bound, which
-    caps the attainable accuracy near 1e-8 for such integrands.
+    singularity.  With a = 0 the nodes near a are the node offsets
+    themselves and keep full resolution, so a singularity placed at 0
+    (reflect the variable if need be) integrates to full double precision.
+    Nodes near a nonzero endpoint round onto it once the offset drops below
+    half an ulp; samples that come back non-finite there are treated as
+    singular overflow and dropped, with their estimated mass added to the
+    error bound, which caps the attainable accuracy near 1e-8 for such a
+    singularity.  In this package only the hyperbolic integral arsinh_p,
+    which has no singularity, is taken this way.
 
     Refinement halves the node spacing per level (budget: 12 levels) and the
     returned abs_err is twice the last two-level difference plus a summation
@@ -192,13 +166,12 @@ def integrate(
     if a >= b:
         raise InvalidInterval(f"integration interval is empty or reversed: [{a}, {b}]")
 
-    arity = _integrand_arity(f)
     length = b - a
     half = 0.5 * length
     mid = a + half
 
     # Midpoint node (t = 0): delta = 1/2, weight density pi/2.
-    fm = _eval_nodes(f, arity, vectorized, np.array([mid]), np.array([half]))[0]
+    fm = _eval_nodes(f, vectorized, np.array([mid]))[0]
     clip = 0.0
     if not math.isfinite(fm):
         fm = 0.0
@@ -215,9 +188,8 @@ def integrate(
         off = length * delta
         x_lo = a + off
         x_hi = b - off
-        # Signed offsets: positive = distance from a, negative = from b.
-        f_lo = _eval_nodes(f, arity, vectorized, x_lo, off)
-        f_hi = _eval_nodes(f, arity, vectorized, x_hi, -off)
+        f_lo = _eval_nodes(f, vectorized, x_lo)
+        f_hi = _eval_nodes(f, vectorized, x_hi)
 
         level_clip = 0.0
         bad_lo = ~np.isfinite(f_lo)

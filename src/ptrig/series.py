@@ -21,8 +21,6 @@ before anything downstream relies on them.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
@@ -53,7 +51,6 @@ _TRUNC_FACTOR = 25.0
 _EPS = float(np.finfo(float).eps)
 
 
-@lru_cache(maxsize=None)
 def direct_coeffs(p: float) -> tuple[float, float, float]:
     """a1, a2, a3 of arcsin_p(s)/s in w = s^p.
 
@@ -67,7 +64,6 @@ def direct_coeffs(p: float) -> tuple[float, float, float]:
     return b1 / (p + 1.0), b2 / (2.0 * p + 1.0), b3 / (3.0 * p + 1.0)
 
 
-@lru_cache(maxsize=None)
 def inverse_coeffs(p: float) -> tuple[float, float, float]:
     """A1, A2, A3 of sin_p(x)/x in z = x^p (series reversion of arcsin_p)."""
     a1, a2, a3 = direct_coeffs(p)
@@ -81,7 +77,6 @@ def inverse_coeffs(p: float) -> tuple[float, float, float]:
     return A1, A2, A3
 
 
-@lru_cache(maxsize=None)
 def hyper_inverse_coeffs(p: float) -> tuple[float, float, float]:
     """Coefficients of sinh_p(x)/x in z = x^p; signs flip against sin_p."""
     a1, _, _ = direct_coeffs(p)
@@ -167,7 +162,10 @@ def zero_coeff(a: np.ndarray, k: int) -> np.ndarray:
 
 
 class SmallZSeries:
-    """The z-series primitives for one parameter p, built once and cached.
+    """The z-series primitives for one parameter p.
+
+    Nothing here is cached: callers keep one per parameter with the rest of
+    what depends on p (see core._Family), so the count stays bounded.
 
     Attributes are length-4 coefficient arrays in z = x^p:
 
@@ -219,6 +217,5 @@ class SmallZSeries:
         self.lem24 = zero_coeff(self.l3 - zp_shift_z(growth) / p, 1)
 
 
-@lru_cache(maxsize=None)
 def primitives(p: float) -> SmallZSeries:
     return SmallZSeries(p)

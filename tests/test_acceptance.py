@@ -19,6 +19,7 @@ import functools
 import json
 import math
 
+import mpmath
 import pytest
 
 import ptrig
@@ -31,7 +32,7 @@ P_CERT = [2.0, 2.5, 3.0, 5.0, 10.0]
 CRITERIA = {
     "c01": "classical reduction at p=2, six functions, 100 points, 1e-10",
     "c02": "constants: beta(2)=0.4909±5e-5, alpha(2)=1/3, pi_p(2)=pi to 1e-12",
-    "c03": "pi_p quadrature vs closed form 2pi/(p sin(pi/p)) to 1e-10",
+    "c03": "closed-form pi_p vs 40-digit mpmath quadrature of 2*int_0^1 (1-t^p)^(-1/p), within abs_err",
     "c04": "identity residuals <= 1e-9 on certified grids",
     "c05": "round-trip inversion to 1e-9",
     "c06": "derivative formulas vs central differences (h=1e-5) to 1e-6",
@@ -110,8 +111,14 @@ def test_c02_constant_reproduction():
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 10.0])
 def test_c03_pi_p_closed_form(p):
-    closed = 2.0 * math.pi / (p * math.sin(math.pi / p))
-    assert abs(ptrig.pi_p(p).value - closed) <= 1e-10
+    # pi_p is the closed form 2 pi / (p sin(pi/p)); the independent reference
+    # is the defining integral itself, whose 40-digit quadrature is good to
+    # about 1e-22 here (p = 2 is the slowest to converge).
+    with mpmath.workdps(40):
+        P = mpmath.mpf(p)
+        ref = 2 * mpmath.quad(lambda t: (1 - t ** P) ** (-1 / P), [0, 1])
+        got = ptrig.pi_p(p)
+        assert abs(mpmath.mpf(got.value) - ref) <= got.abs_err
 
 
 @pytest.mark.parametrize("p", P_CERT)

@@ -1,0 +1,120 @@
+"""Audit of the circular evaluators against an independent mpmath oracle.
+
+Every sampled value must satisfy |value - ref| <= abs_err.  The reference is
+the hypergeometric closed form of the defining integral (DLMF 15.4),
+
+    arcsin_p(s) = s 2F1(1/p, 1/p; 1 + 1/p; s^p),
+
+taken by mpmath at 40 digits, and pi_p = 2 pi / (p sin(pi/p)) in the same
+precision.  sin_p(x) is the root of arcsin_p(s) = x found by mpmath.findroot.
+Near pi_p/2, where s differs from 1 in digits beyond any working precision,
+the root is found in log(om), om = 1 - s^p = cos_p^p, through the connection
+formula pi_p/2 - arcsin_p(s) = om^q/(p q) 2F1(q, q; 1 + q; om), q = 1 - 1/p.
+cos_p and tan_p follow from the root exactly.
+
+Points: seeded random arguments, arguments against both ends of the domain,
+the switches between the evaluation routes (_SERIES_X, _SERIES_Z,
+_OM_SWITCH) and the w = s^p = 1/2 seam of the arcsin_p series, each switch
+also one ulp to either side.
+"""
+
+import math
+import random
+
+import mpmath as mp
+import pytest
+
+import ptrig
+from ptrig import core
+
+# p within 1e-9 and 1e-14 of 1 as well: there pi_p/2 ~ 1/(p-1) carries a
+# large absolute error, which the endpoint inversion must account for.
+P_AUDIT = [1.0 + 1e-14, 1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
+DPS = 40
+
+
+def _ulps(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _mp_arcsin(s, p):
+    a = 1 / p
+    # Near z = 1 mpmath may return a complex value with a rounding-level
+    # imaginary part; the real part is the integral.
+    return s * mp.re(mp.hyp2f1(a, a, 1 + a, s ** p))
+
+
+def _mp_tail(om, p):
+    q = 1 - 1 / p
+    return om ** q / (p * q) * mp.re(mp.hyp2f1(q, q, 1 + q, om))
+
+
+def _mp_sin_cos(x, p, guess):
+    """(sin_p(x), cos_p(x)) in mpmath; guess is the double sin_p value."""
+    P, X = mp.mpf(p), mp.mpf(x)
+    half = mp.pi / (P * mp.sin(mp.pi / P))
+    if X >= half:
+        return mp.mpf(1), mp.mpf(0)
+    if 1 - mp.mpf(guess) ** P > mp.mpf("1e-3"):
+        s = mp.findroot(lambda s: _mp_arcsin(s, P) - X, mp.mpf(guess))
+        return s, (1 - s ** P) ** (1 / P)
+    q = 1 - 1 / P
+    tau = half - X
+    lead = mp.log((P - 1) * tau) / q
+    log_om = mp.findroot(lambda L: mp.log(_mp_tail(mp.exp(L), P) / tau), lead)
+    om = mp.exp(log_om)
+    return (1 - om) ** (1 / P), om ** (1 / P)
+
+
+def _arguments(p):
+    """Circular arguments x in [0, pi_p/2] for the audit at p."""
+    half = ptrig.pi_p(p).value / 2
+    rng = random.Random(int(p * 1000))
+    xs = [half * rng.random() for _ in range(6)]
+    xs += [half * 10.0 ** rng.uniform(-8, 0) for _ in range(3)]
+    xs += [half * (1 - 1e-3), half * (1 - 1e-8), half - 1e-11, half]
+    xs += _ulps(core._SERIES_X) + _ulps(core._SERIES_Z ** (1 / p))
+    # om_pred = _OM_SWITCH: the direct and the endpoint inversion meet here.
+    xs += _ulps(half - core._OM_SWITCH ** (1 - 1 / p) / (p - 1))
+    with mp.workdps(DPS):
+        seam = _mp_arcsin(mp.mpf(0.5) ** (1 / mp.mpf(p)), mp.mpf(p))
+    xs += _ulps(float(seam))
+    return [x for x in xs if 0.0 < x <= half]
+
+
+def _audit_circular(p):
+    """(name, x, |value - ref| / abs_err) for every audited evaluation at p."""
+    out = []
+
+    def check(name, x, ev, ref):
+        dev = abs(mp.mpf(ev.value) - ref)
+        ratio = 0.0 if dev == 0 else float(dev / ev.abs_err) if ev.abs_err > 0 else math.inf
+        out.append((name, x, ratio))
+
+    with mp.workdps(DPS):
+        P = mp.mpf(p)
+        check("pi_p", None, ptrig.pi_p(p), 2 * mp.pi / (P * mp.sin(mp.pi / P)))
+        half = (ptrig.pi_p(p).value / 2)
+        s_seam = 0.5 ** (1 / p)
+        for s in [0.1, 0.37, 0.8, 1 - 1e-6, 1 - 1e-12, math.nextafter(1.0, 0.0), 1.0, *_ulps(s_seam)]:
+            check("arcsin_p", s, ptrig.arcsin_p(s, p), _mp_arcsin(mp.mpf(s), P))
+        for x in _arguments(p):
+            sin = ptrig.sin_p(x, p)
+            ref_s, ref_c = _mp_sin_cos(x, p, sin.value)
+            check("sin_p", x, sin, ref_s)
+            check("cos_p", x, ptrig.cos_p(x, p), ref_c)
+            if x < half - core._POLE_WINDOW and ref_c > 0:
+                try:
+                    tan = ptrig.tan_p(x, p)
+                except ptrig.PoleError:  # cos_p underflowed: no value to audit
+                    continue
+                check("tan_p", x, tan, ref_s / ref_c)
+    return out
+
+
+@pytest.mark.parametrize("p", P_AUDIT)
+def test_circular_values_lie_within_abs_err(p):
+    audit = _audit_circular(p)
+    bad = [(name, x, r) for name, x, r in audit if not r <= 1.0]
+    assert not bad, bad
+    assert {name for name, _, _ in audit} == {"pi_p", "arcsin_p", "sin_p", "cos_p", "tan_p"}

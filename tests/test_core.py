@@ -1,6 +1,7 @@
 """Core evaluator tests: classical reductions, frozen high-precision values,
 identities, round trips, error-bound honesty, and domain policing."""
 
+import gc
 import itertools
 import math
 import sys
@@ -12,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 import ptrig
 from ptrig import (
     DomainError,
-    Evaluation,
     NonConvergence,
     PoleError,
     PParam,
     Tolerance,
-    TrigValue,
 )
-from ptrig import core
+from ptrig import core, series
+from ptrig import inequalities as iq
 from tests.conftest import classical_pi_p
 
 P_GRID = [1.5, 2.0, 2.5, 3.0, 5.0, 10.0]
@@ -74,10 +74,6 @@ class TestParams:
         q = PParam(2.0)
         with pytest.raises(Exception):
             q.p = 3.0
-
-    def test_trig_value_carries_parts(self):
-        tv = TrigValue(x=0.5, p=PParam(2.0), value=Evaluation(0.479, 1e-12))
-        assert tv.x == 0.5 and tv.p.p == 2.0 and tv.value.value == 0.479
 
     def test_functions_accept_pparam_or_float(self):
         a = ptrig.sin_p(0.5, 2.0)
@@ -319,6 +315,30 @@ class TestDomains:
             ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-30, 1e-30, 60))
 
 
+class TestParameterNearOne:
+    """As p -> 1, pi_p/2 grows like 1/(p-1) and the family tends to
+    sin_1(x) = 1 - exp(-x), cos_1(x) = exp(-x), tan_1(x) = exp(x) - 1."""
+
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.02, math.nextafter(1.0, 2.0)])
+    def test_circular_functions_evaluate(self, p):
+        pi = ptrig.pi_p(p)
+        assert abs(pi.value * (p - 1.0) / 2.0 - 1.0) <= 2.0 * (p - 1.0)
+        half = pi.value / 2.0
+        # The p = 1 limit moves by about 100 (p - 1) over these x.  At
+        # x = 10 the endpoint inversion serves x, and for p within ulps of 1
+        # its cos_p is too uncertain for tan_p, which then reports a pole.
+        for x in (0.01, 0.5, 2.0, 10.0):
+            checks = [(ptrig.sin_p, -math.expm1(-x)), (ptrig.cos_p, math.exp(-x))]
+            if x < 10.0:
+                checks.append((ptrig.tan_p, math.expm1(x)))
+            for fn, limit in checks:
+                ev = fn(x, p)
+                assert abs(ev.value - limit) <= ev.abs_err + 200.0 * (p - 1.0) * limit
+        for x in (0.5 * half, half * (1.0 - 1e-9), half):
+            assert 0.0 <= ptrig.cos_p(x, p).value <= ptrig.cos_p(10.0, p).value
+            assert ptrig.sin_p(x, p).value >= ptrig.sin_p(10.0, p).value
+
+
 class TestErrorReporting:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_bounds_are_finite_and_small(self, p):
@@ -429,6 +449,25 @@ class TestFamilyRegistry:
         assert 0.7 in core._FAMILIES[3.0, None].snap
         assert ptrig.cosh_p(0.7, 3.0) == first
         assert core._FAMILIES[3.5, None].snap is None
+
+    def test_p_keyed_caches_stay_bounded(self):
+        """Series primitives, coefficients, sharp constants and chain
+        polynomials live in the families: many distinct p leave at most
+        _FAMILY_CAP of each behind."""
+        for k in range(5000):
+            iq.thm1_f(1e-3, 1.1 + k / 101.0)
+        for k in range(core._FAMILY_CAP + 4):
+            p = 2.0 + k / 3.0
+            iq.sharp_constants(p)
+            iq._chain_point(iq.FunctionId.THM2_CHAIN, core._FAMILIES[p, None], 1e-3)
+        assert len(core._FAMILIES) == core._FAMILY_CAP
+        for fn in (series.primitives, series.direct_coeffs, series.inverse_coeffs,
+                   series.hyper_inverse_coeffs, iq._consts, iq._chain_polys):
+            assert not hasattr(fn, "cache_info"), fn
+        gc.collect()
+        live = sum(isinstance(o, series.SmallZSeries) for o in gc.get_objects())
+        assert live <= core._FAMILY_CAP
+        assert all(len(fam.derived) <= 3 for fam in core._FAMILIES.values())
 
     def test_concurrent_callers_see_the_same_values(self):
         ps = [1.5 + k / 8 for k in range(core._FAMILY_CAP + 8)]

@@ -73,45 +73,22 @@ class TestIntegrate:
         res = integrate(f, 0.0, 1.0, Tolerance(1e-6, 1e-6, 60))
         assert abs(res.value - math.pi / 2.0) <= res.abs_err
 
-    def test_classical_arcsine_singularity_two_arg(self):
-        # The offset argument keeps sub-ulp endpoint resolution: full accuracy.
-        def f(t, tc):
-            u = -tc * (2.0 - (-tc)) if tc < 0.0 else 1.0 - t * t  # 1-t^2 via (1-t)(1+t)
-            return u ** -0.5
-
-        res = integrate(f, 0.0, 1.0, Tolerance(1e-12, 1e-12, 60))
-        assert abs(res.value - math.pi / 2.0) <= res.abs_err
-        assert res.abs_err < 2e-12
-
     def test_p3_defining_integral(self):
-        def f(t, tc):
-            if tc < 0.0:
-                one_minus = -math.expm1(3.0 * math.log1p(tc))  # t = 1 + tc exactly
-            else:
-                one_minus = 1.0 - t ** 3
-            return one_minus ** (-1.0 / 3.0)
+        # Reflected, v = 1 - t, so the singularity sits at 0 where nodes keep
+        # full resolution: 1 - t^3 = v (3 - 3v + v^2).
+        def f(v):
+            return (v * (3.0 - 3.0 * v + v * v)) ** (-1.0 / 3.0)
 
         res = integrate(f, 0.0, 1.0, Tolerance(1e-12, 1e-12, 60))
         assert abs(res.value - PI_3 / 2.0) <= max(res.abs_err, 1e-13)
-
-    def test_left_endpoint_singularity(self):
-        def f(x, xc):
-            return xc ** -0.5 if xc > 0.0 else (x - 1.0) ** -0.5
-
-        res = integrate(f, 1.0, 2.0, Tolerance(1e-12, 1e-12, 60))
-        assert abs(res.value - 2.0) <= res.abs_err
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_reported_error_is_honest(self, tol):
         cases = [
             (lambda t: 1.0, 0.0, 1.0, 1.0),
             (lambda t: math.cos(t), 0.0, 1.0, math.sin(1.0)),
-            (
-                lambda t, tc: (-tc * (2.0 + tc)) ** -0.5 if tc < 0.0 else (1.0 - t * t) ** -0.5,
-                0.0,
-                1.0,
-                math.pi / 2.0,
-            ),
+            # 1 - t^2 reflected to v (2 - v), singular at 0.
+            (lambda v: (v * (2.0 - v)) ** -0.5, 0.0, 1.0, math.pi / 2.0),
         ]
         for f, a, b, exact in cases:
             res = integrate(f, a, b, Tolerance(tol, tol, 60))
@@ -179,12 +156,12 @@ class TestInvertMonotone:
             if s == 0.0:
                 return 0.0
 
-            def f(t, tc):
-                if tc < 0.0:  # t = s + tc exactly; keeps 1 - t^3 accurate as s -> 1
-                    one_minus = -math.expm1(3.0 * (math.log(s) + math.log1p(tc / s)))
-                else:
-                    one_minus = 1.0 - t ** 3
-                return one_minus ** (-1.0 / 3.0)
+            # In v = s - t, 1 - t^3 = (1 - s)(1 + s + s^2) + v (3s^2 - 3sv + v^2)
+            # stays accurate as s -> 1, where the singularity sits at v = 0.
+            def f(v):
+                return ((1.0 - s) * (1.0 + s + s * s) + v * (3.0 * s * s - 3.0 * s * v + v * v)) ** (
+                    -1.0 / 3.0
+                )
 
             return integrate(f, 0.0, s, Tolerance(1e-13, 1e-13, 60)).value
 
