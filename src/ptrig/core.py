@@ -74,10 +74,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# Series take over where inversion would round away the deficit x - sin_p(x):
-# below a fixed x cutoff, and additionally whenever z = x^p is tiny (for
-# large p the deficit drops below resolution long before x = 0.05).
-_SERIES_X = 0.05
+# The reversion series in z = x^p serves sin_p and sinh_p below this z, where
+# its truncation bound (~25 z^4 relative) is ~2.5e-11; above it the deficit
+# x - sin_p(x) ~ x z/(p(p+1)) is large enough for the inversion to resolve.
 _SERIES_Z = 1e-3
 
 # Half-width of the guard window around the right endpoint inside which
@@ -427,8 +426,8 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     pf = fam.pf
     if x == 0.0:
         return 0.0, 0.0, 1.0, 0.0
-    if x < _SERIES_X or x ** pf < _SERIES_Z:
-        z = x ** pf
+    z = x ** pf
+    if z < _SERIES_Z:
         s = x * series.zp_eval(fam.sin_poly, z)
         s_err = x * series.zp_trunc_err(fam.sin_poly, z)
         om = _cos_pow(pf, s)
@@ -469,7 +468,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     pf = fam.pf
     if x == 0.0:
         return 0.0, 0.0
-    if x < _SERIES_X or (x < 1.0 and x ** pf < _SERIES_Z):
+    if x < 1.0 and x ** pf < _SERIES_Z:
         z = x ** pf
         return x * series.zp_eval(fam.sinh_poly, z), x * series.zp_trunc_err(fam.sinh_poly, z)
 

@@ -317,7 +317,7 @@ def _ee(fam: _Family, x: float) -> tuple:
 
 
 # Direct-route primitive behind each series.SmallZSeries name.
-_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "d": _dee, "e": _ee}
+_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee}
 
 
 def _series_z(pf: float, x: float) -> Optional[float]:
@@ -424,59 +424,59 @@ _FUNCTIONALS = {
 # ---------------------------------------------------------------------------
 # chains
 
-def _interval(tag: FunctionId, pf: float) -> tuple:
-    if tag in _CIRCULAR_TAGS:
-        return 0.0, _FAMILIES[pf, None].upper[0]
-    return 0.0, _HYP_UPPER
+def _interval(tag: FunctionId, fam: _Family) -> tuple:
+    return 0.0, fam.upper[0] if tag in _CIRCULAR_TAGS else _HYP_UPPER
+
+
+def _chain_terms(fam: _Family, tag: FunctionId) -> tuple:
+    """The chain T_0 < T_1 < ... as term logs, and the pairs whose z^1 term cancels.
+
+    A term (num, den, num_err, prim) is log T = num * v / den, where v (with
+    error e) is the primitive named prim as in series.SmallZSeries (None for
+    T = 1) and num_err bounds the error in num; the term's error is then
+    |num| e / den + num_err v.  den keeps p a divisor: -d/p and (-1/p) d
+    differ in the last bit.
+    """
+    pf = fam.pf
+    alpha, beta, beta_err, lam, lam_err = _consts(fam)
+    sin_ratio = (-1.0, 1.0, 0.0, "l1")  # sin_p(x)/x
+    cosh_alpha = (-alpha, 1.0, _EPS * alpha, "l3")  # cosh_p(x)^-alpha
+    if tag is FunctionId.THM1_CHAIN:
+        return [(-pf, 1.0, 0.0, "l2"), sin_ratio, (-1.0, 1.0, 0.0, "l2")], {1}
+    if tag is FunctionId.THM2_CHAIN:
+        return [(-beta, 1.0, beta_err, "l3"), sin_ratio, cosh_alpha], {1}
+    if tag is FunctionId.LEM22_CHAIN:
+        return [(-1.0, pf, 0.0, "d"), sin_ratio, (-lam, 1.0, lam_err, "d")], {0}
+    if tag is FunctionId.LEM23_CHAIN:
+        return [(1.0, pf, 0.0, "e"), (1.0, 1.0, 0.0, "l2"), (1.0, 1.0, 0.0, "e")], {0}
+    if tag is FunctionId.COROLLARY_CHAIN:
+        terms = [(-beta, 1.0, beta_err, "l4"), (-beta, 1.0, beta_err, "l3"), sin_ratio, cosh_alpha]
+        return terms + [(0.0, 1.0, 0.0, None)], {0, 2}
+    raise ValueError(f"{tag} is not a chain claim")
 
 
 @_family_owned
 def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
     """Term log-polynomials in z, const-error weights, and zero_coeff'd gaps.
 
-    Returns (polys, cerr_polys, gap_polys, gap_cerrs) where gap k spans the
+    Returns (polys, cerrs, gap_polys, gap_cerrs) where gap k spans the
     pair (k, k+1).  Pairs whose leading z coefficient cancels analytically
     carry the cancellation removed exactly; evaluating that difference
     polynomial is what keeps margins certifiable down to z ~ 1e-290.
     """
-    pf = fam.pf
     sz = _zseries(fam)
-    alpha, beta, beta_err, lam, lam_err = _consts(fam)
-    zero = series.zp()
-    if tag is FunctionId.THM1_CHAIN:
-        polys = [-pf * sz.l2, -sz.l1, -sz.l2]
-        cerrs = [zero, zero, zero]
-        degenerate = {1}
-    elif tag is FunctionId.THM2_CHAIN:
-        polys = [-beta * sz.l3, -sz.l1, -alpha * sz.l3]
-        cerrs = [beta_err * np.abs(sz.l3), zero, _EPS * alpha * np.abs(sz.l3)]
-        degenerate = {1}
-    elif tag is FunctionId.LEM22_CHAIN:
-        polys = [-sz.d / pf, -sz.l1, -lam * sz.d]
-        cerrs = [zero, zero, lam_err * np.abs(sz.d)]
-        degenerate = {0}
-    elif tag is FunctionId.LEM23_CHAIN:
-        polys = [sz.e / pf, sz.l2, sz.e]
-        cerrs = [zero, zero, zero]
-        degenerate = {0}
-    elif tag is FunctionId.COROLLARY_CHAIN:
-        polys = [-beta * sz.l4, -beta * sz.l3, -sz.l1, -alpha * sz.l3, zero]
-        cerrs = [
-            beta_err * np.abs(sz.l4),
-            beta_err * np.abs(sz.l3),
-            zero,
-            _EPS * alpha * np.abs(sz.l3),
-            zero,
-        ]
-        degenerate = {0, 2}
-    else:
-        raise ValueError(f"{tag} is not a chain claim")
+    terms, cancelling = _chain_terms(fam, tag)
+    polys, cerrs = [], []
+    for num, den, num_err, prim in terms:
+        q = series.zp() if prim is None else getattr(sz, prim)
+        polys.append(num * q / den)
+        cerrs.append(num_err * np.abs(q))
     gap_polys = []
     gap_cerrs = []
     for k in range(len(polys) - 1):
         gp = polys[k + 1] - polys[k]
         gc = cerrs[k] + cerrs[k + 1]
-        if k in degenerate:
+        if k in cancelling:
             gp = series.zero_coeff(gp, 1)
             # The z^1 coefficient cancels for the exact constants, so their
             # representation error carries no z^1 term either.
@@ -485,48 +485,6 @@ def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
         gap_polys.append(gp)
         gap_cerrs.append(gc)
     return tuple(polys), tuple(cerrs), tuple(gap_polys), tuple(gap_cerrs)
-
-
-def _chain_logs(tag: FunctionId, fam: _Family, x: float) -> list:
-    """Term logs [(value, err), ...] at x via the direct route."""
-    pf = fam.pf
-    alpha, beta, beta_err, lam, lam_err = _consts(fam)
-    if tag is FunctionId.THM1_CHAIN:
-        l1 = _l1(fam, x)
-        l2 = _l2(fam, x)
-        return [(-pf * l2[0], pf * l2[1]), (-l1[0], l1[1]), (-l2[0], l2[1])]
-    if tag is FunctionId.THM2_CHAIN:
-        l1 = _l1(fam, x)
-        l3 = _l3(fam, x)
-        return [
-            (-beta * l3[0], beta * l3[1] + beta_err * l3[0]),
-            (-l1[0], l1[1]),
-            (-alpha * l3[0], alpha * l3[1] + _EPS * alpha * l3[0]),
-        ]
-    if tag is FunctionId.LEM22_CHAIN:
-        l1 = _l1(fam, x)
-        d = _dee(fam, x)
-        return [
-            (-d[0] / pf, d[1] / pf),
-            (-l1[0], l1[1]),
-            (-lam * d[0], lam * d[1] + lam_err * d[0]),
-        ]
-    if tag is FunctionId.LEM23_CHAIN:
-        l2 = _l2(fam, x)
-        e = _ee(fam, x)
-        return [(e[0] / pf, e[1] / pf), (l2[0], l2[1]), (e[0], e[1])]
-    if tag is FunctionId.COROLLARY_CHAIN:
-        l1 = _l1(fam, x)
-        l3 = _l3(fam, x)
-        l4 = _l4(fam, x)
-        return [
-            (-beta * l4[0], beta * l4[1] + beta_err * l4[0]),
-            (-beta * l3[0], beta * l3[1] + beta_err * l3[0]),
-            (-l1[0], l1[1]),
-            (-alpha * l3[0], alpha * l3[1] + _EPS * alpha * l3[0]),
-            (0.0, 0.0),
-        ]
-    raise ValueError(f"{tag} is not a chain claim")
 
 
 def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
@@ -548,7 +506,10 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
             for q, c in zip(gap_polys, gap_cerrs)
         ]
     else:
-        logs = _chain_logs(tag, fam, x)
+        logs = []
+        for num, den, num_err, prim in _chain_terms(fam, tag)[0]:
+            v, e = (0.0, 0.0) if prim is None else _DIRECT[prim](fam, x)
+            logs.append((num * v / den, abs(num) * e / den + num_err * v))
         gaps = [
             (logs[k + 1][0] - logs[k][0], logs[k][1] + logs[k + 1][1])
             for k in range(len(logs) - 1)
@@ -601,6 +562,50 @@ def _thm2_routes_agree(fam: _Family, x: float, margins: list, budgets: list) -> 
             )
 
 
+# ---------------------------------------------------------------------------
+# verifiers: each builds one (x, values, margin, budget) record per point
+
+def _records(claim: str, pf: float, xs: np.ndarray, at) -> list:
+    """[at(x) for x in xs], a core failure at x raised as EvaluationFailed."""
+    out = []
+    for x in xs:
+        xf = float(x)
+        try:
+            out.append(at(xf))
+        except _CORE_ERRORS as exc:
+            raise EvaluationFailed(claim, xf, pf, exc) from exc
+    return out
+
+
+def _weakest_pair(x: float, values: tuple, margins: list, budgets: list) -> tuple:
+    """The record of a point with several pairs: its smallest margin and that budget."""
+    m = min(margins)
+    return x, values, m, budgets[margins.index(m)]
+
+
+def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") -> VerificationReport:
+    """passed iff every margin exceeds its budget; min_margin and error_budget
+    are taken at the first weakest point."""
+    passed = True
+    min_margin = math.inf
+    budget_at_min = 0.0
+    for _, _, margin, budget in records:
+        if not margin > budget:
+            passed = False
+        if margin < min_margin:
+            min_margin = margin
+            budget_at_min = budget
+    return VerificationReport(
+        claim=claim,
+        p=pf,
+        points=tuple(GridPoint(x=x, values=tuple(v), margin=m) for x, v, m, _ in records),
+        min_margin=min_margin,
+        monotone_verdict=verdict,
+        passed=passed,
+        error_budget=budget_at_min,
+    )
+
+
 def verify_chain(
     claim: FunctionId,
     p: Union[PParam, float],
@@ -615,40 +620,15 @@ def verify_chain(
     if claim not in _CHAIN_TAGS:
         raise ValueError(f"{claim} is not a chain claim")
     fam = _FAMILIES[p, None]
-    pf = fam.pf
-    grid = grid or GridSpec()
-    lo, hi = _interval(claim, pf)
-    xs = grid_points(grid, lo, hi)
+    xs = grid_points(grid or GridSpec(), *_interval(claim, fam))
 
-    points = []
-    passed = True
-    min_margin = math.inf
-    budget_at_min = 0.0
-    for x in xs:
-        xf = float(x)
-        try:
-            values, margins, budgets = _chain_point(claim, fam, xf)
-        except _CORE_ERRORS as exc:
-            raise EvaluationFailed(claim.value, xf, pf, exc) from exc
+    def at(x: float) -> tuple:
+        values, margins, budgets = _chain_point(claim, fam, x)
         if claim is FunctionId.THM2_CHAIN:
-            _thm2_routes_agree(fam, xf, margins, budgets)
-        point_margin = min(margins)
-        k = margins.index(point_margin)
-        if not point_margin > budgets[k]:
-            passed = False
-        if point_margin < min_margin:
-            min_margin = point_margin
-            budget_at_min = budgets[k]
-        points.append(GridPoint(x=xf, values=tuple(values), margin=point_margin))
-    return VerificationReport(
-        claim=claim.value,
-        p=pf,
-        points=tuple(points),
-        min_margin=min_margin,
-        monotone_verdict="not_checked",
-        passed=passed,
-        error_budget=budget_at_min,
-    )
+            _thm2_routes_agree(fam, x, margins, budgets)
+        return _weakest_pair(x, values, margins, budgets)
+
+    return _report(claim.value, fam.pf, _records(claim.value, fam.pf, xs, at))
 
 
 def verify_monotone(
@@ -669,79 +649,32 @@ def verify_monotone(
         direction = CANONICAL_DIRECTION[claim]
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be increasing|decreasing, got {direction!r}")
-    pf = _pval(p)
-    grid = grid or GridSpec()
+    fam = _FAMILIES[p, None]
     fn = _FUNCTIONALS[claim]
-    lo, hi = _interval(claim, pf)
-    xs = grid_points(grid, lo, hi)
-
-    evs = []
-    for x in xs:
-        xf = float(x)
-        try:
-            evs.append(fn(xf, pf))
-        except _CORE_ERRORS as exc:
-            raise EvaluationFailed(claim.value, xf, pf, exc) from exc
+    xs = grid_points(grid or GridSpec(), *_interval(claim, fam))
+    evs = _records(claim.value, fam.pf, xs, lambda x: (x, fn(x, fam.pf)))
 
     sign = 1.0 if direction == "increasing" else -1.0
-    points = []
-    verdict = direction
-    passed = True
-    min_margin = math.inf
-    budget_at_min = 0.0
-    for k in range(len(xs) - 1):
-        margin = sign * (evs[k + 1].value - evs[k].value)
-        budget = evs[k].abs_err + evs[k + 1].abs_err
-        if margin < -budget:
-            verdict = "violated"
-        if not margin > budget:
-            passed = False
-        if margin < min_margin:
-            min_margin = margin
-            budget_at_min = budget
-        points.append(GridPoint(x=float(xs[k]), values=(evs[k].value,), margin=margin))
-    if verdict != direction:
-        passed = False
-    return VerificationReport(
-        claim=claim.value,
-        p=pf,
-        points=tuple(points),
-        min_margin=min_margin,
-        monotone_verdict=verdict,
-        passed=passed,
-        error_budget=budget_at_min,
-    )
+    records = [
+        (x, (ev.value,), sign * (nxt.value - ev.value), ev.abs_err + nxt.abs_err)
+        for (x, ev), (_, nxt) in zip(evs, evs[1:])
+    ]
+    violated = any(margin < -budget for _, _, margin, budget in records)
+    return _report(claim.value, fam.pf, records, "violated" if violated else direction)
 
 
-def _verify_positive(claim: FunctionId, pf: float, grid: GridSpec) -> VerificationReport:
+def _verify_positive(
+    claim: FunctionId, p: Union[PParam, float], grid: Optional[GridSpec] = None
+) -> VerificationReport:
+    fam = _FAMILIES[p, None]
     fn = _FUNCTIONALS[claim]
-    lo, hi = _interval(claim, pf)
-    xs = grid_points(grid, lo, hi)
-    points = []
-    passed = True
-    min_margin = math.inf
-    budget_at_min = 0.0
-    for x in xs:
-        xf = float(x)
-        try:
-            ev = fn(xf, pf)
-        except _CORE_ERRORS as exc:
-            raise EvaluationFailed(claim.value, xf, pf, exc) from exc
-        if not ev.value > ev.abs_err:
-            passed = False
-        if ev.value < min_margin:
-            min_margin = ev.value
-            budget_at_min = ev.abs_err
-        points.append(GridPoint(x=xf, values=(ev.value,), margin=ev.value))
-    return VerificationReport(
-        claim=claim.value,
-        p=pf,
-        points=tuple(points),
-        min_margin=min_margin,
-        monotone_verdict="not_checked",
-        passed=passed,
-        error_budget=budget_at_min,
-    )
+    xs = grid_points(grid or GridSpec(), *_interval(claim, fam))
+
+    def at(x: float) -> tuple:
+        ev = fn(x, fam.pf)
+        return x, (ev.value,), ev.value, ev.abs_err
+
+    return _report(claim.value, fam.pf, _records(claim.value, fam.pf, xs, at))
 
 
 def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) -> VerificationReport:
@@ -754,10 +687,8 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
     """
     fam = _FAMILIES[p, None]
     pf = fam.pf
-    grid = grid or GridSpec()
     alpha, beta, beta_err, _, _ = _consts(fam)
-    lo, hi = _interval(FunctionId.THM1_F, pf)
-    xs = grid_points(grid, lo, hi)
+    xs = grid_points(grid or GridSpec(), *_interval(FunctionId.THM1_F, fam))
 
     sz = _zseries(fam)
     # f - 1, p - f over l2; g - alpha, beta - g over l3 (coefficient space).
@@ -766,67 +697,45 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
     g_low = series.zero_coeff(sz.l1 - alpha * sz.l3, 1)
     g_high = beta * sz.l3 - sz.l1
 
-    points = []
-    passed = True
-    min_margin = math.inf
-    budget_at_min = 0.0
-    for x in xs:
-        xf = float(x)
-        try:
-            z = _series_z(pf, xf)
-            if z is not None and z > _Z_FLOOR:
-                l2v = series.zp_eval(sz.l2, z)
-                l2e = series.zp_trunc_err(sz.l2, z)
-                l3v = series.zp_eval(sz.l3, z)
-                l3e = series.zp_trunc_err(sz.l3, z)
-                fv = series.zp_eval(sz.l1, z) / l2v
-                gv = series.zp_eval(sz.l1, z) / l3v
-                margins = [
-                    series.zp_eval(f_low, z) / l2v,
-                    series.zp_eval(f_high, z) / l2v,
-                    series.zp_eval(g_low, z) / l3v,
-                    series.zp_eval(g_high, z) / l3v,
-                ]
-                budgets = [
-                    (series.zp_trunc_err(f_low, z) + abs(margins[0]) * l2e) / l2v,
-                    (series.zp_trunc_err(f_high, z) + abs(margins[1]) * l2e) / l2v,
-                    (series.zp_trunc_err(g_low, z) + abs(margins[2]) * l3e) / l3v,
-                    (series.zp_trunc_err(g_high, z) + beta_err * l3v + abs(margins[3]) * l3e) / l3v,
-                ]
-            elif z is not None:
-                fv, gv = 1.0, alpha
-                margins = [0.0, pf - 1.0, 0.0, beta - alpha]
-                budgets = [4.0 * _EPS, 4.0 * _EPS * pf, 4.0 * _EPS, beta_err]
-            else:
-                f = thm1_f(xf, pf)
-                g = thm2_g(xf, pf)
-                fv, gv = f.value, g.value
-                margins = [fv - 1.0, pf - fv, gv - alpha, beta - gv]
-                budgets = [
-                    f.abs_err + 2.0 * _EPS,
-                    f.abs_err + 2.0 * _EPS * pf,
-                    g.abs_err + 2.0 * _EPS * alpha,
-                    g.abs_err + beta_err,
-                ]
-        except _CORE_ERRORS as exc:
-            raise EvaluationFailed("BOUNDS_SANDWICH", xf, pf, exc) from exc
-        point_margin = min(margins)
-        k = margins.index(point_margin)
-        if not point_margin > budgets[k]:
-            passed = False
-        if point_margin < min_margin:
-            min_margin = point_margin
-            budget_at_min = budgets[k]
-        points.append(GridPoint(x=xf, values=(fv, gv), margin=point_margin))
-    return VerificationReport(
-        claim="BOUNDS_SANDWICH",
-        p=pf,
-        points=tuple(points),
-        min_margin=min_margin,
-        monotone_verdict="not_checked",
-        passed=passed,
-        error_budget=budget_at_min,
-    )
+    def at(x: float) -> tuple:
+        z = _series_z(pf, x)
+        if z is not None and z > _Z_FLOOR:
+            l2v = series.zp_eval(sz.l2, z)
+            l2e = series.zp_trunc_err(sz.l2, z)
+            l3v = series.zp_eval(sz.l3, z)
+            l3e = series.zp_trunc_err(sz.l3, z)
+            fv = series.zp_eval(sz.l1, z) / l2v
+            gv = series.zp_eval(sz.l1, z) / l3v
+            margins = [
+                series.zp_eval(f_low, z) / l2v,
+                series.zp_eval(f_high, z) / l2v,
+                series.zp_eval(g_low, z) / l3v,
+                series.zp_eval(g_high, z) / l3v,
+            ]
+            budgets = [
+                (series.zp_trunc_err(f_low, z) + abs(margins[0]) * l2e) / l2v,
+                (series.zp_trunc_err(f_high, z) + abs(margins[1]) * l2e) / l2v,
+                (series.zp_trunc_err(g_low, z) + abs(margins[2]) * l3e) / l3v,
+                (series.zp_trunc_err(g_high, z) + beta_err * l3v + abs(margins[3]) * l3e) / l3v,
+            ]
+        elif z is not None:
+            fv, gv = 1.0, alpha
+            margins = [0.0, pf - 1.0, 0.0, beta - alpha]
+            budgets = [4.0 * _EPS, 4.0 * _EPS * pf, 4.0 * _EPS, beta_err]
+        else:
+            f = thm1_f(x, pf)
+            g = thm2_g(x, pf)
+            fv, gv = f.value, g.value
+            margins = [fv - 1.0, pf - fv, gv - alpha, beta - gv]
+            budgets = [
+                f.abs_err + 2.0 * _EPS,
+                f.abs_err + 2.0 * _EPS * pf,
+                g.abs_err + 2.0 * _EPS * alpha,
+                g.abs_err + beta_err,
+            ]
+        return _weakest_pair(x, (fv, gv), margins, budgets)
+
+    return _report("BOUNDS_SANDWICH", pf, _records("BOUNDS_SANDWICH", pf, xs, at))
 
 
 def verify_claim(
@@ -843,7 +752,7 @@ def verify_claim(
     if claim in _CHAIN_TAGS:
         return verify_chain(claim, p, grid)
     if claim is FunctionId.LEM24_GAP:
-        return _verify_positive(claim, _pval(p), grid or GridSpec())
+        return _verify_positive(claim, p, grid)
     return verify_monotone(claim, p, grid)
 
 

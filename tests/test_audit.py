@@ -1,21 +1,24 @@
-"""Audit of the circular evaluators against an independent mpmath oracle.
+"""Audit of the evaluators against an independent mpmath oracle.
 
-Every sampled value must satisfy |value - ref| <= abs_err.  The reference is
-the hypergeometric closed form of the defining integral (DLMF 15.4),
+Every sampled value must satisfy |value - ref| <= abs_err.  The references
+are the hypergeometric closed forms of the defining integrals (DLMF 15.4),
 
     arcsin_p(s) = s 2F1(1/p, 1/p; 1 + 1/p; s^p),
+    arsinh_p(s) = s 2F1(1/p, 1/p; 1 + 1/p; -s^p),
 
 taken by mpmath at 40 digits, and pi_p = 2 pi / (p sin(pi/p)) in the same
-precision.  sin_p(x) is the root of arcsin_p(s) = x found by mpmath.findroot.
+precision.  sin_p(x) and sinh_p(x) are the roots of arcsin_p(s) = x and
+arsinh_p(s) = x found by mpmath.findroot.
 Near pi_p/2, where s differs from 1 in digits beyond any working precision,
 the root is found in log(om), om = 1 - s^p = cos_p^p, through the connection
 formula pi_p/2 - arcsin_p(s) = om^q/(p q) 2F1(q, q; 1 + q; om), q = 1 - 1/p.
-cos_p and tan_p follow from the root exactly.
+cos_p, tan_p, cosh_p and tanh_p follow from the roots exactly.
 
-Points: seeded random arguments, arguments against both ends of the domain,
-the switches between the evaluation routes (_SERIES_X, _SERIES_Z,
-_OM_SWITCH) and the w = s^p = 1/2 seam of the arcsin_p series, each switch
-also one ulp to either side.
+Points: seeded random arguments, arguments against both ends of the circular
+domain, the switches between the evaluation routes (_SERIES_Z, _OM_SWITCH,
+and x = 1 where the arsinh_p quadrature changes variable) and the
+w = s^p = 1/2 seam of the arcsin_p series, each switch also one ulp to
+either side.
 """
 
 import math
@@ -73,7 +76,8 @@ def _arguments(p):
     xs = [half * rng.random() for _ in range(6)]
     xs += [half * 10.0 ** rng.uniform(-8, 0) for _ in range(3)]
     xs += [half * (1 - 1e-3), half * (1 - 1e-8), half - 1e-11, half]
-    xs += _ulps(core._SERIES_X) + _ulps(core._SERIES_Z ** (1 / p))
+    # x = 0.05 stays a sample: below it the series once served every z for p < 2.
+    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p))
     # om_pred = _OM_SWITCH: the direct and the endpoint inversion meet here.
     xs += _ulps(half - core._OM_SWITCH ** (1 - 1 / p) / (p - 1))
     with mp.workdps(DPS):
@@ -82,14 +86,18 @@ def _arguments(p):
     return [x for x in xs if 0.0 < x <= half]
 
 
+def _ratio(ev, ref):
+    """|ev.value - ref| / ev.abs_err, 0 for an exact value."""
+    dev = abs(mp.mpf(ev.value) - ref)
+    return 0.0 if dev == 0 else float(dev / ev.abs_err) if ev.abs_err > 0 else math.inf
+
+
 def _audit_circular(p):
     """(name, x, |value - ref| / abs_err) for every audited evaluation at p."""
     out = []
 
     def check(name, x, ev, ref):
-        dev = abs(mp.mpf(ev.value) - ref)
-        ratio = 0.0 if dev == 0 else float(dev / ev.abs_err) if ev.abs_err > 0 else math.inf
-        out.append((name, x, ratio))
+        out.append((name, x, _ratio(ev, ref)))
 
     with mp.workdps(DPS):
         P = mp.mpf(p)
@@ -118,3 +126,35 @@ def test_circular_values_lie_within_abs_err(p):
     bad = [(name, x, r) for name, x, r in audit if not r <= 1.0]
     assert not bad, bad
     assert {name for name, _, _ in audit} == {"pi_p", "arcsin_p", "sin_p", "cos_p", "tan_p"}
+
+
+P_HYPERBOLIC = [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0]
+
+
+def _mp_arsinh(s, p):
+    a = 1 / p
+    return s * mp.re(mp.hyp2f1(a, a, 1 + a, -s ** p))
+
+
+def _audit_hyperbolic(p):
+    """(name, x, |value - ref| / abs_err) for sinh_p, cosh_p and tanh_p at p."""
+    rng = random.Random(int(p * 1000))
+    xs = [3.0 * rng.random() for _ in range(6)]
+    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _ulps(1.0)
+    out = []
+    with mp.workdps(DPS):
+        P = mp.mpf(p)
+        for x in xs:
+            sinh = ptrig.sinh_p(x, p)
+            s = mp.findroot(lambda s: _mp_arsinh(s, P) - mp.mpf(x), mp.mpf(sinh.value))
+            c = (1 + s ** P) ** (1 / P)
+            out.append(("sinh_p", x, _ratio(sinh, s)))
+            out.append(("cosh_p", x, _ratio(ptrig.cosh_p(x, p), c)))
+            out.append(("tanh_p", x, _ratio(ptrig.tanh_p(x, p), s / c)))
+    return out
+
+
+@pytest.mark.parametrize("p", P_HYPERBOLIC)
+def test_hyperbolic_values_lie_within_abs_err(p):
+    bad = [(name, x, r) for name, x, r in _audit_hyperbolic(p) if not r <= 1.0]
+    assert not bad, bad

@@ -350,6 +350,14 @@ class TestErrorReporting:
             ev = ptrig.sinh_p(x, p)
             assert 0.0 <= ev.abs_err <= 1e-7 * max(1.0, ev.value)
 
+    @pytest.mark.parametrize("p", [1.1, 1.5])
+    def test_series_serves_only_small_z(self, p):
+        # z = 0.049^p is far above the series switch for p < 2: the value
+        # comes from the inversion, not from a series truncated at z^3.
+        for fn in (ptrig.sin_p, ptrig.sinh_p):
+            ev = fn(0.049, p)
+            assert ev.abs_err < 1e-10 * ev.value
+
     def test_cos_resolvable_near_endpoint(self):
         # the log-space endpoint solve keeps cos_p accurate where the
         # s-space inverse would have rounded 1 - s^p to zero

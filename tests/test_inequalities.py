@@ -212,6 +212,23 @@ class TestChains:
         for got, ref in zip(rep.points[2].values, want):
             assert abs(got - ref) <= 1e-11
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 10.0])
+    def test_series_and_direct_routes_agree_above_the_switch(self, p, monkeypatch):
+        # Both routes derive from one declaration of each chain, so where the
+        # series is still accurate their margins agree within the budgets.
+        fam = ptrig.core._FAMILIES[p, None]
+        points = [
+            (tag, z ** (1.0 / p))
+            for tag in sorted(iq._CHAIN_TAGS, key=str)
+            for z in (4.5e-3, 6e-3, 1e-2)
+        ]
+        direct = [iq._chain_point(tag, fam, x) for tag, x in points]
+        monkeypatch.setattr(iq, "_Z_SWITCH", 1.0)
+        for (tag, x), (_, d_margins, d_budgets) in zip(points, direct):
+            _, s_margins, s_budgets = iq._chain_point(tag, fam, x)
+            for k, (dm, sm) in enumerate(zip(d_margins, s_margins)):
+                assert abs(dm - sm) <= d_budgets[k] + s_budgets[k], (tag, x, k)
+
     def test_ordering_of_terms(self):
         # Adjacent terms can tie at double resolution near 0; the certified
         # ordering lives in the margin, the values only have to not reverse.
@@ -304,7 +321,7 @@ class TestBoundsSandwich:
         # g at the extreme grid points hugs alpha and beta.
         for p in P_CERT:
             sc = iq.sharp_constants(p)
-            xs = iq.grid_points(iq.GridSpec(n=200), *iq._interval(F.THM2_G, p))
+            xs = iq.grid_points(iq.GridSpec(n=200), *iq._interval(F.THM2_G, ptrig.core._FAMILIES[p, None]))
             assert abs(iq.thm2_g(float(xs[0]), p).value - sc.alpha) <= 1e-2
             assert abs(iq.thm2_g(float(xs[-1]), p).value - sc.beta) <= 1e-2
 
@@ -359,6 +376,17 @@ class TestReports:
         b = iq.verify_claim(F.COROLLARY_CHAIN, 3.0, iq.GridSpec(n=50)).to_json_dict()
         assert json.dumps(a) == json.dumps(b)
 
-    def test_min_margin_is_min(self):
-        rep = iq.verify_claim(F.LEM24_GAP, 2.0, iq.GridSpec(n=50))
-        assert rep.min_margin == min(pt.margin for pt in rep.points)
+    @pytest.mark.parametrize(
+        "claim", [F.COROLLARY_CHAIN, F.THM2_G, F.LEM24_GAP, "BOUNDS_SANDWICH"]
+    )
+    def test_min_margin_is_min(self, claim):
+        # At p = 50 points below the z-floor leave margins of 0 or less.
+        for p in (2.0, 50.0):
+            grid = iq.GridSpec(n=50)
+            if claim == "BOUNDS_SANDWICH":
+                rep = iq.bounds_sandwich(p, grid)
+            else:
+                rep = iq.verify_claim(claim, p, grid)
+            assert rep.min_margin == min(pt.margin for pt in rep.points)
+            if any(pt.margin <= 0 for pt in rep.points):
+                assert not rep.passed
