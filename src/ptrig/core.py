@@ -23,7 +23,9 @@ hyperbolic integral is still taken by tanh-sinh quadrature.
 sin_p and sinh_p invert the integrals with safeguarded Newton iteration,
 switching to verified reversion series near zero where inversion would lose
 the deficit x - sin_p(x) to cancellation.  Near pi_p/2, sin_p inverts T in
-log space instead.  The remaining functions follow from the identities
+log space instead, unless p is so close to 1 that the direct inversion pins
+cos_p^p more tightly there.  The remaining functions follow from the
+identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
@@ -35,7 +37,9 @@ Every public operation returns an :class:`Evaluation` whose abs_err chains
 the series or quadrature bound, the inversion residual converted through the
 local slope, and the small-argument series truncation, so downstream margin
 certification can budget against it.  A series or quadrature whose bound
-cannot meet the requested tolerance raises NonConvergence.
+cannot meet the requested tolerance raises NonConvergence.  Each (p, tol)
+family keeps the Evaluation of every successful public call, so a repeated
+call returns the same object without recomputing it.
 """
 
 from __future__ import annotations
@@ -127,9 +131,10 @@ _MEMO_CAP = 1 << 14
 
 class _Family:
     """What depends on (p, tol) alone: tolerances, series polynomials, the
-    half-period, x-keyed memos of _sin_state, _sinh_raw, _arcsin_quad,
-    _arsinh_quad and, for integer p in [2, 64], _snap_to_identity, and the
-    per-p results other modules keep through _family_owned."""
+    half-period and pi_p, the integer exponent cosh_p snaps to (0 for none),
+    x-keyed memos of _sin_state, _sinh_raw, _arcsin_quad and _arsinh_quad,
+    the result memo of the public evaluators, keyed on (evaluator, x), and
+    the per-p results other modules keep through _family_owned."""
 
     def __init__(self, pf: float, tol: Optional[Tolerance]) -> None:
         self.pf = pf
@@ -139,8 +144,8 @@ class _Family:
             self.qtol, self.itol = tol, Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
         self.sin_poly = series.zp(1.0, *series.inverse_coeffs(pf))
         self.sinh_poly = series.zp(1.0, *series.hyper_inverse_coeffs(pf))
-        self.sin, self.sinh, self.asin, self.asinh = {}, {}, {}, {}
-        self.snap = {} if pf.is_integer() and 2.0 <= pf <= 64.0 else None
+        self.sin, self.sinh, self.asin, self.asinh, self.results = {}, {}, {}, {}, {}
+        self.snap = int(pf) if pf.is_integer() and 2.0 <= pf <= 64.0 else 0
         self.derived = {}
 
     @cached_property
@@ -153,6 +158,12 @@ class _Family:
         theta = math.pi / self.pf if self.pf >= 2.0 else math.pi * self.q
         v = math.pi / (self.pf * math.sin(theta))
         return _within(self.qtol, v, 4.0 * _EPS * v)
+
+    @cached_property
+    def pi(self) -> Evaluation:
+        """pi_p = 2 arcsin_p(1), the one Evaluation pi_p returns for the family."""
+        v, e = self.half
+        return Evaluation(2.0 * v, 2.0 * e)
 
     @cached_property
     def upper(self) -> tuple[float, float]:
@@ -189,24 +200,43 @@ class _Registry(dict):
 _FAMILIES = _Registry()
 
 
+def _store(memo: dict, key, value):
+    """memo[key] = value, emptying memo first once it holds _MEMO_CAP entries."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def _memoized(name: str):
-    """Serve solve(fam, x, *args) from the family's dict attribute `name`,
-    keyed on x alone: any further arguments must follow from (fam, x)."""
+    """Serve the internal solve(fam, x) from the family's state memo `name`,
+    a dict keyed on x.  The public evaluators sit in front, behind _served."""
 
     def wrap(solve):
         @wraps(solve)
-        def lookup(fam: _Family, x: float, *args):
+        def lookup(fam: _Family, x: float):
             memo = getattr(fam, name)
             got = memo.get(x)
-            if got is None:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                got = memo[x] = solve(fam, x, *args)
-            return got
+            return _store(memo, x, solve(fam, x)) if got is None else got
 
         return lookup
 
     return wrap
+
+
+def _served(evaluate):
+    """Serve the public evaluate(x, p, tol) from its family's result memo,
+    keyed on (evaluate, x): a repeat returns the Evaluation the first call
+    built.  Only results are kept; the domain and pole checks depend on the
+    family and x alone, so a call that raised raises again."""
+
+    @wraps(evaluate)
+    def serve(x, p, tol=None):
+        results = _FAMILIES[p, tol].results
+        got = results.get((evaluate, x))
+        return _store(results, (evaluate, x), evaluate(x, p, tol)) if got is None else got
+
+    return serve
 
 
 def _family_owned(build):
@@ -325,10 +355,10 @@ def pi_p(p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation
 
     Cross-checked in the test suite against the defining integral.
     """
-    v, e = _FAMILIES[p, tol].half
-    return Evaluation(2.0 * v, 2.0 * e)
+    return _FAMILIES[p, tol].pi
 
 
+@_served
 def arcsin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Inverse generalized sine on [0, 1]."""
     fam = _FAMILIES[p, tol]
@@ -340,6 +370,7 @@ def arcsin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
     return Evaluation(v, e)
 
 
+@_served
 def arsinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Inverse generalized hyperbolic sine on x >= 0."""
     fam = _FAMILIES[p, tol]
@@ -367,6 +398,11 @@ def _tail_T(fam: _Family, om: float) -> tuple[float, float]:
     pref = om ** q / fam.pf
     v = pref * (1.0 / q + S)
     return _within(fam.qtol, v, pref * e + 4.0 * _EPS * v)
+
+
+def _endpoint_restol(fam: _Family, tau: float, tau_err: float) -> float:
+    """Relative residual band of T(om) = tau: inversion, series and tau's own error."""
+    return 2.0 * fam.itol.abs_tol + 2.0 * fam.qtol.rel_tol + tau_err / tau
 
 
 def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, float, float, float]:
@@ -402,8 +438,7 @@ def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, fl
     res = invert_monotone(G, 1.0, w_lo, w_hi, deriv=dG, tol=fam.itol)
     w = res.value
     om = math.exp(w)
-    restol = 2.0 * fam.itol.abs_tol + 2.0 * fam.qtol.rel_tol + tau_err / tau
-    w_err = 2.0 * restol / dG(w) + 4.0 * _EPS * abs(w)
+    w_err = 2.0 * _endpoint_restol(fam, tau, tau_err) / dG(w) + 4.0 * _EPS * abs(w)
     om_err = om * min(w_err, 1.0)
     s = math.exp(math.log1p(-om) / pf)
     s_err = om_err / (pf * (1.0 - om)) + 4.0 * _EPS * s
@@ -414,6 +449,35 @@ def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, fl
 # above it the direct s-space solve has slope om^(-1/p) shallow enough for
 # the residual criterion to be meetable in double precision.
 _OM_SWITCH = 1e-2
+
+# Width of the relative band on om that the endpoint inversion must beat
+# before the direct solve is tried first, see _direct_first.
+_ENDPOINT_BAND = 1e-6
+
+
+def _inverse_restol(fam: _Family, x: float) -> float:
+    """x-space residual band of an inversion of arcsin_p or arsinh_p at x:
+    the residual tolerance plus the band of the integral itself."""
+    return fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
+
+
+def _direct_first(fam: _Family, x: float, tau: float, tau_err: float) -> bool:
+    """Whether to try the direct solve before the endpoint inversion.
+
+    The endpoint inversion leaves om a relative band of about 2 restol/q
+    (_endpoint_restol), wider than _ENDPOINT_BAND at every x once p is within
+    about 1e-6 of 1.  The direct solve, where it converges, leaves
+    p (4 eps + 2 restol om^(1/p)) / om (_inverse_restol), judged here at the
+    largest om that tau allows, ((p-1)(tau + tau_err))^(1/q) since
+    T(om) >= om^q/(p-1).  It goes first when the endpoint band is wider than
+    _ENDPOINT_BAND and its own band is narrower.
+    """
+    pf, q = fam.pf, fam.q
+    if tau <= tau_err or 2.0 * _endpoint_restol(fam, tau, tau_err) <= _ENDPOINT_BAND * q:
+        return False
+    om_hi = math.exp(min(math.log((pf - 1.0) * (tau + tau_err)) / q, 0.0))
+    direct_band = pf * (4.0 * _EPS + 2.0 * _inverse_restol(fam, x) * om_hi ** (1.0 / pf))
+    return direct_band < _ENDPOINT_BAND * om_hi
 
 
 @_memoized("sin")
@@ -437,8 +501,19 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     tau = ph_v - x
     tau_err = ph_e + _EPS * ph_v
     om_pred = math.exp(math.log((pf - 1.0) * max(tau, tau_err)) / fam.q)
-    if om_pred < _OM_SWITCH:
-        return _endpoint_state(fam, tau, tau_err)
+    if om_pred >= _OM_SWITCH:
+        return _direct_state(fam, x)
+    if _direct_first(fam, x, tau, tau_err):
+        try:
+            return _direct_state(fam, x)
+        except NonConvergence:
+            pass
+    return _endpoint_state(fam, tau, tau_err)
+
+
+def _direct_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
+    """(s, s_err, om, om_err) by Newton on arcsin_p(s) = x over s in [0, 1]."""
+    pf = fam.pf
 
     def F(s: float) -> float:
         if s <= 0.0:
@@ -455,8 +530,7 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     s = res.value
     # Residual tolerance back through the slope: dF >= 1, so the x-space
     # residual bounds the s-space error directly; add the series band.
-    restol = fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
-    s_err = 2.0 * restol * _cos_val(pf, s) + 4.0 * _EPS * s
+    s_err = 2.0 * _inverse_restol(fam, x) * _cos_val(pf, s) + 4.0 * _EPS * s
     om = _cos_pow(pf, s)
     om_err = pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
     return s, s_err, om, om_err
@@ -486,8 +560,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
 
     res = invert_monotone(F, x, x, hi, deriv=dF, tol=fam.itol)
     s = res.value
-    restol = fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
-    s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
+    s_err = 2.0 * _inverse_restol(fam, x) * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
     return s, s_err
 
 
@@ -515,6 +588,7 @@ def _log_cosh(pf: float, s: float) -> float:
     return math.log1p(math.exp(pf * ls)) / pf
 
 
+@_served
 def sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized sine on [0, pi_p/2]; increasing from 0 to 1."""
     fam = _FAMILIES[p, tol]
@@ -537,6 +611,7 @@ def _cos_from_state(pf: float, om: float, om_err: float) -> Evaluation:
     return Evaluation(c, min(lin, cap) + 4.0 * _EPS * c)
 
 
+@_served
 def cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized cosine (1 - sin_p^p)^(1/p); decreasing from 1 to 0."""
     fam = _FAMILIES[p, tol]
@@ -547,6 +622,7 @@ def cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) ->
     return _cos_from_state(fam.pf, om, om_err)
 
 
+@_served
 def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """sin_p/cos_p on [0, pi_p/2); raises PoleError against the right end."""
     fam = _FAMILIES[p, tol]
@@ -568,6 +644,7 @@ def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) ->
     return Evaluation(v, (hi - v) + 4.0 * _EPS * v)
 
 
+@_served
 def sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized hyperbolic sine on x >= 0; sinh_p(x) > x for x > 0."""
     fam = _FAMILIES[p, tol]
@@ -577,23 +654,22 @@ def sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -
     return Evaluation(v, e)
 
 
-@_memoized("snap")
-def _snap_to_identity(fam: _Family, x: float, s: float, v: float) -> float:
+def _snap_to_identity(n: int, s: float, v: float) -> float:
     """Move v = cosh_p(x) onto the double nearest the root of v^p = 1 + s^p.
 
     The log/exp route carries a relative error of a few ulp scaled by |log|,
     which the p-th power then amplifies by p.  For integer p the defining
     equation is rational, so one Newton step in exact arithmetic lands within
     half an ulp of the true root; exp rounding no longer leaks into the
-    residual 1 + sinh_p^p - cosh_p^p.  Callers apply it only where the family
-    keeps a snap memo (integer p in [2, 64]) and s > 0, 1 < v < inf.
+    residual 1 + sinh_p^p - cosh_p^p.  cosh_p applies it with n = p for
+    integer p in [2, 64] (the family's snap) and s > 0, 1 < v < inf.
     """
-    n = int(fam.pf)
     fv = Fraction(v)
     r = fv ** n - (1 + Fraction(s) ** n)
     return v if r == 0 else float(fv - r / (n * fv ** (n - 1)))
 
 
+@_served
 def cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """Generalized hyperbolic cosine (1 + sinh_p^p)^(1/p) >= 1."""
     fam = _FAMILIES[p, tol]
@@ -603,13 +679,14 @@ def cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -
     s, s_err = _sinh_raw(fam, x)
     lch = _log_cosh(pf, s)
     v = math.exp(lch)
-    if fam.snap is not None and s > 0.0 and 1.0 < v < math.inf:
-        v = _snap_to_identity(fam, x, s, v)
+    if fam.snap and s > 0.0 and 1.0 < v < math.inf:
+        v = _snap_to_identity(fam.snap, s, v)
     # d cosh/d sinh = tanh^(p-1) <= 1.
     slope = 1.0 if s == 0.0 else math.exp((pf - 1.0) * (math.log(s) - lch))
     return Evaluation(v, slope * s_err + 4.0 * _EPS * v)
 
 
+@_served
 def tanh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """sinh_p/cosh_p on x >= 0, with values in [0, 1)."""
     fam = _FAMILIES[p, tol]
@@ -633,6 +710,7 @@ def d_sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) 
     return cos_p(x, p, tol)
 
 
+@_served
 def d_cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1); singular at pi_p/2 when p > 2."""
     fam = _FAMILIES[p, tol]
@@ -665,6 +743,7 @@ def d_sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
     return cosh_p(x, p, tol)
 
 
+@_served
 def d_cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx cosh_p = cosh_p^(2-p) sinh_p^(p-1) (forced by the identity)."""
     fam = _FAMILIES[p, tol]
@@ -680,6 +759,7 @@ def d_cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
     return Evaluation(v, v * rel)
 
 
+@_served
 def d_tanh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx tanh_p = 1 - tanh_p^p."""
     fam = _FAMILIES[p, tol]

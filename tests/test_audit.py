@@ -30,9 +30,11 @@ import pytest
 import ptrig
 from ptrig import core
 
-# p within 1e-9 and 1e-14 of 1 as well: there pi_p/2 ~ 1/(p-1) carries a
-# large absolute error, which the endpoint inversion must account for.
-P_AUDIT = [1.0 + 1e-14, 1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
+# p within 1e-9, 1e-14 and one ulp of 1 as well: there pi_p/2 ~ 1/(p-1)
+# carries a large absolute error, which the endpoint inversion must account
+# for, and the direct solve is tried first where it resolves om better.
+P_AUDIT = [math.nextafter(1.0, 2.0), 1.0 + 1e-14, 1.0 + 1e-9,
+           1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
 DPS = 40
 
 
@@ -76,6 +78,9 @@ def _arguments(p):
     xs = [half * rng.random() for _ in range(6)]
     xs += [half * 10.0 ** rng.uniform(-8, 0) for _ in range(3)]
     xs += [half * (1 - 1e-3), half * (1 - 1e-8), half - 1e-11, half]
+    # Near p = 1, where cos_p ~ exp(-x): the direct solve serves x = 10, the
+    # endpoint inversion x = 30 once the direct solve cannot converge.
+    xs += [10.0, 30.0]
     # x = 0.05 stays a sample: below it the series once served every z for p < 2.
     xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p))
     # om_pred = _OM_SWITCH: the direct and the endpoint inversion meet here.

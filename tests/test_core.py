@@ -324,16 +324,17 @@ class TestParameterNearOne:
         pi = ptrig.pi_p(p)
         assert abs(pi.value * (p - 1.0) / 2.0 - 1.0) <= 2.0 * (p - 1.0)
         half = pi.value / 2.0
-        # The p = 1 limit moves by about 100 (p - 1) over these x.  At
-        # x = 10 the endpoint inversion serves x, and for p within ulps of 1
-        # its cos_p is too uncertain for tan_p, which then reports a pole.
+        # The p = 1 limit moves by about 100 (p - 1) over these x.
         for x in (0.01, 0.5, 2.0, 10.0):
-            checks = [(ptrig.sin_p, -math.expm1(-x)), (ptrig.cos_p, math.exp(-x))]
-            if x < 10.0:
-                checks.append((ptrig.tan_p, math.expm1(x)))
+            checks = [(ptrig.sin_p, -math.expm1(-x)), (ptrig.cos_p, math.exp(-x)),
+                      (ptrig.tan_p, math.expm1(x))]
             for fn, limit in checks:
                 ev = fn(x, p)
                 assert abs(ev.value - limit) <= ev.abs_err + 200.0 * (p - 1.0) * limit
+        # om_pred sends x = 10 to the endpoint inversion, whose band on om is
+        # about 6e-13/(p - 1); within ulps of 1 the direct solve serves it.
+        cos = ptrig.cos_p(10.0, p)
+        assert cos.abs_err < 1e-6 * cos.value
         for x in (0.5 * half, half * (1.0 - 1e-9), half):
             assert 0.0 <= ptrig.cos_p(x, p).value <= ptrig.cos_p(10.0, p).value
             assert ptrig.sin_p(x, p).value >= ptrig.sin_p(10.0, p).value
@@ -407,17 +408,41 @@ class TestFamilyRegistry:
     P = 2.75
     fresh = itertools.count()
 
+    # What a repeated public call must not reach: the per-point states, the
+    # defining integrals and the inversion.
+    SOLVERS = ("_sin_state", "_sinh_raw", "_arcsin_quad", "_arsinh_quad", "invert_monotone")
+
     @staticmethod
-    def evaluate(p, tol=None):
+    def evaluations(p, tol=None):
+        """Every public evaluator at p, over series, direct and endpoint routes."""
         half = ptrig.pi_p(p).value / 2
-        circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_cos_p)
-        hyperbolic = (ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p, ptrig.d_cosh_p, ptrig.d_tanh_p)
+        circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_sin_p, ptrig.d_cos_p)
+        hyperbolic = (ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p,
+                      ptrig.d_sinh_p, ptrig.d_cosh_p, ptrig.d_tanh_p)
         evs = [ptrig.pi_p(p, tol), ptrig.arcsin_p(0.9, p, tol), ptrig.arsinh_p(4.0, p, tol)]
         for x in (0.01 * half, 0.6 * half, (1.0 - 1e-7) * half):
             evs += [f(x, p, tol) for f in circular]
         for x in (0.02, 0.9, 2.5):
             evs += [f(x, p, tol) for f in hyperbolic]
-        return [repr(ev) for ev in evs]
+        return evs
+
+    @classmethod
+    def evaluate(cls, p, tol=None):
+        return [repr(ev) for ev in cls.evaluations(p, tol)]
+
+    @classmethod
+    def count_solver_calls(cls, monkeypatch) -> list:
+        """Names of the solvers called from now on, one entry per call."""
+        calls = []
+        for name in cls.SOLVERS:
+            orig = getattr(core, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(core, name, counted)
+        return calls
 
     @classmethod
     def evict_all(cls):
@@ -430,9 +455,47 @@ class TestFamilyRegistry:
         self.evict_all()
         cold = self.evaluate(self.P, tol)
         warm = self.evaluate(self.P, tol)
+        # Without the result memo the same calls are served by the state memos.
+        core._FAMILIES[self.P, tol].results.clear()
+        states = self.evaluate(self.P, tol)
         self.evict_all()
         assert (self.P, tol) not in core._FAMILIES
-        assert self.evaluate(self.P, tol) == warm == cold
+        assert self.evaluate(self.P, tol) == states == warm == cold
+
+    def test_repeated_calls_return_the_first_result_without_solving(self, monkeypatch):
+        self.evict_all()
+        first = self.evaluations(self.P)
+        calls = self.count_solver_calls(monkeypatch)
+        again = self.evaluations(self.P)
+        assert calls == []
+        assert all(a is b for a, b in zip(again, first))
+
+    def test_failed_calls_raise_again_and_leave_no_entry(self):
+        half = ptrig.pi_p(self.P).value / 2
+        fam = core._FAMILIES[self.P, None]
+        failing = [
+            (ptrig.arcsin_p, 1.5, DomainError), (ptrig.arsinh_p, -1.0, DomainError),
+            (ptrig.sin_p, 2.0 * half, DomainError), (ptrig.cos_p, -0.1, DomainError),
+            (ptrig.tan_p, half, PoleError), (ptrig.d_cos_p, half, DomainError),
+            (ptrig.sinh_p, -1.0, DomainError), (ptrig.cosh_p, -1.0, DomainError),
+            (ptrig.tanh_p, -1.0, DomainError), (ptrig.d_cosh_p, -1.0, DomainError),
+            (ptrig.d_tanh_p, -1.0, DomainError), (ptrig.sinh_p, 1e300, DomainError),
+        ]
+        for fn, x, exc in failing:
+            for _ in range(2):
+                with pytest.raises(exc):
+                    fn(x, self.P)
+            assert (fn.__wrapped__, x) not in fam.results, fn.__name__
+
+    def test_results_are_never_served_across_tolerances(self):
+        loose = Tolerance(1e-11, 1e-11, 60)
+        self.evict_all()
+        want = self.evaluate(self.P)
+        self.evict_all()
+        other = self.evaluate(self.P, loose)
+        assert self.evaluate(self.P) == want
+        assert other != want
+        assert self.evaluate(self.P, loose) == other
 
     def test_registry_stays_at_its_cap(self):
         for k in range(core._FAMILY_CAP + 5):
@@ -446,17 +509,25 @@ class TestFamilyRegistry:
         monkeypatch.setattr(core, "_MEMO_CAP", 2)
         assert self.evaluate(self.P) == want
         fam = core._FAMILIES[self.P, None]
-        assert all(len(memo) <= 2 for memo in (fam.sin, fam.sinh, fam.asin, fam.asinh))
+        assert all(len(memo) <= 2 for memo in (fam.sin, fam.sinh, fam.asin, fam.asinh, fam.results))
 
     def test_pparam_and_float_share_one_family(self):
         assert core._FAMILIES[PParam(self.P), None] is core._FAMILIES[self.P, None]
 
-    def test_integer_p_cosh_snap_is_memoized(self):
-        core._FAMILIES.pop((3.0, None), None)
+    def test_integer_p_cosh_snap_is_served_from_results(self, monkeypatch):
+        snaps = []
+        snap = core._snap_to_identity
+        monkeypatch.setattr(core, "_snap_to_identity", lambda *a: snaps.append(a) or snap(*a))
+        for p in (3.0, 3.5):
+            core._FAMILIES.pop((p, None), None)
         first = ptrig.cosh_p(0.7, 3.0)
-        assert 0.7 in core._FAMILIES[3.0, None].snap
-        assert ptrig.cosh_p(0.7, 3.0) == first
-        assert core._FAMILIES[3.5, None].snap is None
+        assert len(snaps) == 1
+        calls = self.count_solver_calls(monkeypatch)
+        assert ptrig.cosh_p(0.7, 3.0) is first
+        assert core._FAMILIES[3.0, None].results[ptrig.cosh_p.__wrapped__, 0.7] is first
+        assert len(snaps) == 1 and calls == []
+        ptrig.cosh_p(0.7, 3.5)
+        assert len(snaps) == 1
 
     def test_p_keyed_caches_stay_bounded(self):
         """Series primitives, coefficients, sharp constants and chain
@@ -479,13 +550,16 @@ class TestFamilyRegistry:
 
     def test_concurrent_callers_see_the_same_values(self):
         ps = [1.5 + k / 8 for k in range(core._FAMILY_CAP + 8)]
-        want = {p: ptrig.arcsin_p(0.8, p) for p in ps}
+        calls = [(ptrig.arcsin_p, 0.8), (ptrig.sin_p, 0.4), (ptrig.cosh_p, 0.4)]
+        want = {(fn, p): fn(x, p) for p in ps for fn, x in calls}
         errors = []
 
         def worker(offset):
             try:
                 for p in ps[offset:] + ps[:offset]:
-                    assert ptrig.arcsin_p(0.8, p) == want[p]
+                    for _ in range(2):
+                        for fn, x in calls:
+                            assert fn(x, p) == want[fn, p]
             except Exception as exc:  # collected and asserted empty below
                 errors.append(exc)
 
