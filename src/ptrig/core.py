@@ -37,9 +37,12 @@ Every public operation returns an :class:`Evaluation` whose abs_err chains
 the series or quadrature bound, the inversion residual converted through the
 local slope, and the small-argument series truncation, so downstream margin
 certification can budget against it.  A series or quadrature whose bound
-cannot meet the requested tolerance raises NonConvergence.  Each (p, tol)
-family keeps the Evaluation of every successful public call, so a repeated
-call returns the same object without recomputing it.
+cannot meet the requested tolerance raises NonConvergence.  Every public
+evaluator takes a finite x and raises DomainError outside its domain.
+
+Each (p, tol) family keeps one capped memo of per-point states and the
+Evaluation of every successful public call, so a repeated call returns the
+same object without recomputing it.
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ def _pval(p: Union[PParam, float]) -> float:
 
 # ---------------------------------------------------------------------------
 # Families.  At most _FAMILY_CAP stay registered (the oldest goes first), and
-# a memo is emptied when it reaches _MEMO_CAP entries.  A miss recomputes
-# exactly what a hit returns, so values never depend on cache state.
+# a family's memo is emptied when it reaches _MEMO_CAP entries.  A miss
+# recomputes exactly what a hit returns, so values never depend on cache state.
 _FAMILY_CAP = 16
 _MEMO_CAP = 1 << 14
 
@@ -132,9 +135,10 @@ _MEMO_CAP = 1 << 14
 class _Family:
     """What depends on (p, tol) alone: tolerances, series polynomials, the
     half-period and pi_p, the integer exponent cosh_p snaps to (0 for none),
-    x-keyed memos of _sin_state, _sinh_raw, _arcsin_quad and _arsinh_quad,
-    the result memo of the public evaluators, keyed on (evaluator, x), and
-    the per-p results other modules keep through _family_owned."""
+    arsinh_p(1), and memo, the one dict in which _kept keeps fn(fam, *key)
+    under (fn, *key): the states of _sin_state and _sinh_raw, the Evaluation
+    of every public evaluator (keyed on its body and x, see _served) and
+    what other modules derive from p."""
 
     def __init__(self, pf: float, tol: Optional[Tolerance]) -> None:
         self.pf = pf
@@ -144,9 +148,8 @@ class _Family:
             self.qtol, self.itol = tol, Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
         self.sin_poly = series.zp(1.0, *series.inverse_coeffs(pf))
         self.sinh_poly = series.zp(1.0, *series.hyper_inverse_coeffs(pf))
-        self.sin, self.sinh, self.asin, self.asinh, self.results = {}, {}, {}, {}, {}
         self.snap = int(pf) if pf.is_integer() and 2.0 <= pf <= 64.0 else 0
-        self.derived = {}
+        self.memo = {}
 
     @cached_property
     def half(self) -> tuple[float, float]:
@@ -181,6 +184,11 @@ class _Family:
         v = root * (1.0 + sa / pf) + hq * sq / pf
         return v, (root * ea + hq * eq) / pf + 4.0 * _EPS * v
 
+    @cached_property
+    def arsinh_one(self) -> tuple[float, float]:
+        """arsinh_p(1) and its error bound, the base of arsinh_p above 1."""
+        return _arsinh_quad(self, 1.0)
+
 
 class _Registry(dict):
     """(p, tol) -> _Family; a miss validates p and files the family under (float p, tol)."""
@@ -200,58 +208,68 @@ class _Registry(dict):
 _FAMILIES = _Registry()
 
 
-def _store(memo: dict, key, value):
-    """memo[key] = value, emptying memo first once it holds _MEMO_CAP entries."""
-    if len(memo) >= _MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
+def _kept(fn):
+    """Keep fn(fam, *key) in fam.memo under (fn, *key), emptying the memo
+    first once it holds _MEMO_CAP entries."""
+
+    @wraps(fn)
+    def kept(fam: _Family, *key):
+        memo = fam.memo
+        got = memo.get((fn, *key))
+        if got is None:
+            got = fn(fam, *key)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[(fn, *key)] = got
+        return got
+
+    return kept
 
 
-def _memoized(name: str):
-    """Serve the internal solve(fam, x) from the family's state memo `name`,
-    a dict keyed on x.  The public evaluators sit in front, behind _served."""
+def _served(domain):
+    """Serve body(fam, x) as the public evaluator (x, p, tol=None), kept
+    under (body, x) in the family of (p, tol).  A hit is one registry lookup
+    and one dict lookup.  A miss first checks x with domain(fam, name, x),
+    which raises DomainError; only results are kept, so a call that raised
+    raises again."""
 
-    def wrap(solve):
-        @wraps(solve)
-        def lookup(fam: _Family, x: float):
-            memo = getattr(fam, name)
-            got = memo.get(x)
-            return _store(memo, x, solve(fam, x)) if got is None else got
+    def wrap(body):
+        kept = _kept(body)
 
-        return lookup
+        def serve(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+            fam = _FAMILIES[p, tol]
+            got = fam.memo.get((body, x))
+            if got is None:
+                domain(fam, body.__name__, x)
+                got = kept(fam, x)
+            return got
+
+        # Not functools.wraps: its __wrapped__ would show body's (fam, x)
+        # as the public signature.
+        serve.__name__ = serve.__qualname__ = body.__name__
+        serve.__doc__ = body.__doc__
+        return serve
 
     return wrap
 
 
-def _served(evaluate):
-    """Serve the public evaluate(x, p, tol) from its family's result memo,
-    keyed on (evaluate, x): a repeat returns the Evaluation the first call
-    built.  Only results are kept; the domain and pole checks depend on the
-    family and x alone, so a call that raised raises again."""
-
-    @wraps(evaluate)
-    def serve(x, p, tol=None):
-        results = _FAMILIES[p, tol].results
-        got = results.get((evaluate, x))
-        return _store(results, (evaluate, x), evaluate(x, p, tol)) if got is None else got
-
-    return serve
+# The domains of the public evaluators; each requires a finite x.
 
 
-def _family_owned(build):
-    """Keep build(fam, *key) in fam.derived, so that what another module
-    derives from p alone lives and goes with the family."""
+def _circular(fam: _Family, name: str, x: float) -> None:
+    ph_v, slack = fam.upper
+    if not 0.0 <= x <= ph_v + slack:
+        raise DomainError(f"{name} requires x in [0, pi_p/2 = {ph_v}], got {x}")
 
-    @wraps(build)
-    def lookup(fam: _Family, *key):
-        name = (build.__name__, *key)
-        got = fam.derived.get(name)
-        if got is None:
-            got = fam.derived[name] = build(fam, *key)
-        return got
 
-    return lookup
+def _unit(fam: _Family, name: str, x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"{name} requires x in [0, 1], got {x}")
+
+
+def _half_line(fam: _Family, name: str, x: float) -> None:
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} requires finite x >= 0, got {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +327,6 @@ def _hyp_tail_integrand(pf: float):
     return f
 
 
-@_memoized("asin")
 def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
     """arcsin_p(s) and its error bound for 0 < s <= 1, from the series in
     w = s^p up to w = 1/2 and from the endpoint series in om above it."""
@@ -339,12 +356,11 @@ def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
     return _within(fam.qtol, v, err)
 
 
-@_memoized("asinh")
 def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
     if x <= 1.0:
         res = integrate(_hyp_integrand(fam.pf), 0.0, x, fam.qtol, vectorized=True)
         return res.value, res.abs_err
-    base_v, base_e = _arsinh_quad(fam, 1.0)
+    base_v, base_e = fam.arsinh_one
     tail = integrate(_hyp_tail_integrand(fam.pf), 0.0, math.log(x), fam.qtol, vectorized=True)
     v = base_v + tail.value
     return v, base_e + tail.abs_err + 2.0 * _EPS * abs(v)
@@ -358,28 +374,20 @@ def pi_p(p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation
     return _FAMILIES[p, tol].pi
 
 
-@_served
-def arcsin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_unit)
+def arcsin_p(fam: _Family, x: float) -> Evaluation:
     """Inverse generalized sine on [0, 1]."""
-    fam = _FAMILIES[p, tol]
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"arcsin_p requires x in [0, 1], got {x}")
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    v, e = _arcsin_quad(fam, x)
-    return Evaluation(v, e)
+    return Evaluation(*_arcsin_quad(fam, x))
 
 
-@_served
-def arsinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_half_line)
+def arsinh_p(fam: _Family, x: float) -> Evaluation:
     """Inverse generalized hyperbolic sine on x >= 0."""
-    fam = _FAMILIES[p, tol]
-    if x < 0.0:
-        raise DomainError(f"arsinh_p requires x >= 0, got {x}")
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    v, e = _arsinh_quad(fam, x)
-    return Evaluation(v, e)
+    return Evaluation(*_arsinh_quad(fam, x))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +488,7 @@ def _direct_first(fam: _Family, x: float, tau: float, tau_err: float) -> bool:
     return direct_band < _ENDPOINT_BAND * om_hi
 
 
-@_memoized("sin")
+@_kept
 def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     """(s, s_err, om, om_err) with s = sin_p(x) and om = cos_p(x)^p.
 
@@ -536,7 +544,7 @@ def _direct_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     return s, s_err, om, om_err
 
 
-@_memoized("sinh")
+@_kept
 def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     """sinh_p(x) with an error bound, for x >= 0."""
     pf = fam.pf
@@ -546,17 +554,19 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
         z = x ** pf
         return x * series.zp_eval(fam.sinh_poly, z), x * series.zp_trunc_err(fam.sinh_poly, z)
 
-    def F(s: float) -> float:
-        return 0.0 if s <= 0.0 else _arsinh_quad(fam, s)[0]
-
-    def dF(s: float) -> float:
-        return 1.0 if s <= 0.0 else math.exp(-_log_cosh(pf, s))
-
     hi = 2.0 * x
-    while F(hi) < x:
+    while (f_hi := _arsinh_quad(fam, hi)[0]) < x:
         hi *= 4.0
         if hi > _BRACKET_CAP:
             raise DomainError(f"sinh_p({x}) exceeds floating-point range")
+
+    def F(s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        return f_hi if s == hi else _arsinh_quad(fam, s)[0]
+
+    def dF(s: float) -> float:
+        return 1.0 if s <= 0.0 else math.exp(-_log_cosh(pf, s))
 
     res = invert_monotone(F, x, x, hi, deriv=dF, tol=fam.itol)
     s = res.value
@@ -588,13 +598,9 @@ def _log_cosh(pf: float, s: float) -> float:
     return math.log1p(math.exp(pf * ls)) / pf
 
 
-@_served
-def sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_circular)
+def sin_p(fam: _Family, x: float) -> Evaluation:
     """Generalized sine on [0, pi_p/2]; increasing from 0 to 1."""
-    fam = _FAMILIES[p, tol]
-    ph_v, slack = fam.upper
-    if not (0.0 <= x <= ph_v + slack):
-        raise DomainError(f"sin_p requires x in [0, pi_p/2 = {ph_v}], got {x}")
     s, s_err, _, _ = _sin_state(fam, x)
     return Evaluation(min(s, 1.0), s_err)
 
@@ -611,24 +617,17 @@ def _cos_from_state(pf: float, om: float, om_err: float) -> Evaluation:
     return Evaluation(c, min(lin, cap) + 4.0 * _EPS * c)
 
 
-@_served
-def cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_circular)
+def cos_p(fam: _Family, x: float) -> Evaluation:
     """Generalized cosine (1 - sin_p^p)^(1/p); decreasing from 1 to 0."""
-    fam = _FAMILIES[p, tol]
-    ph_v, slack = fam.upper
-    if not (0.0 <= x <= ph_v + slack):
-        raise DomainError(f"cos_p requires x in [0, pi_p/2 = {ph_v}], got {x}")
     _, _, om, om_err = _sin_state(fam, x)
     return _cos_from_state(fam.pf, om, om_err)
 
 
-@_served
-def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_circular)
+def tan_p(fam: _Family, x: float) -> Evaluation:
     """sin_p/cos_p on [0, pi_p/2); raises PoleError against the right end."""
-    fam = _FAMILIES[p, tol]
-    ph_v, slack = fam.upper
-    if not (0.0 <= x <= ph_v + slack):
-        raise DomainError(f"tan_p requires x in [0, pi_p/2 = {ph_v}), got {x}")
+    ph_v, _ = fam.half
     if x > ph_v - _POLE_WINDOW:
         raise PoleError(f"tan_p pole: x = {x} within {_POLE_WINDOW} of pi_p/2 = {ph_v}")
     if x == 0.0:
@@ -644,14 +643,10 @@ def tan_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) ->
     return Evaluation(v, (hi - v) + 4.0 * _EPS * v)
 
 
-@_served
-def sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_half_line)
+def sinh_p(fam: _Family, x: float) -> Evaluation:
     """Generalized hyperbolic sine on x >= 0; sinh_p(x) > x for x > 0."""
-    fam = _FAMILIES[p, tol]
-    if x < 0.0:
-        raise DomainError(f"sinh_p requires x >= 0, got {x}")
-    v, e = _sinh_raw(fam, x)
-    return Evaluation(v, e)
+    return Evaluation(*_sinh_raw(fam, x))
 
 
 def _snap_to_identity(n: int, s: float, v: float) -> float:
@@ -669,13 +664,10 @@ def _snap_to_identity(n: int, s: float, v: float) -> float:
     return v if r == 0 else float(fv - r / (n * fv ** (n - 1)))
 
 
-@_served
-def cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_half_line)
+def cosh_p(fam: _Family, x: float) -> Evaluation:
     """Generalized hyperbolic cosine (1 + sinh_p^p)^(1/p) >= 1."""
-    fam = _FAMILIES[p, tol]
     pf = fam.pf
-    if x < 0.0:
-        raise DomainError(f"cosh_p requires x >= 0, got {x}")
     s, s_err = _sinh_raw(fam, x)
     lch = _log_cosh(pf, s)
     v = math.exp(lch)
@@ -686,13 +678,10 @@ def cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -
     return Evaluation(v, slope * s_err + 4.0 * _EPS * v)
 
 
-@_served
-def tanh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_half_line)
+def tanh_p(fam: _Family, x: float) -> Evaluation:
     """sinh_p/cosh_p on x >= 0, with values in [0, 1)."""
-    fam = _FAMILIES[p, tol]
     pf = fam.pf
-    if x < 0.0:
-        raise DomainError(f"tanh_p requires x >= 0, got {x}")
     s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(0.0, 0.0)
@@ -710,13 +699,10 @@ def d_sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) 
     return cos_p(x, p, tol)
 
 
-@_served
-def d_cos_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_circular)
+def d_cos_p(fam: _Family, x: float) -> Evaluation:
     """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1); singular at pi_p/2 when p > 2."""
-    fam = _FAMILIES[p, tol]
-    ph_v, slack = fam.upper
-    if not (0.0 <= x <= ph_v + slack):
-        raise DomainError(f"d_cos_p requires x in [0, pi_p/2 = {ph_v}], got {x}")
+    ph_v, _ = fam.half
     pf = fam.pf
     if pf > 2.0 and x > ph_v - _POLE_WINDOW:
         raise DomainError(
@@ -743,13 +729,10 @@ def d_sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
     return cosh_p(x, p, tol)
 
 
-@_served
-def d_cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_half_line)
+def d_cosh_p(fam: _Family, x: float) -> Evaluation:
     """d/dx cosh_p = cosh_p^(2-p) sinh_p^(p-1) (forced by the identity)."""
-    fam = _FAMILIES[p, tol]
     pf = fam.pf
-    if x < 0.0:
-        raise DomainError(f"d_cosh_p requires x >= 0, got {x}")
     s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(0.0, (pf - 1.0) * s_err)
@@ -759,13 +742,10 @@ def d_cosh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None)
     return Evaluation(v, v * rel)
 
 
-@_served
-def d_tanh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+@_served(_half_line)
+def d_tanh_p(fam: _Family, x: float) -> Evaluation:
     """d/dx tanh_p = 1 - tanh_p^p."""
-    fam = _FAMILIES[p, tol]
     pf = fam.pf
-    if x < 0.0:
-        raise DomainError(f"d_tanh_p requires x >= 0, got {x}")
     s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(1.0, pf * s_err + 4.0 * _EPS)

@@ -41,7 +41,7 @@ from .core import (
     PParam,
     _FAMILIES,
     _Family,
-    _family_owned,
+    _kept,
     _log_cosh,
     _pval,
     _sin_state,
@@ -234,12 +234,12 @@ class SharpConstants:
             )
 
 
-@_family_owned
+@_kept
 def _zseries(fam: _Family) -> series.SmallZSeries:
     return series.primitives(fam.pf)
 
 
-@_family_owned
+@_kept
 def _consts(fam: _Family) -> tuple:
     """(alpha, beta, beta_err, lam, lam_err) with lam = log(pi_p/2)."""
     pf = fam.pf
@@ -316,8 +316,19 @@ def _ee(fam: _Family, x: float) -> tuple:
     return math.expm1(g), math.exp(g) * (l2e + l3e)
 
 
+def _lem24(fam: _Family, x: float) -> tuple:
+    """log cosh_p(x) - (x/p) tanh_p(x)^(p-1) > 0."""
+    pf = fam.pf
+    sh, sh_err = _sinh_raw(fam, x)
+    l3v, l3e = _l3(fam, x)
+    t = math.exp((pf - 1.0) * (math.log(sh) - l3v))
+    t_err = t * (pf - 1.0) * (sh_err / sh + l3e)
+    v = l3v - (x / pf) * t
+    return v, l3e + (x / pf) * t_err + 2.0 * _EPS * (l3v + (x / pf) * t)
+
+
 # Direct-route primitive behind each series.SmallZSeries name.
-_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee}
+_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee, "lem24": _lem24}
 
 
 def _series_z(pf: float, x: float) -> Optional[float]:
@@ -346,22 +357,24 @@ def _require_positive(x: float) -> None:
         raise DomainError(f"x must be positive, got {x}")
 
 
+def _primitive(fam: _Family, name: str, x: float, z: Optional[float]) -> tuple:
+    """The primitive named as in series.SmallZSeries at x, with its error:
+    from its z-series and truncation bound when z is given, else by _DIRECT."""
+    if z is None:
+        return _DIRECT[name](fam, x)
+    q = getattr(_zseries(fam), name)
+    return series.zp_eval(q, z), series.zp_trunc_err(q, z)
+
+
 def _ratio_functional(
     fam: _Family, x: float, num: str, den: str, limit: float, scale: float = 1.0
 ) -> Evaluation:
     """scale * num/den for two primitives named as in series.SmallZSeries;
     limit is the value as z -> 0, returned below the z-floor."""
     z = _series_z(fam.pf, x)
-    if z is None:
-        return _ratio(*_DIRECT[num](fam, x), *_DIRECT[den](fam, x), scale=scale)
-    if z <= _Z_FLOOR:
+    if z is not None and z <= _Z_FLOOR:
         return Evaluation(limit, 4.0 * _EPS * limit)
-    sz = _zseries(fam)
-    a, b = getattr(sz, num), getattr(sz, den)
-    return _ratio(
-        series.zp_eval(a, z), series.zp_trunc_err(a, z),
-        series.zp_eval(b, z), series.zp_trunc_err(b, z), scale,
-    )
+    return _ratio(*_primitive(fam, num, x, z), *_primitive(fam, den, x, z), scale=scale)
 
 
 def thm1_f(x: float, p: Union[PParam, float]) -> Evaluation:
@@ -395,21 +408,11 @@ def lem23_g(x: float, p: Union[PParam, float]) -> Evaluation:
 def lem24_gap(x: float, p: Union[PParam, float]) -> Evaluation:
     """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), strictly positive for x > 0."""
     fam = _FAMILIES[p, None]
-    pf = fam.pf
     _require_positive(x)
-    z = _series_z(pf, x)
-    if z is not None:
-        if z <= _Z_FLOOR:
-            return Evaluation(0.0, 0.0)
-        sz = _zseries(fam)
-        return Evaluation(series.zp_eval(sz.lem24, z), series.zp_trunc_err(sz.lem24, z))
-    sh, sh_err = _sinh_raw(fam, x)
-    l3v, l3e = _l3(fam, x)
-    t = math.exp((pf - 1.0) * (math.log(sh) - l3v))
-    t_err = t * (pf - 1.0) * (sh_err / sh + l3e)
-    v = l3v - (x / pf) * t
-    err = l3e + (x / pf) * t_err + 2.0 * _EPS * (l3v + (x / pf) * t)
-    return Evaluation(v, err)
+    z = _series_z(fam.pf, x)
+    if z is not None and z <= _Z_FLOOR:
+        return Evaluation(0.0, 0.0)
+    return Evaluation(*_primitive(fam, "lem24", x, z))
 
 
 _FUNCTIONALS = {
@@ -435,7 +438,9 @@ def _chain_terms(fam: _Family, tag: FunctionId) -> tuple:
     error e) is the primitive named prim as in series.SmallZSeries (None for
     T = 1) and num_err bounds the error in num; the term's error is then
     |num| e / den + num_err v.  den keeps p a divisor: -d/p and (-1/p) d
-    differ in the last bit.
+    differ in the last bit.  bounds_sandwich reads gap 0 of THM1_CHAIN and
+    THM2_CHAIN as the distance to the upper bound and the cancelling gap 1
+    as the distance to the lower one, so their term order is fixed.
     """
     pf = fam.pf
     alpha, beta, beta_err, lam, lam_err = _consts(fam)
@@ -455,7 +460,7 @@ def _chain_terms(fam: _Family, tag: FunctionId) -> tuple:
     raise ValueError(f"{tag} is not a chain claim")
 
 
-@_family_owned
+@_kept
 def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
     """Term log-polynomials in z, const-error weights, and zero_coeff'd gaps.
 
@@ -565,15 +570,16 @@ def _thm2_routes_agree(fam: _Family, x: float, margins: list, budgets: list) -> 
 # ---------------------------------------------------------------------------
 # verifiers: each builds one (x, values, margin, budget) record per point
 
-def _records(claim: str, pf: float, xs: np.ndarray, at) -> list:
-    """[at(x) for x in xs], a core failure at x raised as EvaluationFailed."""
+def _records(claim: str, tag: FunctionId, fam: _Family, grid: Optional[GridSpec], at) -> list:
+    """[at(x)] over the grid on tag's interval, a core failure at x raised
+    as EvaluationFailed."""
     out = []
-    for x in xs:
+    for x in grid_points(grid or GridSpec(), *_interval(tag, fam)):
         xf = float(x)
         try:
             out.append(at(xf))
         except _CORE_ERRORS as exc:
-            raise EvaluationFailed(claim, xf, pf, exc) from exc
+            raise EvaluationFailed(claim, xf, fam.pf, exc) from exc
     return out
 
 
@@ -620,7 +626,6 @@ def verify_chain(
     if claim not in _CHAIN_TAGS:
         raise ValueError(f"{claim} is not a chain claim")
     fam = _FAMILIES[p, None]
-    xs = grid_points(grid or GridSpec(), *_interval(claim, fam))
 
     def at(x: float) -> tuple:
         values, margins, budgets = _chain_point(claim, fam, x)
@@ -628,7 +633,7 @@ def verify_chain(
             _thm2_routes_agree(fam, x, margins, budgets)
         return _weakest_pair(x, values, margins, budgets)
 
-    return _report(claim.value, fam.pf, _records(claim.value, fam.pf, xs, at))
+    return _report(claim.value, fam.pf, _records(claim.value, claim, fam, grid, at))
 
 
 def verify_monotone(
@@ -651,8 +656,7 @@ def verify_monotone(
         raise ValueError(f"direction must be increasing|decreasing, got {direction!r}")
     fam = _FAMILIES[p, None]
     fn = _FUNCTIONALS[claim]
-    xs = grid_points(grid or GridSpec(), *_interval(claim, fam))
-    evs = _records(claim.value, fam.pf, xs, lambda x: (x, fn(x, fam.pf)))
+    evs = _records(claim.value, claim, fam, grid, lambda x: (x, fn(x, fam.pf)))
 
     sign = 1.0 if direction == "increasing" else -1.0
     records = [
@@ -668,13 +672,12 @@ def _verify_positive(
 ) -> VerificationReport:
     fam = _FAMILIES[p, None]
     fn = _FUNCTIONALS[claim]
-    xs = grid_points(grid or GridSpec(), *_interval(claim, fam))
 
     def at(x: float) -> tuple:
         ev = fn(x, fam.pf)
         return x, (ev.value,), ev.value, ev.abs_err
 
-    return _report(claim.value, fam.pf, _records(claim.value, fam.pf, xs, at))
+    return _report(claim.value, fam.pf, _records(claim.value, claim, fam, grid, at))
 
 
 def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) -> VerificationReport:
@@ -688,24 +691,18 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
     fam = _FAMILIES[p, None]
     pf = fam.pf
     alpha, beta, beta_err, _, _ = _consts(fam)
-    xs = grid_points(grid or GridSpec(), *_interval(FunctionId.THM1_F, fam))
-
-    sz = _zseries(fam)
-    # f - 1, p - f over l2; g - alpha, beta - g over l3 (coefficient space).
-    f_low = series.zero_coeff(sz.l1 - sz.l2, 1)
-    f_high = pf * sz.l2 - sz.l1
-    g_low = series.zero_coeff(sz.l1 - alpha * sz.l3, 1)
-    g_high = beta * sz.l3 - sz.l1
+    # (p - f) l2, (f - 1) l2, (beta - g) l3 and (g - alpha) l3 are the gaps
+    # of the THM1 and THM2 chains, in coefficient space.
+    f_high, f_low = _chain_polys(fam, FunctionId.THM1_CHAIN)[2]
+    g_high, g_low = _chain_polys(fam, FunctionId.THM2_CHAIN)[2]
 
     def at(x: float) -> tuple:
         z = _series_z(pf, x)
         if z is not None and z > _Z_FLOOR:
-            l2v = series.zp_eval(sz.l2, z)
-            l2e = series.zp_trunc_err(sz.l2, z)
-            l3v = series.zp_eval(sz.l3, z)
-            l3e = series.zp_trunc_err(sz.l3, z)
-            fv = series.zp_eval(sz.l1, z) / l2v
-            gv = series.zp_eval(sz.l1, z) / l3v
+            l1v, _ = _primitive(fam, "l1", x, z)
+            l2v, l2e = _primitive(fam, "l2", x, z)
+            l3v, l3e = _primitive(fam, "l3", x, z)
+            fv, gv = l1v / l2v, l1v / l3v
             margins = [
                 series.zp_eval(f_low, z) / l2v,
                 series.zp_eval(f_high, z) / l2v,
@@ -735,7 +732,8 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
             ]
         return _weakest_pair(x, (fv, gv), margins, budgets)
 
-    return _report("BOUNDS_SANDWICH", pf, _records("BOUNDS_SANDWICH", pf, xs, at))
+    records = _records("BOUNDS_SANDWICH", FunctionId.THM1_F, fam, grid, at)
+    return _report("BOUNDS_SANDWICH", pf, records)
 
 
 def verify_claim(
