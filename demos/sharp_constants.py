@@ -16,8 +16,8 @@ for p in (2.0, 2.5, 3.0, 4.0, 6.0, 10.0):
     sc = ptrig.sharp_constants(p)
     half = ptrig.pi_p(p).value / 2
     xs = grid_points(GridSpec(n=400, spacing="cosine"), 0.0, half)
-    g_lo = ptrig.thm2_g(float(xs[0]), p).value
-    g_hi = ptrig.thm2_g(float(xs[-1]), p).value
+    g_lo = ptrig.thm2_g(xs[0], p).value
+    g_hi = ptrig.thm2_g(xs[-1], p).value
     print(f"{p:6.1f} {sc.alpha:12.8f} {sc.beta:12.8f} {g_lo:14.8f} {g_hi:14.8f}")
 
 print()
@@ -26,8 +26,8 @@ for p in (2.0, 10.0):
     sc = ptrig.sharp_constants(p)
     half = ptrig.pi_p(p).value / 2
     xs = grid_points(GridSpec(n=400, spacing="cosine"), 0.0, half)
-    d_lo = ptrig.thm2_g(float(xs[0]), p).value - sc.alpha
-    d_hi = sc.beta - ptrig.thm2_g(float(xs[-1]), p).value
+    d_lo = ptrig.thm2_g(xs[0], p).value - sc.alpha
+    d_hi = sc.beta - ptrig.thm2_g(xs[-1], p).value
     print(f"  p = {p:4.1f}   g - alpha = {d_lo:.3e} at the left, beta - g = {d_hi:.3e} at the right")
 
 print()
@@ -35,6 +35,6 @@ print("The companion bound 1 < f(x) = log(x/sin_p) / log(sinh_p/x) < p:")
 for p in (2.0, 3.0, 10.0):
     half = ptrig.pi_p(p).value / 2
     xs = grid_points(GridSpec(n=400, spacing="cosine"), 0.0, half)
-    f_lo = ptrig.thm1_f(float(xs[0]), p).value
-    f_hi = ptrig.thm1_f(float(xs[-1]), p).value
+    f_lo = ptrig.thm1_f(xs[0], p).value
+    f_hi = ptrig.thm1_f(xs[-1], p).value
     print(f"  p = {p:4.1f}   f ranges over [{f_lo:.8f}, {f_hi:.8f}] on the grid (sup < p = {p:g})")

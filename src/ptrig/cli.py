@@ -99,8 +99,8 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     fn = _POINT_FNS[ns.fn]
     rows = []
     for x in xs:
-        ev = fn(float(x), ns.p, tol)
-        rows.append((float(x), ev.value, ev.abs_err))
+        ev = fn(x, ns.p, tol)
+        rows.append((x, ev.value, ev.abs_err))
     if ns.format == "json":
         payload = {
             "fn": ns.fn,

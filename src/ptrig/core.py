@@ -54,10 +54,8 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Optional, Union
 
-import numpy as np
-
 from . import series
-from .numerics import Evaluation, NonConvergence, Tolerance, integrate, invert_monotone
+from .numerics import _EPS, Evaluation, NonConvergence, Tolerance, integrate, invert_monotone
 
 __all__ = [
     "DomainError",
@@ -78,8 +76,6 @@ __all__ = [
     "d_cosh_p",
     "d_tanh_p",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # The reversion series in z = x^p serves sin_p and sinh_p below this z, where
 # its truncation bound (~25 z^4 relative) is ~2.5e-11; above it the deficit
@@ -307,6 +303,7 @@ def _beta_tail(a: float, x: float) -> tuple[float, float]:
 
 def _hyp_integrand(pf: float):
     """(1 + t^p)^(-1/p) on [0, 1]; smooth, bounded by 1."""
+    import numpy as np
 
     def f(t: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -319,6 +316,7 @@ def _hyp_integrand(pf: float):
 
 def _hyp_tail_integrand(pf: float):
     """The same integrand after t = e^u, valid for t >= 1: (1 + e^(-pu))^(-1/p)."""
+    import numpy as np
 
     def f(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

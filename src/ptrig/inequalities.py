@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-import numpy as np
-
 from . import series
 from .core import (
     DomainError,
@@ -49,7 +47,7 @@ from .core import (
     cosh_p,
     pi_p,
 )
-from .numerics import Evaluation, NonConvergence, NotBracketed
+from .numerics import _EPS, Evaluation, NonConvergence, NotBracketed
 
 __all__ = [
     "FunctionId",
@@ -72,8 +70,6 @@ __all__ = [
     "verify_claim",
     "is_exploratory",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # Below z = x^p of this size, series evaluation; above, log primitives.  The
 # 4-term truncation bound is ~25 z^3 relative, so the switch sits where that
@@ -170,22 +166,28 @@ class GridSpec:
             raise ValueError("GridSpec offsets consume the whole interval")
 
 
-def grid_points(spec: GridSpec, lo: float, hi: float) -> np.ndarray:
-    """Strictly increasing points inside (lo, hi) as the GridSpec prescribes."""
+def grid_points(spec: GridSpec, lo: float, hi: float) -> list:
+    """Strictly increasing floats inside (lo, hi) as the GridSpec prescribes.
+
+    uniform and cosine match numpy's linspace and cosine formulas bit for
+    bit; log may differ from numpy.geomspace by a few ulp.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not hi > lo:
         raise ValueError(f"invalid interval ({lo}, {hi})")
     width = hi - lo
     a = lo + spec.left_offset * width
     b = hi - spec.right_offset * width
+    div = spec.n - 1
     if spec.spacing == "uniform":
-        return np.linspace(a, b, spec.n)
+        step = (b - a) / div
+        return [k * step + a for k in range(div)] + [b]
     if spec.spacing == "log":
         if a <= 0.0:
             raise ValueError("log spacing requires a positive left edge")
-        return np.geomspace(a, b, spec.n)
-    k = np.arange(spec.n)
-    t = 0.5 * (1.0 - np.cos(np.pi * k / (spec.n - 1)))
-    return a + (b - a) * t
+        la = math.log10(a)
+        step = (math.log10(b) - la) / div
+        return [a] + [10.0 ** (k * step + la) for k in range(1, div)] + [b]
+    return [a + (b - a) * (0.5 * (1.0 - math.cos(math.pi * k / div))) for k in range(spec.n)]
 
 
 @dataclass(frozen=True)
@@ -475,7 +477,7 @@ def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
     for num, den, num_err, prim in terms:
         q = series.zp() if prim is None else getattr(sz, prim)
         polys.append(num * q / den)
-        cerrs.append(num_err * np.abs(q))
+        cerrs.append(num_err * abs(q))
     gap_polys = []
     gap_cerrs = []
     for k in range(len(polys) - 1):
@@ -485,8 +487,7 @@ def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
             gp = series.zero_coeff(gp, 1)
             # The z^1 coefficient cancels for the exact constants, so their
             # representation error carries no z^1 term either.
-            gc = gc.copy()
-            gc[1] = 0.0
+            gc = gc.replace(1, 0.0)
         gap_polys.append(gp)
         gap_cerrs.append(gc)
     return tuple(polys), tuple(cerrs), tuple(gap_polys), tuple(gap_cerrs)
@@ -575,11 +576,10 @@ def _records(claim: str, tag: FunctionId, fam: _Family, grid: Optional[GridSpec]
     as EvaluationFailed."""
     out = []
     for x in grid_points(grid or GridSpec(), *_interval(tag, fam)):
-        xf = float(x)
         try:
-            out.append(at(xf))
+            out.append(at(x))
         except _CORE_ERRORS as exc:
-            raise EvaluationFailed(claim, xf, fam.pf, exc) from exc
+            raise EvaluationFailed(claim, x, fam.pf, exc) from exc
     return out
 
 

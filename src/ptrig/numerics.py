@@ -12,16 +12,18 @@ paired with a claimed absolute-error bound.  The two workhorses are
 Error bounds are heuristic (refinement differences, bracket widths), not
 directed-rounding interval arithmetic; they are validated against closed
 forms in the test suite.
+
+numpy is imported only inside the quadrature (:func:`integrate` and its node
+helpers), so a program that never integrates never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
-
-import numpy as np
 
 __all__ = [
     "Evaluation",
@@ -36,7 +38,7 @@ __all__ = [
     "central_diff",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
 class NumericsError(Exception):
@@ -113,6 +115,8 @@ def _node_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     wdens = (pi/2)*cosh(t)/cosh(y)^2 is the weight density (the caller
     multiplies by h).  Arrays are treated as immutable once cached.
     """
+    import numpy as np
+
     h = 2.0 ** (-level)
     if level == 1:
         k = np.arange(1, int(_T_MAX / h) + 1)
@@ -127,6 +131,8 @@ def _node_table(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_nodes(f: Callable, vectorized: bool, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     with np.errstate(all="ignore"):
         if vectorized:
             return np.asarray(f(x), dtype=float)
@@ -165,6 +171,7 @@ def integrate(
         raise InvalidInterval(f"integration endpoints must be finite, got [{a}, {b}]")
     if a >= b:
         raise InvalidInterval(f"integration interval is empty or reversed: [{a}, {b}]")
+    import numpy as np
 
     length = b - a
     half = 0.5 * length

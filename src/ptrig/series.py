@@ -13,15 +13,19 @@ through log1p/expm1/power expansions, and differences whose leading
 coefficients cancel analytically have those coefficients removed exactly
 rather than left as rounding residue.
 
-Polynomials are length-4 float arrays [c0, c1, c2, c3] meaning
-c0 + c1 z + c2 z^2 + c3 z^3, truncated at O(z^4).  All coefficient formulas
-are validated against high-precision quadrature inversion in the test suite
-before anything downstream relies on them.
+Polynomials are 4-tuples of floats (c0, c1, c2, c3) meaning
+c0 + c1 z + c2 z^2 + c3 z^3, truncated at O(z^4), with coefficientwise
++ and - and scalar * and /.  They are pure Python: this module does not
+load numpy.  All coefficient formulas are validated against high-precision
+quadrature inversion in the test suite before anything downstream relies
+on them.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import operator
+
+from .numerics import _EPS
 
 __all__ = [
     "direct_coeffs",
@@ -47,8 +51,6 @@ _DEG = 4  # coefficients kept per polynomial
 # the truncation model below; validated against high-precision references in
 # the tests for every polynomial this package evaluates.
 _TRUNC_FACTOR = 25.0
-
-_EPS = float(np.finfo(float).eps)
 
 
 def direct_coeffs(p: float) -> tuple[float, float, float]:
@@ -84,81 +86,114 @@ def hyper_inverse_coeffs(p: float) -> tuple[float, float, float]:
     return a1, A2, -A3
 
 
-def zp(*coeffs: float) -> np.ndarray:
-    out = np.zeros(_DEG)
-    out[: len(coeffs)] = coeffs
-    return out
+class _ZPoly(tuple):
+    """A truncated z-polynomial: four float coefficients, lowest order first.
+
+    +, -, unary - and abs act coefficientwise between polynomials and
+    * and / scale by a float, so the composition formulas read as written.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _ZPoly(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _ZPoly(map(operator.sub, self, other))
+
+    def __neg__(self):
+        return _ZPoly(-c for c in self)
+
+    def __abs__(self):
+        return _ZPoly(abs(c) for c in self)
+
+    def __mul__(self, s: float):
+        return _ZPoly(s * c for c in self)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, s: float):
+        return _ZPoly(c / s for c in self)
+
+    def replace(self, k: int, c: float) -> "_ZPoly":
+        """A copy with coefficient k set to c."""
+        return _ZPoly(c if i == k else v for i, v in enumerate(self))
 
 
-def zp_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)[:_DEG]
+def zp(*coeffs: float) -> _ZPoly:
+    return _ZPoly(tuple(map(float, coeffs)) + (0.0,) * (_DEG - len(coeffs)))
 
 
-def zp_scale(a: np.ndarray, c: float) -> np.ndarray:
+def zp_mul(a: _ZPoly, b: _ZPoly) -> _ZPoly:
+    # Summed from 0.0 in increasing i; bit for bit np.convolve when a(0) = b(0) = 0.
+    out = []
+    for n in range(_DEG):
+        c = 0.0
+        for i in range(n + 1):
+            c += a[i] * b[n - i]
+        out.append(c)
+    return _ZPoly(out)
+
+
+def zp_scale(a: _ZPoly, c: float) -> _ZPoly:
     return c * a
 
 
-def zp_shift_z(a: np.ndarray) -> np.ndarray:
+def zp_shift_z(a: _ZPoly) -> _ZPoly:
     """z * a(z), truncated."""
-    out = np.zeros(_DEG)
-    out[1:] = a[:-1]
-    return out
+    return _ZPoly((0.0, *a[:-1]))
 
 
-def _require_no_constant(a: np.ndarray, what: str) -> None:
+def _require_no_constant(a: _ZPoly, what: str) -> None:
     if a[0] != 0.0:
         raise ValueError(f"{what} needs a series with zero constant term, got {a[0]}")
 
 
-def zp_log1p(a: np.ndarray) -> np.ndarray:
+def zp_log1p(a: _ZPoly) -> _ZPoly:
     """log(1 + a(z)) for a with a(0) = 0."""
     _require_no_constant(a, "zp_log1p")
     a2 = zp_mul(a, a)
     return a - 0.5 * a2 + zp_mul(a2, a) / 3.0
 
 
-def zp_expm1(a: np.ndarray) -> np.ndarray:
+def zp_expm1(a: _ZPoly) -> _ZPoly:
     """exp(a(z)) - 1 for a with a(0) = 0."""
     _require_no_constant(a, "zp_expm1")
     a2 = zp_mul(a, a)
     return a + 0.5 * a2 + zp_mul(a2, a) / 6.0
 
 
-def zp_pow1p(a: np.ndarray, r: float) -> np.ndarray:
+def zp_pow1p(a: _ZPoly, r: float) -> _ZPoly:
     """(1 + a(z))^r as a full polynomial (constant term 1)."""
-    out = zp_expm1(zp_scale(zp_log1p(a), r))
-    out[0] = 1.0
-    return out
+    return zp_expm1(zp_scale(zp_log1p(a), r)).replace(0, 1.0)
 
 
-def zp_eval(a: np.ndarray, z: float) -> float:
-    return float(a[0] + z * (a[1] + z * (a[2] + z * a[3])))
+def zp_eval(a: _ZPoly, z: float) -> float:
+    return a[0] + z * (a[1] + z * (a[2] + z * a[3]))
 
 
-def zp_trunc_err(a: np.ndarray, z: float) -> float:
+def zp_trunc_err(a: _ZPoly, z: float) -> float:
     """Error bound for zp_eval: dropped-tail estimate plus rounding."""
-    scale = float(np.max(np.abs(a)))
+    scale = max(map(abs, a))
     tail = _TRUNC_FACTOR * scale * z ** 4
-    rounding = 4.0 * _EPS * float(
+    rounding = 4.0 * _EPS * (
         abs(a[0]) + abs(a[1]) * z + abs(a[2]) * z * z + abs(a[3]) * z ** 3
     )
     return tail + rounding
 
 
-def zero_coeff(a: np.ndarray, k: int) -> np.ndarray:
+def zero_coeff(a: _ZPoly, k: int) -> _ZPoly:
     """Remove a coefficient that cancels analytically.
 
     The residue must be rounding-level relative to the polynomial's scale;
     anything larger means the claimed cancellation is false.
     """
-    scale = max(float(np.max(np.abs(a))), 1e-300)
+    scale = max(*map(abs, a), 1e-300)
     if abs(a[k]) > 1e-10 * scale:
         raise AssertionError(
             f"coefficient z^{k} = {a[k]:.3e} is not negligible against scale {scale:.3e}"
         )
-    out = a.copy()
-    out[k] = 0.0
-    return out
+    return a.replace(k, 0.0)
 
 
 class SmallZSeries:
@@ -167,7 +202,7 @@ class SmallZSeries:
     Nothing here is cached: callers keep one per parameter with the rest of
     what depends on p (see core._Family), so the count stays bounded.
 
-    Attributes are length-4 coefficient arrays in z = x^p:
+    Attributes are 4-coefficient polynomials in z = x^p:
 
     * ``sin_ratio``  : sin_p(x)/x - 1
     * ``sinh_ratio`` : sinh_p(x)/x - 1
@@ -212,8 +247,7 @@ class SmallZSeries:
 
         # (x/p) tanh_p^{p-1} = (z/p) exp((p-1)(l2 - l3)); the gap against l3
         # loses its z^1 term exactly.
-        growth = zp_expm1(zp_scale(self.l2 - self.l3, p - 1.0))
-        growth[0] = 1.0
+        growth = zp_expm1(zp_scale(self.l2 - self.l3, p - 1.0)).replace(0, 1.0)
         self.lem24 = zero_coeff(self.l3 - zp_shift_z(growth) / p, 1)
 
 

@@ -195,3 +195,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "pi_p=3.141592653589793" in proc.stdout
+
+    def test_numpy_loads_only_for_the_hyperbolic_quadrature(self):
+        # A fresh interpreter: the circular side and the CLI front end run
+        # without numpy; the first sinh_p call integrates and loads it.
+        script = """
+import sys
+import ptrig.cli
+from ptrig import core
+def clean(what):
+    assert "numpy" not in sys.modules, what
+clean("import ptrig.cli")
+for p in (1.5, 2.0, 3.7, 12.0):
+    core.pi_p(p)
+    half = core.pi_p(p).value / 2.0
+    for x in (1e-3, 0.4, 0.97 * half, half - 1e-9):
+        for fn in (core.sin_p, core.cos_p, core.tan_p, core.d_sin_p, core.d_cos_p):
+            fn(x, p)
+    for s in (1e-3, 0.5, 0.999):
+        core.arcsin_p(s, p)
+clean("circular evaluators")
+assert ptrig.cli.main(["eval", "--fn", "sin_p", "--p", "3", "--x", "0.5"]) == 0
+clean("ptrig eval --fn sin_p")
+core.sinh_p(0.5, 3.0)
+assert "numpy" in sys.modules, "sinh_p should integrate with numpy"
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -179,6 +179,36 @@ class TestGrid:
         assert np.all(np.diff(xs) > 0)
         assert xs[0] >= 3.0 * 1e-4 and xs[-1] <= 3.0 * (1 - 1e-4)
 
+    @pytest.mark.parametrize("spacing", ["uniform", "log", "cosine"])
+    def test_points_match_numpy(self, spacing):
+        # Python floats from numpy's formulas: uniform and cosine bit for
+        # bit.  log may differ from geomspace where numpy's SIMD log10 and
+        # power round differently from libm: up to 2 ulp from the power,
+        # and a last-bit disagreement in log10 of an end, which the linspace
+        # formula carries into y as a few ulp of the log range and 10^y
+        # turns into ln(10) x dy.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(3, 500))
+            lo = float(rng.uniform(0.0, 2.0))
+            hi = lo + float(10.0 ** rng.uniform(-3.0, 2.0))
+            left, right = (10.0 ** rng.uniform(-4.0, -0.5, 2)).tolist()
+            spec = iq.GridSpec(n=n, spacing=spacing, left_offset=left, right_offset=right)
+            xs = iq.grid_points(spec, lo, hi)
+            assert type(xs) is list and all(type(x) is float for x in xs)
+            a, b = lo + left * (hi - lo), hi - right * (hi - lo)
+            if spacing == "uniform":
+                assert xs == np.linspace(a, b, n).tolist()
+            elif spacing == "cosine":
+                t = 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+                assert xs == (a + (b - a) * t).tolist()
+            else:
+                ref = np.geomspace(a, b, n)
+                la, lb = np.log10(a), np.log10(b)
+                dy = 4.0 * np.spacing(max(abs(la), abs(lb), lb - la))
+                tol = 2.0 * np.spacing(ref) + math.log(10.0) * ref * dy
+                assert np.all(np.abs(np.array(xs) - ref) <= tol)
+
     def test_cosine_clusters_endpoints(self):
         xs = iq.grid_points(iq.GridSpec(n=101, spacing="cosine"), 0.0, 1.0)
         d = np.diff(xs)

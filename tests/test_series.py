@@ -99,6 +99,85 @@ class TestPolynomialOps:
             zero_coeff(zp(0.0, 0.01, 0.5, 0.1), 1)
 
 
+# numpy reference for the polynomial kernels: the formulas on float arrays,
+# with np.convolve for the product.  s = -1 is log1p, s = +1 gives the same
+# expansion on |a| with every term added, which bounds each coefficient's
+# rounding scale.
+def _np_mul(a, b):
+    return np.convolve(a, b)[:4]
+
+
+def _np_log1p(a, s=-1.0):
+    a2 = _np_mul(a, a)
+    return a + s * 0.5 * a2 + _np_mul(a2, a) / 3.0
+
+
+def _np_expm1(a):
+    a2 = _np_mul(a, a)
+    return a + 0.5 * a2 + _np_mul(a2, a) / 6.0
+
+
+def _np_pow1p(a, r, s=-1.0):
+    out = _np_expm1(r * _np_log1p(a, s))
+    out[0] = 1.0
+    return out
+
+
+def _random_polys(seed, count=300, constant=False):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3.0, 1.0, 4)
+        if not constant:
+            c[0] = 0.0
+        yield c
+
+
+def _close(got, ref, scale, ulps=4.0):
+    assert len(got) == 4 and all(type(c) is float for c in got)
+    assert np.all(np.abs(np.array(got) - ref) <= ulps * np.finfo(float).eps * scale), (got, ref)
+
+
+class TestKernelsAgainstNumpy:
+    def test_mul(self):
+        for a, b in zip(_random_polys(1, constant=True), _random_polys(2, constant=True)):
+            _close(zp_mul(zp(*a), zp(*b)), _np_mul(a, b), _np_mul(np.abs(a), np.abs(b)))
+
+    def test_log1p_expm1(self):
+        for a in _random_polys(3):
+            _close(zp_log1p(zp(*a)), _np_log1p(a), _np_log1p(np.abs(a), 1.0))
+            _close(zp_expm1(zp(*a)), _np_expm1(a), _np_expm1(np.abs(a)))
+
+    def test_pow1p(self):
+        rng = np.random.default_rng(4)
+        for a in _random_polys(5):
+            r = rng.uniform(-3.0, 3.0)
+            scale = _np_pow1p(np.abs(a), abs(r), 1.0)
+            _close(zp_pow1p(zp(*a), r), _np_pow1p(a, r), scale, ulps=16.0)
+
+    def test_eval_and_trunc_err(self):
+        rng = np.random.default_rng(6)
+        for a in _random_polys(7, constant=True):
+            z = 10.0 ** rng.uniform(-6.0, -1.0)
+            q = zp(*a)
+            assert zp_eval(q, z) == a[0] + z * (a[1] + z * (a[2] + z * a[3]))
+            ref = 25.0 * np.max(np.abs(a)) * z ** 4 + 4.0 * np.finfo(float).eps * (
+                abs(a[0]) + abs(a[1]) * z + abs(a[2]) * z * z + abs(a[3]) * z ** 3
+            )
+            assert zp_trunc_err(q, z) == pytest.approx(ref, rel=4.0 * np.finfo(float).eps)
+
+    def test_zero_coeff(self):
+        rng = np.random.default_rng(8)
+        for a in _random_polys(9, constant=True):
+            k = int(rng.integers(0, 4))
+            a[k] = rng.uniform(-1e-11, 1e-11) * np.max(np.abs(np.delete(a, k)))
+            ref = a.copy()
+            ref[k] = 0.0
+            assert list(zero_coeff(zp(*a), k)) == ref.tolist()
+            a[k] = 1e-9 * np.max(np.abs(np.delete(a, k)))
+            with pytest.raises(AssertionError):
+                zero_coeff(zp(*a), k)
+
+
 # The degenerate inequality margins: differences whose z^1 terms cancel
 # analytically.  Each entry builds the margin polynomial from the primitives
 # the way the verification engine does.
