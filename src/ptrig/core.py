@@ -22,9 +22,11 @@ hyperbolic integral is still taken by tanh-sinh quadrature.
 
 sin_p and sinh_p invert the integrals with safeguarded Newton iteration,
 switching to verified reversion series near zero where inversion would lose
-the deficit x - sin_p(x) to cancellation.  Near pi_p/2, sin_p inverts T in
-log space instead, unless p is so close to 1 that the direct inversion pins
-cos_p^p more tightly there.  The remaining functions follow from the
+the deficit x - sin_p(x) to cancellation.  sin_p is solved for
+w = log cos_p^p = log om, from which s^p = -expm1(w) and om = e^w both keep
+full relative accuracy, at every x from the series switch up to a corner
+within the uncertainty of pi_p/2 (or with om below the double range), where
+only a bound on om is reported.  The remaining functions follow from the
 identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
@@ -48,9 +50,9 @@ same object without recomputing it.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Optional, Union
 
@@ -326,31 +328,35 @@ def _hyp_tail_integrand(pf: float):
 
 
 def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
-    """arcsin_p(s) and its error bound for 0 < s <= 1, from the series in
-    w = s^p up to w = 1/2 and from the endpoint series in om above it."""
-    pf, q = fam.pf, fam.q
+    """arcsin_p(s) and its error bound for 0 < s <= 1."""
     if s >= 1.0:
         return fam.half
+    return _arcsin_series(fam, s, -math.expm1(fam.pf * math.log(s)))
+
+
+def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
+    """arcsin_p(s) and its error bound for 0 < s < 1, given om = 1 - s^p to a
+    few ulp: the series in w = s^p up to w = 1/2, the endpoint series in om
+    above it."""
+    pf, q = fam.pf, fam.q
     w = s ** pf
     if w <= 0.5:
         S, e = _beta_tail(1.0 / pf, w)
         v = s * (1.0 + S / pf)
         return _within(fam.qtol, v, s * e / pf + 2.0 * _EPS * v)
     # glue + T(1/2) - T(om): the k = 0 terms of the two T series differ by
-    # ((1/2)^q - om^q)/q, taken through expm1.  The (6 + |log om|) eps term
-    # covers that difference's rounding, the relative error of om and of q.
-    om = -math.expm1(pf * math.log(s))
+    # ((1/2)^q - om^q)/q, taken through expm1.  The 6 eps term covers the
+    # rounding of the sum; the (1 + |log om|) eps terms cover the relative
+    # error of om and of q, which reach the difference through its slope
+    # om^q |log om|, and the rounding of log(2 om).
     log_om = math.log(om)
     omq, hq = om ** q, 0.5 ** q
     S, e = _beta_tail(q, om)
     head = -hq * math.expm1(q * math.log(2.0 * om)) / q
     g_v, g_e = fam.glue
     v = g_v + (head - omq * S) / pf
-    err = (
-        g_e
-        + (omq * e + (6.0 + abs(log_om)) * _EPS * (head + hq + omq * (1.0 + S))) / pf
-        + 2.0 * _EPS * v
-    )
+    rounding = 6.0 * (head + hq + omq * (1.0 + S)) + 3.0 * (1.0 + abs(log_om)) * omq * (1.0 + S)
+    err = g_e + (omq * e + rounding * _EPS) / pf + 2.0 * _EPS * v
     return _within(fam.qtol, v, err)
 
 
@@ -392,98 +398,10 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
 # Inversion: sin_p and sinh_p
 
 
-def _tail_T(fam: _Family, om: float) -> tuple[float, float]:
-    """T(om) = arcsin_p(1) - arcsin_p(s) for om = 1 - s^p in (0, 1/2].
-
-    T(om) = (om^q / p) * (1/q + sum_{k>=1} (q)_k/k! om^k/(k+q)) with
-    q = (p-1)/p, all positive terms, so it keeps full relative accuracy
-    however tiny om is.
-    """
-    q = fam.q
-    S, e = _beta_tail(q, om)
-    pref = om ** q / fam.pf
-    v = pref * (1.0 / q + S)
-    return _within(fam.qtol, v, pref * e + 4.0 * _EPS * v)
-
-
-def _endpoint_restol(fam: _Family, tau: float, tau_err: float) -> float:
-    """Relative residual band of T(om) = tau: inversion, series and tau's own error."""
-    return 2.0 * fam.itol.abs_tol + 2.0 * fam.qtol.rel_tol + tau_err / tau
-
-
-def _endpoint_state(fam: _Family, tau: float, tau_err: float) -> tuple[float, float, float, float]:
-    """(s, s_err, om, om_err) near the right endpoint, tau = pi_p/2 - x.
-
-    Solved for w = log(om) because the root in s-space can sit closer to 1
-    than one ulp; in log space the grid is geometric and Newton keeps full
-    relative accuracy all the way into the corner.
-    """
-    pf, q = fam.pf, fam.q
-    lead = math.log((pf - 1.0) * max(tau, tau_err, 5e-324)) / q
-    if tau <= tau_err or lead < -690.0:
-        # Either at/past the endpoint within its own uncertainty, or om is
-        # below floating-point range: report the corner with an om band.
-        # T(om) >= om^q/(p-1) and the true tau is at most tau + tau_err,
-        # which bounds om; the + 1 in the exponent absorbs rounding.
-        lead_ub = math.log((pf - 1.0) * (max(tau, 0.0) + tau_err)) / q
-        om_ub = math.exp(max(lead_ub, -745.0) + 1.0)
-        return 1.0, 2.0 * _EPS, 0.0, om_ub
-
-    # Closed-form bracket: T(om) lies between om^q/(p-1) and that times
-    # (1-om)^(-q), so w* = log(om*) is pinned within a padded window.
-    w_hi = lead + 1.0
-    w_lo = lead - math.log(1.2) / q - 1.0
-
-    def G(w: float) -> float:
-        return _tail_T(fam, math.exp(w))[0] / tau
-
-    def dG(w: float) -> float:
-        om = math.exp(w)
-        return math.exp(q * (w - math.log1p(-om))) / (pf * tau)
-
-    res = invert_monotone(G, 1.0, w_lo, w_hi, deriv=dG, tol=fam.itol)
-    w = res.value
-    om = math.exp(w)
-    w_err = 2.0 * _endpoint_restol(fam, tau, tau_err) / dG(w) + 4.0 * _EPS * abs(w)
-    om_err = om * min(w_err, 1.0)
-    s = math.exp(math.log1p(-om) / pf)
-    s_err = om_err / (pf * (1.0 - om)) + 4.0 * _EPS * s
-    return s, s_err, om, om_err
-
-
-# Below this om the inverse is recovered from the endpoint tail integral;
-# above it the direct s-space solve has slope om^(-1/p) shallow enough for
-# the residual criterion to be meetable in double precision.
-_OM_SWITCH = 1e-2
-
-# Width of the relative band on om that the endpoint inversion must beat
-# before the direct solve is tried first, see _direct_first.
-_ENDPOINT_BAND = 1e-6
-
-
 def _inverse_restol(fam: _Family, x: float) -> float:
-    """x-space residual band of an inversion of arcsin_p or arsinh_p at x:
-    the residual tolerance plus the band of the integral itself."""
+    """x-space residual band of an inversion of arsinh_p at x: the residual
+    tolerance plus the band of the integral itself."""
     return fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
-
-
-def _direct_first(fam: _Family, x: float, tau: float, tau_err: float) -> bool:
-    """Whether to try the direct solve before the endpoint inversion.
-
-    The endpoint inversion leaves om a relative band of about 2 restol/q
-    (_endpoint_restol), wider than _ENDPOINT_BAND at every x once p is within
-    about 1e-6 of 1.  The direct solve, where it converges, leaves
-    p (4 eps + 2 restol om^(1/p)) / om (_inverse_restol), judged here at the
-    largest om that tau allows, ((p-1)(tau + tau_err))^(1/q) since
-    T(om) >= om^q/(p-1).  It goes first when the endpoint band is wider than
-    _ENDPOINT_BAND and its own band is narrower.
-    """
-    pf, q = fam.pf, fam.q
-    if tau <= tau_err or 2.0 * _endpoint_restol(fam, tau, tau_err) <= _ENDPOINT_BAND * q:
-        return False
-    om_hi = math.exp(min(math.log((pf - 1.0) * (tau + tau_err)) / q, 0.0))
-    direct_band = pf * (4.0 * _EPS + 2.0 * _inverse_restol(fam, x) * om_hi ** (1.0 / pf))
-    return direct_band < _ENDPOINT_BAND * om_hi
 
 
 @_kept
@@ -492,8 +410,11 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
 
     om is carried separately because 1 - s^p loses all relative accuracy
     once s rounds to 1; every cosine-like quantity downstream feeds on it.
+    Above the series switch both come from w = log om by Newton on
+    arcsin_p(s) = x: s^p = -expm1(w) and om = e^w keep full relative
+    accuracy at either end of the domain.
     """
-    pf = fam.pf
+    pf, q = fam.pf, fam.q
     if x == 0.0:
         return 0.0, 0.0, 1.0, 0.0
     z = x ** pf
@@ -503,42 +424,59 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
         om = _cos_pow(pf, s)
         return s, s_err, om, pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
 
+    # pi_p/2 - x = T(om) >= om^q/(p-1), and the true pi_p/2 - x is at most
+    # tau + tau_err: a ceiling on w = log om.
     ph_v, ph_e = fam.half
     tau = ph_v - x
     tau_err = ph_e + _EPS * ph_v
-    om_pred = math.exp(math.log((pf - 1.0) * max(tau, tau_err)) / fam.q)
-    if om_pred >= _OM_SWITCH:
-        return _direct_state(fam, x)
-    if _direct_first(fam, x, tau, tau_err):
-        try:
-            return _direct_state(fam, x)
-        except NonConvergence:
-            pass
-    return _endpoint_state(fam, tau, tau_err)
+    w_top = math.log((pf - 1.0) * (max(tau, 0.0) + tau_err)) / q
+    if tau <= tau_err or w_top < math.log(sys.float_info.min):
+        # The corner: x at pi_p/2 within its own uncertainty, or om below
+        # the normal range.  The ceiling bounds om, the + 1 absorbing
+        # rounding, and 1 - s <= om/p.
+        om_ub = math.exp(max(w_top, -745.0) + 1.0)
+        return 1.0, max(2.0 * _EPS, om_ub / pf), 0.0, om_ub
 
+    # arcsin_p(s) <= s om^(-1/p) gives s^p >= z/(1 + z), a second ceiling.
+    # x(w) decreases and is concave, so Newton started above the root
+    # descends onto it; the bracket only guards against rounding.
+    w = min(w_top, -math.log1p(z))
+    top = min(w_top + 1.0, -math.log1p(z))
+    lo, hi = -math.inf, top
+    for _ in range(fam.itol.max_iter):
+        om, sp = math.exp(w), -math.expm1(w)
+        v, v_err = _arcsin_series(fam, sp ** (1.0 / pf), om)
+        r = v - x
+        # The residual's rounding: the series bound, and for s from w a 2 eps
+        # relative error, which moves x by at most 2 eps x om^(-1/p) <= 8 eps x om
+        # where the series in s^p serves (om >= 1/2).
+        band = v_err + 8.0 * _EPS * om * x
+        slope = math.exp(q * (w - math.log(sp))) / pf  # |dx/dw| = (om/s^p)^q / p
+        # Stop at the rounding floor, or once the step is below rel_tol
+        # relative to both om and s^p (d log s^p = (om/s^p) dw).
+        if abs(r) <= band or abs(r) <= fam.itol.rel_tol * slope * min(1.0, sp / om):
+            break
+        if r > 0.0:
+            lo = w
+        else:
+            hi = w
+        step = w + r / slope
+        w = step if lo < step < hi else 0.5 * (lo + hi)
+    else:
+        raise NonConvergence(f"sin_p({x}): no root in log cos_p^p in {fam.itol.max_iter} steps")
 
-def _direct_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
-    """(s, s_err, om, om_err) by Newton on arcsin_p(s) = x over s in [0, 1]."""
-    pf = fam.pf
-
-    def F(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        return _arcsin_quad(fam, min(s, 1.0))[0]
-
-    def dF(s: float) -> float:
-        if s <= 0.0:
-            return 1.0
-        om = _cos_pow(pf, s)
-        return math.inf if om == 0.0 else math.exp(-math.log(om) / pf)
-
-    res = invert_monotone(F, x, 0.0, 1.0, deriv=dF, tol=fam.itol)
-    s = res.value
-    # Residual tolerance back through the slope: dF >= 1, so the x-space
-    # residual bounds the s-space error directly; add the series band.
-    s_err = 2.0 * _inverse_restol(fam, x) * _cos_val(pf, s) + 4.0 * _EPS * s
-    om = _cos_pow(pf, s)
-    om_err = pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
+    # The band on w from the residual's bound R.  Above w the slope only
+    # grows, so the root lies within d = R/slope, and below the ceilings;
+    # below w the slope falls at most like exp(-c dw), which bounds the
+    # root by 1 - (1 - c d)^(1/c) in om, all of om once c d >= 1.
+    d = (abs(r) + band) / slope
+    c = q * (1.0 + om / sp)
+    up = math.expm1(min(d, top - w))
+    down = 1.0 if c * d >= 1.0 else -math.expm1(math.log1p(-c * d) / c)
+    om_err = om * (max(up, down) + 2.0 * _EPS)
+    s = sp ** (1.0 / pf)
+    rho = om_err / sp
+    s_err = s * ((1.0 if rho >= 1.0 else -math.expm1(math.log1p(-rho) / pf)) + 4.0 * _EPS)
     return s, s_err, om, om_err
 
 
@@ -579,11 +517,6 @@ def _cos_pow(pf: float, s: float) -> float:
     if s >= 1.0:
         return 0.0
     return -math.expm1(pf * math.log(s))
-
-
-def _cos_val(pf: float, s: float) -> float:
-    om = _cos_pow(pf, s)
-    return 0.0 if om == 0.0 else math.exp(math.log(om) / pf)
 
 
 def _log_cosh(pf: float, s: float) -> float:
@@ -657,6 +590,8 @@ def _snap_to_identity(n: int, s: float, v: float) -> float:
     residual 1 + sinh_p^p - cosh_p^p.  cosh_p applies it with n = p for
     integer p in [2, 64] (the family's snap) and s > 0, 1 < v < inf.
     """
+    from fractions import Fraction
+
     fv = Fraction(v)
     r = fv ** n - (1 + Fraction(s) ** n)
     return v if r == 0 else float(fv - r / (n * fv ** (n - 1)))

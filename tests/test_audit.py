@@ -15,14 +15,16 @@ formula pi_p/2 - arcsin_p(s) = om^q/(p q) 2F1(q, q; 1 + q; om), q = 1 - 1/p.
 cos_p, tan_p, cosh_p and tanh_p follow from the roots exactly.
 
 Points: seeded random arguments, arguments against both ends of the circular
-domain, the switches between the evaluation routes (_SERIES_Z, _OM_SWITCH,
-and x = 1 where the arsinh_p quadrature changes variable) and the
-w = s^p = 1/2 seam of the arcsin_p series, each switch also one ulp to
-either side.
+domain, the switches between the evaluation routes (_SERIES_Z between the
+reversion series and the Newton solve in log cos_p^p, the two edges of the
+corner where that solve gives way to a bound on cos_p^p, and x = 1 where the
+arsinh_p quadrature changes variable) and the w = s^p = 1/2 seam of the
+arcsin_p series, each switch also one ulp to either side.
 """
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -31,11 +33,18 @@ import ptrig
 from ptrig import core
 
 # p within 1e-9, 1e-14 and one ulp of 1 as well: there pi_p/2 ~ 1/(p-1)
-# carries a large absolute error, which the endpoint inversion must account
-# for, and the direct solve is tried first where it resolves om better.
+# carries a large absolute error, which the corner test must account for,
+# while the solve in log cos_p^p never forms pi_p/2 - x.
 P_AUDIT = [math.nextafter(1.0, 2.0), 1.0 + 1e-14, 1.0 + 1e-9,
            1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
 DPS = 40
+
+
+def _circular_dps(p):
+    """DPS plus the digits the circular reference loses as p -> 1: pi_p/2
+    grows like 1/(p-1) and the slope of T(om) in log om shrinks like
+    q = 1 - 1/p, so pi_p/2 - x pins log om only to 10^-DPS (p-1)^-2."""
+    return DPS + round(2 * max(0.0, -math.log10(p - 1)))
 
 
 def _ulps(x):
@@ -78,13 +87,17 @@ def _arguments(p):
     xs = [half * rng.random() for _ in range(6)]
     xs += [half * 10.0 ** rng.uniform(-8, 0) for _ in range(3)]
     xs += [half * (1 - 1e-3), half * (1 - 1e-8), half - 1e-11, half]
-    # Near p = 1, where cos_p ~ exp(-x): the direct solve serves x = 10, the
-    # endpoint inversion x = 30 once the direct solve cannot converge.
-    xs += [10.0, 30.0]
+    # Near p = 1, where cos_p ~ exp(-x), far out on the p = 1 limit.
+    xs += [10.0, 11.0, 12.0, 20.0, 30.0, 100.0, 700.0]
     # x = 0.05 stays a sample: below it the series once served every z for p < 2.
     xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p))
-    # om_pred = _OM_SWITCH: the direct and the endpoint inversion meet here.
-    xs += _ulps(half - core._OM_SWITCH ** (1 - 1 / p) / (p - 1))
+    # The edges of the corner: x within the uncertainty of pi_p/2, and cos_p^p
+    # at the smallest normal double by the solve's ceiling on log cos_p^p.
+    fam = core._FAMILIES[p, None]
+    ph_v, ph_e = fam.half
+    tau_err = ph_e + core._EPS * ph_v
+    xs += _ulps(ph_v - tau_err)
+    xs += _ulps(ph_v - (sys.float_info.min ** fam.q / (p - 1) - tau_err))
     with mp.workdps(DPS):
         seam = _mp_arcsin(mp.mpf(0.5) ** (1 / mp.mpf(p)), mp.mpf(p))
     xs += _ulps(float(seam))
@@ -104,7 +117,7 @@ def _audit_circular(p):
     def check(name, x, ev, ref):
         out.append((name, x, _ratio(ev, ref)))
 
-    with mp.workdps(DPS):
+    with mp.workdps(_circular_dps(p)):
         P = mp.mpf(p)
         check("pi_p", None, ptrig.pi_p(p), 2 * mp.pi / (P * mp.sin(mp.pi / P)))
         half = (ptrig.pi_p(p).value / 2)

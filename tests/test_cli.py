@@ -198,13 +198,15 @@ class TestEntryPoint:
 
     def test_numpy_loads_only_for_the_hyperbolic_quadrature(self):
         # A fresh interpreter: the circular side and the CLI front end run
-        # without numpy; the first sinh_p call integrates and loads it.
+        # without numpy or fractions; the first sinh_p call integrates and
+        # loads numpy, and integer-p cosh_p snaps with fractions.
         script = """
 import sys
 import ptrig.cli
 from ptrig import core
 def clean(what):
     assert "numpy" not in sys.modules, what
+    assert "fractions" not in sys.modules, what
 clean("import ptrig.cli")
 for p in (1.5, 2.0, 3.7, 12.0):
     core.pi_p(p)
@@ -219,6 +221,8 @@ assert ptrig.cli.main(["eval", "--fn", "sin_p", "--p", "3", "--x", "0.5"]) == 0
 clean("ptrig eval --fn sin_p")
 core.sinh_p(0.5, 3.0)
 assert "numpy" in sys.modules, "sinh_p should integrate with numpy"
+core.cosh_p(0.5, 3.0)
+assert "fractions" in sys.modules, "integer-p cosh_p should snap with fractions"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -349,13 +349,25 @@ class TestParameterNearOne:
             for fn, limit in checks:
                 ev = fn(x, p)
                 assert abs(ev.value - limit) <= ev.abs_err + 200.0 * (p - 1.0) * limit
-        # om_pred sends x = 10 to the endpoint inversion, whose band on om is
-        # about 6e-13/(p - 1); within ulps of 1 the direct solve serves it.
+        # The solve in log cos_p^p never forms pi_p/2 - x, whose absolute
+        # error grows like 1/(p - 1), so cos_p keeps a narrow band.
         cos = ptrig.cos_p(10.0, p)
         assert cos.abs_err < 1e-6 * cos.value
         for x in (0.5 * half, half * (1.0 - 1e-9), half):
             assert 0.0 <= ptrig.cos_p(x, p).value <= ptrig.cos_p(10.0, p).value
             assert ptrig.sin_p(x, p).value >= ptrig.sin_p(10.0, p).value
+
+    @pytest.mark.parametrize("dp", [2.0 ** -52, 1e-14, 1e-12, 1e-9, 1e-6])
+    def test_far_arguments_keep_relative_accuracy(self, dp):
+        # Far from both ends, cos_p ~ exp(-x) reaches 1e-304 by x = 700 while
+        # pi_p/2 ~ 1/dp is still far off: the band stays relative throughout.
+        p = 1.0 + dp
+        for x in (11.0, 12.0, 20.0, 100.0, 300.0, 700.0):
+            for fn in (ptrig.cos_p, ptrig.d_cos_p):
+                ev = fn(x, p)
+                assert ev.abs_err <= 1e-9 * abs(ev.value), (fn.__name__, x, ev)
+            tan = ptrig.tan_p(x, p)
+            assert tan.abs_err <= 1e-9 * tan.value, (x, tan)
 
 
 class TestErrorReporting:
@@ -378,7 +390,7 @@ class TestErrorReporting:
             assert ev.abs_err < 1e-10 * ev.value
 
     def test_cos_resolvable_near_endpoint(self):
-        # the log-space endpoint solve keeps cos_p accurate where the
+        # the solve in log cos_p^p keeps cos_p accurate where the
         # s-space inverse would have rounded 1 - s^p to zero
         for p in (1.5, 2.0, 10.0):
             ph = ptrig.pi_p(p).value / 2
@@ -432,7 +444,7 @@ class TestFamilyRegistry:
 
     @staticmethod
     def evaluations(p, tol=None):
-        """Every public evaluator at p, over series, direct and endpoint routes."""
+        """Every public evaluator at p, over the series route and the solve in log cos_p^p."""
         half = ptrig.pi_p(p).value / 2
         circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_sin_p, ptrig.d_cos_p)
         hyperbolic = (ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p,
