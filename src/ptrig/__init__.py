@@ -54,12 +54,10 @@ from .numerics import (
     Evaluation,
     InvalidInterval,
     NonConvergence,
-    NotBracketed,
     NumericsError,
     Tolerance,
     central_diff,
     integrate,
-    invert_monotone,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +72,6 @@ __all__ = [
     "GridSpec",
     "InvalidInterval",
     "NonConvergence",
-    "NotBracketed",
     "NumericsError",
     "PParam",
     "PoleError",
@@ -94,7 +91,6 @@ __all__ = [
     "d_tanh_p",
     "grid_points",
     "integrate",
-    "invert_monotone",
     "is_exploratory",
     "lem22_f",
     "lem23_g",

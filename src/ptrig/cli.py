@@ -25,7 +25,7 @@ from .inequalities import (
     sharp_constants,
     verify_claim,
 )
-from .numerics import InvalidInterval, NonConvergence, NotBracketed, Tolerance
+from .numerics import InvalidInterval, NonConvergence, Tolerance
 
 _POINT_FNS = {
     "sin_p": core.sin_p,
@@ -263,7 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EvaluationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc.cause, NonConvergence) else 2
-    except (DomainError, PoleError, NotBracketed, InvalidInterval, ValueError, OverflowError) as exc:
+    except (DomainError, PoleError, InvalidInterval, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,20 +20,23 @@ below w or om, both at most 1/2, so the dropped tail is at most the last
 term kept; with a rounding allowance per term this is the error bound.  The
 hyperbolic integral is still taken by tanh-sinh quadrature.
 
-sin_p and sinh_p invert the integrals with safeguarded Newton iteration,
-switching to verified reversion series near zero where inversion would lose
-the deficit x - sin_p(x) to cancellation.  sin_p is solved for
-w = log cos_p^p = log om, from which s^p = -expm1(w) and om = e^w both keep
-full relative accuracy, at every x from the series switch up to a corner
-within the uncertainty of pi_p/2 (or with om below the double range), where
-only a bound on om is reported.  The remaining functions follow from the
+sin_p and sinh_p invert the integrals, each with its own safeguarded Newton
+loop that bisects its bracket when a step would leave it, switching to
+verified reversion series near zero where inversion would lose the deficit
+x - sin_p(x) to cancellation.  sin_p is solved for w = log cos_p^p = log om,
+from which s^p = -expm1(w) and om = e^w both keep full relative accuracy, at
+every x from the series switch up to a corner within the uncertainty of
+pi_p/2 (or with om below the double range), where only a bound on om is
+reported.  sinh_p is solved for s on a bracket above x grown geometrically
+up to the largest double.  The remaining functions follow from the
 identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
 which also force the derivative formulas implemented at the bottom.  The
 circular functions are defined on [0, pi_p/2] only (no periodic extension);
-the hyperbolic ones on x >= 0 up to floating-point range.
+the hyperbolic ones on x >= 0 up to arsinh_p of the largest double (about
+709.8 to 710.8, growing with p), beyond which they raise DomainError.
 
 Every public operation returns an :class:`Evaluation` whose abs_err chains
 the series or quadrature bound, the inversion residual converted through the
@@ -57,7 +60,7 @@ from functools import cached_property, wraps
 from typing import Optional, Union
 
 from . import series
-from .numerics import _EPS, Evaluation, NonConvergence, Tolerance, integrate, invert_monotone
+from .numerics import _EPS, Evaluation, NonConvergence, Tolerance, integrate
 
 __all__ = [
     "DomainError",
@@ -90,10 +93,6 @@ _POLE_WINDOW = 1e-12
 
 _QUAD_TOL = Tolerance(abs_tol=1e-15, rel_tol=5e-14, max_iter=60)
 _INV_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=80)
-
-# Geometric bracket growth for sinh_p; beyond this the value itself is about
-# to leave floating-point range.
-_BRACKET_CAP = 1e300
 
 
 class DomainError(ValueError):
@@ -398,12 +397,6 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
 # Inversion: sin_p and sinh_p
 
 
-def _inverse_restol(fam: _Family, x: float) -> float:
-    """x-space residual band of an inversion of arsinh_p at x: the residual
-    tolerance plus the band of the integral itself."""
-    return fam.itol.abs_tol * (1.0 + abs(x)) + 2.0 * fam.qtol.rel_tol * abs(x)
-
-
 @_kept
 def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     """(s, s_err, om, om_err) with s = sin_p(x) and om = cos_p(x)^p.
@@ -443,6 +436,7 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     w = min(w_top, -math.log1p(z))
     top = min(w_top + 1.0, -math.log1p(z))
     lo, hi = -math.inf, top
+    last = False
     for _ in range(fam.itol.max_iter):
         om, sp = math.exp(w), -math.expm1(w)
         v, v_err = _arcsin_series(fam, sp ** (1.0 / pf), om)
@@ -452,14 +446,16 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
         # where the series in s^p serves (om >= 1/2).
         band = v_err + 8.0 * _EPS * om * x
         slope = math.exp(q * (w - math.log(sp))) / pf  # |dx/dw| = (om/s^p)^q / p
-        # Stop at the rounding floor, or once the step is below rel_tol
-        # relative to both om and s^p (d log s^p = (om/s^p) dw).
-        if abs(r) <= band or abs(r) <= fam.itol.rel_tol * slope * min(1.0, sp / om):
+        if last or abs(r) <= band:
             break
         if r > 0.0:
             lo = w
         else:
             hi = w
+        # A step below rel_tol relative to both om and s^p (d log s^p =
+        # (om/s^p) dw) is the last one; the residual after it is summed once
+        # more, so the band rests on the stepped w.
+        last = abs(r) <= fam.itol.rel_tol * slope * min(1.0, sp / om)
         step = w + r / slope
         w = step if lo < step < hi else 0.5 * (lo + hi)
     else:
@@ -490,23 +486,33 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
         z = x ** pf
         return x * series.zp_eval(fam.sinh_poly, z), x * series.zp_trunc_err(fam.sinh_poly, z)
 
-    hi = 2.0 * x
-    while (f_hi := _arsinh_quad(fam, hi)[0]) < x:
-        hi *= 4.0
-        if hi > _BRACKET_CAP:
+    # arsinh_p(s) < s puts the root above x.  Grow the bracket up to the
+    # largest double; a root beyond it would leave floating-point range.
+    big = sys.float_info.max
+    hi = min(2.0 * x, big)
+    while _arsinh_quad(fam, hi)[0] < x:
+        if hi == big:
             raise DomainError(f"sinh_p({x}) exceeds floating-point range")
-
-    def F(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        return f_hi if s == hi else _arsinh_quad(fam, s)[0]
-
-    def dF(s: float) -> float:
-        return 1.0 if s <= 0.0 else math.exp(-_log_cosh(pf, s))
-
-    res = invert_monotone(F, x, x, hi, deriv=dF, tol=fam.itol)
-    s = res.value
-    s_err = 2.0 * _inverse_restol(fam, x) * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
+        hi = min(4.0 * hi, big)
+    # Newton on the concave arsinh_p, bisecting whenever a step leaves the
+    # bracket; halves are summed separately so that lo + hi cannot overflow.
+    lo, s = x, 0.5 * x + 0.5 * hi
+    for _ in range(fam.itol.max_iter):
+        r = _arsinh_quad(fam, s)[0] - x
+        if abs(r) <= fam.itol.abs_tol * (1.0 + x):
+            break
+        if r < 0.0:
+            lo = s
+        else:
+            hi = s
+        step = s - r / math.exp(-_log_cosh(pf, s))
+        s = step if lo < step < hi else 0.5 * lo + 0.5 * hi
+    else:
+        raise NonConvergence(f"sinh_p({x}): no root in {fam.itol.max_iter} steps")
+    # The residual band plus the band of the integral itself, through the
+    # slope cosh_p(s)^-1 of arsinh_p.
+    restol = fam.itol.abs_tol * (1.0 + x) + 2.0 * fam.qtol.rel_tol * x
+    s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
     return s, s_err
 
 

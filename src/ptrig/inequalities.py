@@ -47,7 +47,7 @@ from .core import (
     cosh_p,
     pi_p,
 )
-from .numerics import _EPS, Evaluation, NonConvergence, NotBracketed
+from .numerics import _EPS, Evaluation, NonConvergence
 
 __all__ = [
     "FunctionId",
@@ -142,7 +142,7 @@ class EvaluationFailed(RuntimeError):
         self.cause = cause
 
 
-_CORE_ERRORS = (DomainError, PoleError, NonConvergence, NotBracketed, OverflowError)
+_CORE_ERRORS = (DomainError, PoleError, NonConvergence, OverflowError)
 
 
 @dataclass(frozen=True)

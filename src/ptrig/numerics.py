@@ -1,15 +1,13 @@
-"""Singularity-aware quadrature, safeguarded inversion, finite differences.
+"""Error-carrying values, tanh-sinh quadrature, finite differences.
 
 Everything downstream of this module consumes :class:`Evaluation`, a value
-paired with a claimed absolute-error bound.  The two workhorses are
+paired with a claimed absolute-error bound, and asks for accuracy with a
+:class:`Tolerance`.  :func:`integrate` is adaptive tanh-sinh
+(double-exponential) quadrature, which handles integrable algebraic endpoint
+singularities without any per-integrand substitution; core takes the
+hyperbolic defining integral with it.
 
-* :func:`integrate` -- adaptive tanh-sinh (double-exponential) quadrature,
-  which handles integrable algebraic endpoint singularities without any
-  per-integrand substitution, and
-* :func:`invert_monotone` -- bracketed Newton iteration with bisection
-  safeguards, used to invert the defining integrals.
-
-Error bounds are heuristic (refinement differences, bracket widths), not
+Its error bounds are heuristic (refinement differences), not
 directed-rounding interval arithmetic; they are validated against closed
 forms in the test suite.
 
@@ -23,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "Evaluation",
@@ -31,10 +29,8 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "InvalidInterval",
     "NonConvergence",
-    "NotBracketed",
     "NumericsError",
     "integrate",
-    "invert_monotone",
     "central_diff",
 ]
 
@@ -51,10 +47,6 @@ class InvalidInterval(NumericsError):
 
 class NonConvergence(NumericsError):
     """Refinement or iteration budget exhausted before tolerance was met."""
-
-
-class NotBracketed(NumericsError):
-    """Root target lies outside [min(f(lo), f(hi)), max(f(lo), f(hi))]."""
 
 
 @dataclass(frozen=True)
@@ -234,78 +226,6 @@ def integrate(
     raise NonConvergence(
         f"tanh-sinh estimate {est:.3e} above tolerance after {_LEVEL_MAX} levels"
     )
-
-
-def invert_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    deriv: Optional[Callable[[float], float]] = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Evaluation:
-    """Solve f(x) = target for strictly monotone f on the bracket [lo, hi].
-
-    When ``deriv`` is supplied, Newton steps are tried first but every step is
-    safeguarded: an iterate that would leave the current bracket, or a pair of
-    consecutive Newton steps that fails to halve the residual, falls back to
-    bisection.  The bracket never grows.  Terminates when
-    |f(x) - target| <= tol.abs_tol * (1 + |target|); the returned abs_err is
-    the final bracket half-width.
-
-    Raises NotBracketed if target is outside [min(f(lo), f(hi)), max(...)],
-    NonConvergence after tol.max_iter iterations.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise InvalidInterval(f"invalid bracket [{lo}, {hi}]")
-    f_lo = float(f(lo))
-    f_hi = float(f(hi))
-    res_tol = tol.abs_tol * (1.0 + abs(target))
-
-    if not (min(f_lo, f_hi) <= target <= max(f_lo, f_hi)):
-        raise NotBracketed(
-            f"target {target} outside f-range [{min(f_lo, f_hi)}, {max(f_lo, f_hi)}]"
-        )
-
-    # Endpoint solutions (e.g. inverting an integral at its full range) are
-    # returned directly; the secant slope converts the residual to x-space.
-    slope = abs(f_hi - f_lo) / (hi - lo)
-    if abs(f_lo - target) <= res_tol:
-        return Evaluation(lo, abs(f_lo - target) / slope if slope > 0 else hi - lo)
-    if abs(f_hi - target) <= res_tol:
-        return Evaluation(hi, abs(f_hi - target) / slope if slope > 0 else hi - lo)
-
-    increasing = f_hi > f_lo
-    x = 0.5 * (lo + hi)
-    residuals: list[float] = []
-
-    for _ in range(tol.max_iter):
-        r = float(f(x)) - target
-        if abs(r) <= res_tol:
-            return Evaluation(x, 0.5 * (hi - lo))
-        residuals.append(abs(r))
-
-        # Shrink the bracket around the root.
-        if (r < 0.0) == increasing:
-            lo = x
-        else:
-            hi = x
-
-        x_next = math.nan
-        if deriv is not None:
-            # Reject the Newton step if the last two steps made poor progress.
-            stalled = len(residuals) >= 3 and residuals[-1] > 0.5 * residuals[-3]
-            if not stalled:
-                d = float(deriv(x))
-                if d != 0.0 and math.isfinite(d):
-                    cand = x - r / d
-                    if lo < cand < hi:
-                        x_next = cand
-        if not math.isfinite(x_next):
-            x_next = 0.5 * (lo + hi)
-        x = x_next
-
-    raise NonConvergence(f"no root to tolerance {res_tol:.3e} in {tol.max_iter} iterations")
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

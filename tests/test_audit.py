@@ -19,7 +19,8 @@ domain, the switches between the evaluation routes (_SERIES_Z between the
 reversion series and the Newton solve in log cos_p^p, the two edges of the
 corner where that solve gives way to a bound on cos_p^p, and x = 1 where the
 arsinh_p quadrature changes variable) and the w = s^p = 1/2 seam of the
-arcsin_p series, each switch also one ulp to either side.
+arcsin_p series, each switch also one ulp to either side; hyperbolic
+arguments out to x = 700, near the end of the double range.
 """
 
 import math
@@ -146,6 +147,18 @@ def test_circular_values_lie_within_abs_err(p):
     assert {name for name, _, _ in audit} == {"pi_p", "arcsin_p", "sin_p", "cos_p", "tan_p"}
 
 
+def test_circular_band_rests_on_the_last_step():
+    # A point whose solve stops on the size of its last Newton step: the
+    # band must come from the residual after that step, near the series'
+    # rounding floor, not from the residual before it.
+    p, x = 4.242, 0.9082
+    sin = ptrig.sin_p(x, p)
+    with mp.workdps(DPS):
+        ref_s, _ = _mp_sin_cos(x, p, sin.value)
+    assert _ratio(sin, ref_s) <= 1.0
+    assert sin.abs_err < 1e-14 * sin.value
+
+
 P_HYPERBOLIC = [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0]
 
 
@@ -159,12 +172,18 @@ def _audit_hyperbolic(p):
     rng = random.Random(int(p * 1000))
     xs = [3.0 * rng.random() for _ in range(6)]
     xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _ulps(1.0)
+    # Where the residual tolerance 1e-13 (1 + x) of the solve is absolute,
+    # up to near the end of the double range.
+    xs += [7.0, 40.0, 700.0]
     out = []
     with mp.workdps(DPS):
         P = mp.mpf(p)
         for x in xs:
             sinh = ptrig.sinh_p(x, p)
-            s = mp.findroot(lambda s: _mp_arsinh(s, P) - mp.mpf(x), mp.mpf(sinh.value))
+            # In log s: out at x = 700 a step of the secant in s would not
+            # move s at the working precision.
+            s = mp.exp(mp.findroot(lambda L: _mp_arsinh(mp.exp(L), P) - mp.mpf(x),
+                                   mp.log(sinh.value)))
             c = (1 + s ** P) ** (1 / P)
             out.append(("sinh_p", x, _ratio(sinh, s)))
             out.append(("cosh_p", x, _ratio(ptrig.cosh_p(x, p), c)))

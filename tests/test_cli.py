@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ptrig import cli
+from ptrig import cli, core
 
 
 def run(*argv):
@@ -126,6 +126,26 @@ class TestVerify:
         reports = json.loads(a[1])
         assert len(reports) == 10
         assert a[2].strip().endswith("summary: 10/10 passed")
+
+    # Quadratures of arsinh_p in a cold verify --claim all, at most this
+    # inversion's counts; a solve that needs more steps fails here.
+    QUADRATURES = {2.0: 2202, 3.0: 2110}
+
+    @pytest.mark.parametrize("p", sorted(QUADRATURES))
+    def test_cold_verify_quadrature_count(self, p, monkeypatch):
+        for key in [key for key in core._FAMILIES if key[0] == p]:
+            monkeypatch.delitem(core._FAMILIES, key)
+        calls = []
+        orig = core._arsinh_quad
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(core, "_arsinh_quad", counted)
+        code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
+        assert code == 0
+        assert len(calls) <= self.QUADRATURES[p]
 
     def test_human_summary_last(self):
         code, out, _ = run("verify", "--claim", "all", "--p", "2", "--n", "20")

@@ -127,6 +127,13 @@ class TestClassicalReduction:
         assert abs(ptrig.cosh_p(x, 2.0).value - math.cosh(x)) <= 1e-10
         assert abs(ptrig.tanh_p(x, 2.0).value - math.tanh(x)) <= 1e-10
 
+    def test_hyperbolic_to_double_range(self):
+        for x in (0.5, 3.0, 20.0, 100.0, 700.0, 709.0):
+            for fn, ref in ((ptrig.sinh_p, math.sinh), (ptrig.cosh_p, math.cosh),
+                            (ptrig.tanh_p, math.tanh)):
+                ev = fn(x, 2.0)
+                assert abs(ev.value - ref(x)) <= ev.abs_err, (fn.__name__, x)
+
     def test_inverses(self):
         assert abs(ptrig.arcsin_p(1.0, 2.0).value - math.pi / 2) <= 1e-12
         assert abs(ptrig.arcsin_p(0.5, 2.0).value - math.asin(0.5)) <= 1e-12
@@ -325,8 +332,12 @@ class TestDomains:
         )
 
     def test_sinh_overflow_guard(self):
-        with pytest.raises(DomainError):
-            ptrig.sinh_p(1e280, 2.0)
+        # arsinh_2 of the largest double is 710.4759: beyond it sinh_p, and
+        # what builds on it, leaves floating-point range.
+        for fn, x in ((ptrig.sinh_p, 1e280), (ptrig.sinh_p, 711.0), (ptrig.sinh_p, 1e308),
+                      (iq.lem23_g, math.inf), (iq.lem24_gap, math.inf)):
+            with pytest.raises(DomainError):
+                fn(x, 2.0)
 
     def test_impossible_tolerance_raises(self):
         with pytest.raises(NonConvergence):
@@ -438,9 +449,9 @@ class TestFamilyRegistry:
     P = 2.75
     fresh = itertools.count()
 
-    # What a repeated public call must not reach: the per-point states, the
-    # defining integrals and the inversion.
-    SOLVERS = ("_sin_state", "_sinh_raw", "_arcsin_quad", "_arsinh_quad", "invert_monotone")
+    # What a repeated public call must not reach: the per-point states and
+    # the defining integrals.
+    SOLVERS = ("_sin_state", "_sinh_raw", "_arcsin_quad", "_arsinh_quad")
 
     @staticmethod
     def evaluations(p, tol=None):

@@ -1,4 +1,4 @@
-"""Quadrature, inversion, and differencing against closed forms."""
+"""Quadrature and differencing against closed forms."""
 
 import math
 
@@ -12,11 +12,9 @@ from ptrig.numerics import (
     Evaluation,
     InvalidInterval,
     NonConvergence,
-    NotBracketed,
     Tolerance,
     central_diff,
     integrate,
-    invert_monotone,
 )
 
 PI_3 = 2.0 * math.pi / (3.0 * math.sin(math.pi / 3.0))  # closed form for the p=3 half-period
@@ -130,74 +128,6 @@ class TestIntegrate:
         assert abs(whole.value - left.value - right.value) <= (
             whole.abs_err + left.abs_err + right.abs_err + 4e-16
         )
-
-
-class TestInvertMonotone:
-    def test_cube_root(self):
-        res = invert_monotone(lambda x: x ** 3, 8.0, 0.0, 3.0)
-        assert abs(res.value - 2.0) <= max(res.abs_err, 1e-10)
-
-    def test_cube_root_newton(self):
-        res = invert_monotone(
-            lambda x: x ** 3, 8.0, 0.0, 3.0, deriv=lambda x: 3.0 * x * x
-        )
-        assert abs(res.value - 2.0) <= 1e-10
-
-    def test_decreasing_function(self):
-        res = invert_monotone(lambda x: -x ** 3, -8.0, 0.0, 3.0)
-        assert abs(res.value - 2.0) <= 1e-10
-
-    def test_endpoint_solution(self):
-        res = invert_monotone(math.asin, math.pi / 2.0, 0.0, 1.0)
-        assert res.value == 1.0
-
-    def test_arcsin3_inversion_against_tabulation(self):
-        def arcsin3(s):
-            if s == 0.0:
-                return 0.0
-
-            # In v = s - t, 1 - t^3 = (1 - s)(1 + s + s^2) + v (3s^2 - 3sv + v^2)
-            # stays accurate as s -> 1, where the singularity sits at v = 0.
-            def f(v):
-                return ((1.0 - s) * (1.0 + s + s * s) + v * (3.0 * s * s - 3.0 * s * v + v * v)) ** (
-                    -1.0 / 3.0
-                )
-
-            return integrate(f, 0.0, s, Tolerance(1e-13, 1e-13, 60)).value
-
-        res = invert_monotone(arcsin3, 0.5, 0.0, 1.0, tol=Tolerance(1e-12, 1e-12, 80))
-
-        # Independent oracle: dense trapezoid tabulation plus interpolation.
-        s = np.linspace(0.0, 1.0 - 1e-9, 1_000_001)
-        g = (1.0 - s ** 3) ** (-1.0 / 3.0)
-        F = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(s))))
-        oracle = float(np.interp(0.5, F, s))
-        assert abs(res.value - oracle) <= 1e-8
-
-    def test_not_bracketed(self):
-        with pytest.raises(NotBracketed):
-            invert_monotone(lambda x: x ** 3, 100.0, 0.0, 3.0)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(InvalidInterval):
-            invert_monotone(lambda x: x, 0.0, 1.0, 1.0)
-
-    def test_nonconvergence_budget(self):
-        with pytest.raises(NonConvergence):
-            invert_monotone(lambda x: x ** 3, 8.0, 0.0, 3.0, tol=Tolerance(1e-14, 1e-14, 3))
-
-    @given(
-        st.floats(1.0, 2.0),
-        st.floats(-1.0, 1.0),
-        st.booleans(),
-    )
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_round_trip(self, c, x_true, use_deriv):
-        f = lambda x: x ** 3 + c * x
-        deriv = (lambda x: 3.0 * x * x + c) if use_deriv else None
-        tol = Tolerance(1e-12, 1e-12, 80)
-        res = invert_monotone(f, f(x_true), -1.2, 1.2, deriv=deriv, tol=tol)
-        assert abs(res.value - x_true) <= 10.0 * tol.abs_tol
 
 
 class TestCentralDiff:
