@@ -20,6 +20,7 @@ from .inequalities import (
     EvaluationFailed,
     FunctionId,
     GridSpec,
+    _HYP_UPPER,
     grid_points,
     is_exploratory,
     sharp_constants,
@@ -44,11 +45,11 @@ _POINT_FNS = {
 }
 
 # Tabulation interval by function family: circular functions live on
-# (0, pi_p/2), arcsin_p on (0, 1), the hyperbolic family on a desk-scale
-# (0, 3) window.  Endpoints stay exclusive through GridSpec offsets.
+# (0, pi_p/2), arcsin_p on (0, 1), the hyperbolic family on the desk-scale
+# window of the hyperbolic claims.  Endpoints stay exclusive through GridSpec
+# offsets.
 _CIRCULAR = frozenset({"sin_p", "cos_p", "tan_p", "d_sin_p", "d_cos_p"})
 _UNIT = frozenset({"arcsin_p"})
-_HYP_WINDOW = 3.0
 
 _CLAIM_NAMES = [tag.value.lower() for tag in FunctionId]
 
@@ -65,7 +66,7 @@ def _table_interval(fn: str, p: float, tol: Tolerance) -> tuple:
         return 0.0, core.pi_p(p, tol).value / 2.0
     if fn in _UNIT:
         return 0.0, 1.0
-    return 0.0, _HYP_WINDOW
+    return 0.0, _HYP_UPPER
 
 
 def _fmt17(v: float) -> str:

@@ -131,7 +131,8 @@ _MEMO_CAP = 1 << 14
 
 class _Family:
     """What depends on (p, tol) alone: tolerances, series polynomials, the
-    half-period and pi_p, the integer exponent cosh_p snaps to (0 for none),
+    half-period half (the one source of pi_p/2 for pi_p, the circular domains
+    and the verifiers), the integer exponent cosh_p snaps to (0 for none),
     arsinh_p(1), and memo, the one dict in which _kept keeps fn(fam, *key)
     under (fn, *key): the states of _sin_state and _sinh_raw, the Evaluation
     of every public evaluator (keyed on its body and x, see _served) and
@@ -164,12 +165,6 @@ class _Family:
         """pi_p = 2 arcsin_p(1), the one Evaluation pi_p returns for the family."""
         v, e = self.half
         return Evaluation(2.0 * v, 2.0 * e)
-
-    @cached_property
-    def upper(self) -> tuple[float, float]:
-        """pi_p/2, and the slack by which a circular argument may exceed it."""
-        ph_v, ph_e = self.half
-        return ph_v, ph_e + 4.0 * _EPS * ph_v
 
     @cached_property
     def glue(self) -> tuple[float, float]:
@@ -254,8 +249,9 @@ def _served(domain):
 
 
 def _circular(fam: _Family, name: str, x: float) -> None:
-    ph_v, slack = fam.upper
-    if not 0.0 <= x <= ph_v + slack:
+    # An argument may exceed pi_p/2 by its error bound and a few ulp.
+    ph_v, ph_e = fam.half
+    if not 0.0 <= x <= ph_v + (ph_e + 4.0 * _EPS * ph_v):
         raise DomainError(f"{name} requires x in [0, pi_p/2 = {ph_v}], got {x}")
 
 
@@ -676,7 +672,13 @@ def d_cosh_p(fam: _Family, x: float) -> Evaluation:
     if s == 0.0:
         return Evaluation(0.0, (pf - 1.0) * s_err)
     lch = _log_cosh(pf, s)
-    v = math.exp((2.0 - pf) * lch + (pf - 1.0) * math.log(s))
+    # Up to s = 1 the power of s keeps its few-ulp accuracy, which one exp of
+    # (p - 1) log s would lose; above it the value is cosh_p tanh_p^(p-1),
+    # each factor in range up to arsinh_p(largest double).
+    if s <= 1.0:
+        v = math.exp((2.0 - pf) * lch) * s ** (pf - 1.0)
+    else:
+        v = math.exp(lch) * math.exp((pf - 1.0) * (math.log(s) - lch))
     rel = (abs(2.0 - pf) + (pf - 1.0)) * (s_err / s) + 4.0 * _EPS
     return Evaluation(v, v * rel)
 

@@ -45,7 +45,6 @@ from .core import (
     _sin_state,
     _sinh_raw,
     cosh_p,
-    pi_p,
 )
 from .numerics import _EPS, Evaluation, NonConvergence
 
@@ -78,6 +77,7 @@ _Z_SWITCH = 4e-3
 # Below this z even the leading series term denormalizes; return exact limits.
 _Z_FLOOR = 1e-290
 
+# The hyperbolic claims, and the CLI's hyperbolic tables, sample (0, 3).
 _HYP_UPPER = 3.0
 
 
@@ -245,8 +245,7 @@ def _zseries(fam: _Family) -> series.SmallZSeries:
 def _consts(fam: _Family) -> tuple:
     """(alpha, beta, beta_err, lam, lam_err) with lam = log(pi_p/2)."""
     pf = fam.pf
-    half = pi_p(pf)
-    ph, ph_err = half.value / 2.0, half.abs_err / 2.0
+    ph, ph_err = fam.half
     ch = cosh_p(ph, pf)
     lch = math.log(ch.value)
     lam = math.log(ph)
@@ -349,7 +348,7 @@ def _ratio(num: float, num_err: float, den: float, den_err: float, scale: float 
 
 
 def _require_circular(fam: _Family, x: float) -> None:
-    ph_v, _ = fam.upper
+    ph_v, _ = fam.half
     if not 0.0 < x < ph_v:
         raise DomainError(f"x must lie strictly inside (0, pi_p/2 = {ph_v}), got {x}")
 
@@ -430,7 +429,7 @@ _FUNCTIONALS = {
 # chains
 
 def _interval(tag: FunctionId, fam: _Family) -> tuple:
-    return 0.0, fam.upper[0] if tag in _CIRCULAR_TAGS else _HYP_UPPER
+    return 0.0, fam.half[0] if tag in _CIRCULAR_TAGS else _HYP_UPPER
 
 
 def _chain_terms(fam: _Family, tag: FunctionId) -> tuple:
@@ -440,9 +439,7 @@ def _chain_terms(fam: _Family, tag: FunctionId) -> tuple:
     error e) is the primitive named prim as in series.SmallZSeries (None for
     T = 1) and num_err bounds the error in num; the term's error is then
     |num| e / den + num_err v.  den keeps p a divisor: -d/p and (-1/p) d
-    differ in the last bit.  bounds_sandwich reads gap 0 of THM1_CHAIN and
-    THM2_CHAIN as the distance to the upper bound and the cancelling gap 1
-    as the distance to the lower one, so their term order is fixed.
+    differ in the last bit.
     """
     pf = fam.pf
     alpha, beta, beta_err, lam, lam_err = _consts(fam)
@@ -499,6 +496,7 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
     Margins are value-space gaps T_(k+1) - T_k computed as T_k expm1(gap_k)
     with gap_k the log-space difference, so a tiny gap between O(1) terms
     never passes through a float subtraction of the terms themselves.
+    THM2_CHAIN's pairs are cross-checked by _thm2_routes_agree.
     """
     z = _series_z(fam.pf, x)
     if z is not None:
@@ -533,6 +531,8 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
         )
         margins.append(m)
         budgets.append(budget)
+    if tag is FunctionId.THM2_CHAIN:
+        _thm2_routes_agree(fam, x, margins, budgets)
     return values, margins, budgets
 
 
@@ -628,10 +628,7 @@ def verify_chain(
     fam = _FAMILIES[p, None]
 
     def at(x: float) -> tuple:
-        values, margins, budgets = _chain_point(claim, fam, x)
-        if claim is FunctionId.THM2_CHAIN:
-            _thm2_routes_agree(fam, x, margins, budgets)
-        return _weakest_pair(x, values, margins, budgets)
+        return _weakest_pair(x, *_chain_point(claim, fam, x))
 
     return _report(claim.value, fam.pf, _records(claim.value, claim, fam, grid, at))
 
@@ -683,54 +680,19 @@ def _verify_positive(
 def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) -> VerificationReport:
     """Certify 1 < thm1_f < p and alpha < thm2_g < beta at every grid point.
 
-    The four distances to the bounds are the certified margins; below the
-    series switch each distance is evaluated from its own difference
-    polynomial, because e.g. thm1_f - 1 vanishes like z while thm1_f itself
-    rounds to 1.0 long before that.
+    After taking logs these bounds are THM1_CHAIN, (x/sinh_p)^p < sin_p/x <
+    x/sinh_p, and THM2_CHAIN, cosh_p^-beta < sin_p/x < cosh_p^-alpha, so each
+    point's four margins and budgets are the two chains' at that point, and
+    its values are (thm1_f, thm2_g).
     """
     fam = _FAMILIES[p, None]
     pf = fam.pf
-    alpha, beta, beta_err, _, _ = _consts(fam)
-    # (p - f) l2, (f - 1) l2, (beta - g) l3 and (g - alpha) l3 are the gaps
-    # of the THM1 and THM2 chains, in coefficient space.
-    f_high, f_low = _chain_polys(fam, FunctionId.THM1_CHAIN)[2]
-    g_high, g_low = _chain_polys(fam, FunctionId.THM2_CHAIN)[2]
 
     def at(x: float) -> tuple:
-        z = _series_z(pf, x)
-        if z is not None and z > _Z_FLOOR:
-            l1v, _ = _primitive(fam, "l1", x, z)
-            l2v, l2e = _primitive(fam, "l2", x, z)
-            l3v, l3e = _primitive(fam, "l3", x, z)
-            fv, gv = l1v / l2v, l1v / l3v
-            margins = [
-                series.zp_eval(f_low, z) / l2v,
-                series.zp_eval(f_high, z) / l2v,
-                series.zp_eval(g_low, z) / l3v,
-                series.zp_eval(g_high, z) / l3v,
-            ]
-            budgets = [
-                (series.zp_trunc_err(f_low, z) + abs(margins[0]) * l2e) / l2v,
-                (series.zp_trunc_err(f_high, z) + abs(margins[1]) * l2e) / l2v,
-                (series.zp_trunc_err(g_low, z) + abs(margins[2]) * l3e) / l3v,
-                (series.zp_trunc_err(g_high, z) + beta_err * l3v + abs(margins[3]) * l3e) / l3v,
-            ]
-        elif z is not None:
-            fv, gv = 1.0, alpha
-            margins = [0.0, pf - 1.0, 0.0, beta - alpha]
-            budgets = [4.0 * _EPS, 4.0 * _EPS * pf, 4.0 * _EPS, beta_err]
-        else:
-            f = thm1_f(x, pf)
-            g = thm2_g(x, pf)
-            fv, gv = f.value, g.value
-            margins = [fv - 1.0, pf - fv, gv - alpha, beta - gv]
-            budgets = [
-                f.abs_err + 2.0 * _EPS,
-                f.abs_err + 2.0 * _EPS * pf,
-                g.abs_err + 2.0 * _EPS * alpha,
-                g.abs_err + beta_err,
-            ]
-        return _weakest_pair(x, (fv, gv), margins, budgets)
+        _, margins1, budgets1 = _chain_point(FunctionId.THM1_CHAIN, fam, x)
+        _, margins2, budgets2 = _chain_point(FunctionId.THM2_CHAIN, fam, x)
+        values = (thm1_f(x, pf).value, thm2_g(x, pf).value)
+        return _weakest_pair(x, values, margins1 + margins2, budgets1 + budgets2)
 
     records = _records("BOUNDS_SANDWICH", FunctionId.THM1_F, fam, grid, at)
     return _report("BOUNDS_SANDWICH", pf, records)

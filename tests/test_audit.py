@@ -195,3 +195,20 @@ def _audit_hyperbolic(p):
 def test_hyperbolic_values_lie_within_abs_err(p):
     bad = [(name, x, r) for name, x, r in _audit_hyperbolic(p) if not r <= 1.0]
     assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "p,x",
+    [(2.5, 0.00023491957668433328), (3.7, 0.00031343483472087615), (3.0, 0.8),
+     (10.0, 0.05), (50.0, 2.0), (1.5, 40.0), (300.0, 700.0)],
+)
+def test_d_cosh_lies_within_abs_err(p, x):
+    # Below s = 1 a single exp of (p - 1) log s would carry a rounding error
+    # of |(p - 1) log s| ulp, past the bound at the first two points.
+    d = ptrig.d_cosh_p(x, p)
+    with mp.workdps(DPS):
+        P = mp.mpf(p)
+        s = mp.exp(mp.findroot(lambda L: _mp_arsinh(mp.exp(L), P) - mp.mpf(x),
+                               mp.log(ptrig.sinh_p(x, p).value)))
+        ref = (1 + s ** P) ** ((2 - P) / P) * s ** (P - 1)
+        assert _ratio(d, ref) <= 1.0

@@ -127,25 +127,33 @@ class TestVerify:
         assert len(reports) == 10
         assert a[2].strip().endswith("summary: 10/10 passed")
 
-    # Quadratures of arsinh_p in a cold verify --claim all, at most this
-    # inversion's counts; a solve that needs more steps fails here.
+    # Quadratures of arsinh_p and series sums of arcsin_p in a cold verify
+    # --claim all, at most these inversions' counts; a solve that needs more
+    # steps fails here.
     QUADRATURES = {2.0: 2202, 3.0: 2110}
+    SERIES_SUMS = {2.0: 737, 3.0: 688}
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))
     def test_cold_verify_quadrature_count(self, p, monkeypatch):
         for key in [key for key in core._FAMILIES if key[0] == p]:
             monkeypatch.delitem(core._FAMILIES, key)
-        calls = []
-        orig = core._arsinh_quad
+        calls = {"_arsinh_quad": 0, "_arcsin_series": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return orig(*args)
+        def counting(name):
+            orig = getattr(core, name)
 
-        monkeypatch.setattr(core, "_arsinh_quad", counted)
+            def counted(*args):
+                calls[name] += 1
+                return orig(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(core, name, counting(name))
         code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
         assert code == 0
-        assert len(calls) <= self.QUADRATURES[p]
+        assert calls["_arsinh_quad"] <= self.QUADRATURES[p]
+        assert calls["_arcsin_series"] <= self.SERIES_SUMS[p]
 
     def test_human_summary_last(self):
         code, out, _ = run("verify", "--claim", "all", "--p", "2", "--n", "20")

@@ -275,6 +275,18 @@ class TestDerivatives:
     def test_d_tanh_at_origin_is_one(self):
         assert abs(ptrig.d_tanh_p(0.0, 3.0).value - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("p", [5.0, 10.0, 50.0, 300.0])
+    def test_d_cosh_at_the_top_of_the_range(self, p):
+        # d_cosh_p = cosh_p tanh_p^(p-1) <= cosh_p stays finite wherever
+        # cosh_p does: over the last ulps below arsinh_p(largest double).
+        x = ptrig.arsinh_p(sys.float_info.max, p).value
+        for _ in range(6):
+            x = math.nextafter(x, 0.0)
+            c = ptrig.cosh_p(x, p)
+            d = ptrig.d_cosh_p(x, p)
+            assert math.isfinite(d.value)
+            assert d.value <= c.value + c.abs_err + d.abs_err
+
 
 class TestDomains:
     def test_rejects_negative_arguments(self):

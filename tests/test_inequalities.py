@@ -347,6 +347,24 @@ class TestBoundsSandwich:
             assert 1.0 <= fv < p
             assert sc.alpha <= gv < sc.beta
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0, 50.0])
+    @pytest.mark.parametrize("grid", [iq.GridSpec(n=40), iq.GridSpec(n=31, spacing="log")])
+    def test_is_the_thm1_and_thm2_chains(self, p, grid):
+        rep = iq.bounds_sandwich(p, grid)
+        thm1 = iq.verify_chain(F.THM1_CHAIN, p, grid)
+        thm2 = iq.verify_chain(F.THM2_CHAIN, p, grid)
+        assert rep.passed == (thm1.passed and thm2.passed)
+        for pt, a, b in zip(rep.points, thm1.points, thm2.points, strict=True):
+            assert pt.x == a.x == b.x
+            assert pt.margin == min(a.margin, b.margin)
+            assert pt.values == (iq.thm1_f(pt.x, p).value, iq.thm2_g(pt.x, p).value)
+
+    def test_beta_out_of_range_fails_as_the_chain_does(self):
+        # beta leaves double range below p = 1.00141.
+        with pytest.raises(iq.EvaluationFailed) as exc:
+            iq.bounds_sandwich(1.0001)
+        assert isinstance(exc.value.cause, ptrig.DomainError)
+
     def test_sharpness_evidence(self):
         # g at the extreme grid points hugs alpha and beta.
         for p in P_CERT:
