@@ -13,7 +13,6 @@ front end.
 from .core import (
     DomainError,
     PoleError,
-    PParam,
     arcsin_p,
     arsinh_p,
     cos_p,
@@ -50,30 +49,23 @@ from .inequalities import (
     verify_monotone,
 )
 from .numerics import (
-    DEFAULT_TOLERANCE,
     Evaluation,
-    InvalidInterval,
     NonConvergence,
     NumericsError,
     Tolerance,
-    central_diff,
-    integrate,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CANONICAL_DIRECTION",
-    "DEFAULT_TOLERANCE",
     "DomainError",
     "Evaluation",
     "EvaluationFailed",
     "FunctionId",
     "GridSpec",
-    "InvalidInterval",
     "NonConvergence",
     "NumericsError",
-    "PParam",
     "PoleError",
     "SharpConstants",
     "Tolerance",
@@ -81,7 +73,6 @@ __all__ = [
     "arcsin_p",
     "arsinh_p",
     "bounds_sandwich",
-    "central_diff",
     "cos_p",
     "cosh_p",
     "d_cos_p",
@@ -90,7 +81,6 @@ __all__ = [
     "d_sinh_p",
     "d_tanh_p",
     "grid_points",
-    "integrate",
     "is_exploratory",
     "lem22_f",
     "lem23_g",

@@ -63,7 +63,7 @@ def _tolerance(tol: Optional[float]) -> Tolerance:
 
 def _table_interval(fn: str, p: float, tol: Tolerance) -> tuple:
     if fn in _CIRCULAR:
-        return 0.0, core.pi_p(p, tol).value / 2.0
+        return 0.0, core._FAMILIES[p, tol].half[0]
     if fn in _UNIT:
         return 0.0, 1.0
     return 0.0, _HYP_UPPER

@@ -55,9 +55,8 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Optional, Union
+from typing import Optional
 
 from . import series
 from .numerics import _EPS, Evaluation, NonConvergence, Tolerance, integrate
@@ -65,7 +64,6 @@ from .numerics import _EPS, Evaluation, NonConvergence, Tolerance, integrate
 __all__ = [
     "DomainError",
     "PoleError",
-    "PParam",
     "pi_p",
     "arcsin_p",
     "sin_p",
@@ -103,22 +101,12 @@ class PoleError(DomainError):
     """Argument too close to a pole to evaluate meaningfully."""
 
 
-@dataclass(frozen=True)
-class PParam:
-    """Validated family parameter; every definition here requires p > 1."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", float(self.p))
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError(f"parameter p must be finite and > 1, got {self.p}")
-
-
-def _pval(p: Union[PParam, float]) -> float:
-    if isinstance(p, PParam):
-        return p.p
-    return PParam(p).p
+def _valid_p(p: float) -> float:
+    """p as a float; every definition here requires p finite and > 1."""
+    pf = float(p)
+    if not (math.isfinite(pf) and pf > 1.0):
+        raise ValueError(f"parameter p must be finite and > 1, got {pf}")
+    return pf
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +176,7 @@ class _Registry(dict):
     _lock = threading.Lock()
 
     def __missing__(self, key: tuple) -> _Family:
-        canon = (_pval(key[0]), key[1])
+        canon = (_valid_p(key[0]), key[1])
         with self._lock:
             if canon not in self:
                 if len(self) >= _FAMILY_CAP:
@@ -228,7 +216,7 @@ def _served(domain):
     def wrap(body):
         kept = _kept(body)
 
-        def serve(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+        def serve(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
             fam = _FAMILIES[p, tol]
             got = fam.memo.get((body, x))
             if got is None:
@@ -365,7 +353,7 @@ def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
     return v, base_e + tail.abs_err + 2.0 * _EPS * abs(v)
 
 
-def pi_p(p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+def pi_p(p: float, tol: Optional[Tolerance] = None) -> Evaluation:
     """The half-period constant pi_p = 2 arcsin_p(1) = 2 pi / (p sin(pi/p)).
 
     Cross-checked in the test suite against the defining integral.
@@ -629,7 +617,7 @@ def tanh_p(fam: _Family, x: float) -> Evaluation:
 # Closed-form derivatives
 
 
-def d_sin_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+def d_sin_p(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx sin_p = cos_p."""
     return cos_p(x, p, tol)
 
@@ -650,16 +638,21 @@ def d_cos_p(fam: _Family, x: float) -> Evaluation:
     if c.value == 0.0:  # reachable only for p <= 2; the p = 2 case is -sin_p
         v = -(s ** (pf - 1.0)) if pf == 2.0 else 0.0
         return Evaluation(v, pf * s_err + om_err ** (1.0 / pf) + 4.0 * _EPS)
-    v = -math.exp((2.0 - pf) * math.log(c.value) + (pf - 1.0) * math.log(s))
+    # Each power is taken on its own, within an ulp of its exact value; one
+    # exp of the summed logs would carry a rounding error of about
+    # |(p - 1) log s| ulp, which near 0 exceeds the 4 eps below.
+    v = -(c.value ** (2.0 - pf)) * s ** (pf - 1.0)
     rel = (
         abs(2.0 - pf) * c.abs_err / c.value
         + (pf - 1.0) * s_err / s
         + 4.0 * _EPS
     )
-    return Evaluation(v, abs(v) * rel)
+    # Once sin_p^(p-1) falls below the normal range (large p, small x) its
+    # rounding is absolute, up to the smallest subnormal; cos_p is then 1.
+    return Evaluation(v, abs(v) * rel + 2.0 * math.ulp(0.0))
 
 
-def d_sinh_p(x: float, p: Union[PParam, float], tol: Optional[Tolerance] = None) -> Evaluation:
+def d_sinh_p(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
     """d/dx sinh_p = cosh_p."""
     return cosh_p(x, p, tol)
 

@@ -36,12 +36,11 @@ from . import series
 from .core import (
     DomainError,
     PoleError,
-    PParam,
     _FAMILIES,
     _Family,
     _kept,
     _log_cosh,
-    _pval,
+    _valid_p,
     _sin_state,
     _sinh_raw,
     cosh_p,
@@ -227,10 +226,10 @@ class SharpConstants:
 
     alpha: float
     beta: float
-    p: PParam
+    p: float
 
     def __post_init__(self) -> None:
-        if self.p.p >= 2.0 and not 0.0 < self.alpha < self.beta < 1.0:
+        if self.p >= 2.0 and not 0.0 < self.alpha < self.beta < 1.0:
             raise ValueError(
                 f"sharp constants out of order: alpha={self.alpha}, beta={self.beta}"
             )
@@ -260,10 +259,10 @@ def _consts(fam: _Family) -> tuple:
     return alpha, beta, beta_err, lam, lam_err
 
 
-def sharp_constants(p: Union[PParam, float]) -> SharpConstants:
+def sharp_constants(p: float) -> SharpConstants:
     fam = _FAMILIES[p, None]
     alpha, beta, _, _, _ = _consts(fam)
-    return SharpConstants(alpha=alpha, beta=beta, p=PParam(fam.pf))
+    return SharpConstants(alpha=alpha, beta=beta, p=fam.pf)
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +377,35 @@ def _ratio_functional(
     return _ratio(*_primitive(fam, num, x, z), *_primitive(fam, den, x, z), scale=scale)
 
 
-def thm1_f(x: float, p: Union[PParam, float]) -> Evaluation:
+def thm1_f(x: float, p: float) -> Evaluation:
     """log(x/sin_p(x)) / log(sinh_p(x)/x); increasing on (0, pi_p/2) from 1."""
     fam = _FAMILIES[p, None]
     _require_circular(fam, x)
     return _ratio_functional(fam, x, "l1", "l2", 1.0)
 
 
-def thm2_g(x: float, p: Union[PParam, float]) -> Evaluation:
+def thm2_g(x: float, p: float) -> Evaluation:
     """log(x/sin_p(x)) / log(cosh_p(x)); increasing on (0, pi_p/2) from 1/(1+p)."""
     fam = _FAMILIES[p, None]
     _require_circular(fam, x)
     return _ratio_functional(fam, x, "l1", "l3", 1.0 / (1.0 + fam.pf))
 
 
-def lem22_f(x: float, p: Union[PParam, float]) -> Evaluation:
+def lem22_f(x: float, p: float) -> Evaluation:
     """p sin_p log(x/sin_p) / (sin_p - x cos_p); decreasing on (0, pi_p/2) from 1."""
     fam = _FAMILIES[p, None]
     _require_circular(fam, x)
     return _ratio_functional(fam, x, "l1", "d", 1.0, scale=fam.pf)
 
 
-def lem23_g(x: float, p: Union[PParam, float]) -> Evaluation:
+def lem23_g(x: float, p: float) -> Evaluation:
     """p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p); increasing on (0, inf), 1 to p."""
     fam = _FAMILIES[p, None]
     _require_positive(x)
     return _ratio_functional(fam, x, "l2", "e", 1.0, scale=fam.pf)
 
 
-def lem24_gap(x: float, p: Union[PParam, float]) -> Evaluation:
+def lem24_gap(x: float, p: float) -> Evaluation:
     """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), strictly positive for x > 0."""
     fam = _FAMILIES[p, None]
     _require_positive(x)
@@ -614,7 +613,7 @@ def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") 
 
 def verify_chain(
     claim: FunctionId,
-    p: Union[PParam, float],
+    p: float,
     grid: Optional[GridSpec] = None,
 ) -> VerificationReport:
     """Certify every adjacent inequality of a chain on a grid.
@@ -635,7 +634,7 @@ def verify_chain(
 
 def verify_monotone(
     claim: FunctionId,
-    p: Union[PParam, float],
+    p: float,
     grid: Optional[GridSpec] = None,
     direction: Optional[str] = None,
 ) -> VerificationReport:
@@ -665,7 +664,7 @@ def verify_monotone(
 
 
 def _verify_positive(
-    claim: FunctionId, p: Union[PParam, float], grid: Optional[GridSpec] = None
+    claim: FunctionId, p: float, grid: Optional[GridSpec] = None
 ) -> VerificationReport:
     fam = _FAMILIES[p, None]
     fn = _FUNCTIONALS[claim]
@@ -677,7 +676,7 @@ def _verify_positive(
     return _report(claim.value, fam.pf, _records(claim.value, claim, fam, grid, at))
 
 
-def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) -> VerificationReport:
+def bounds_sandwich(p: float, grid: Optional[GridSpec] = None) -> VerificationReport:
     """Certify 1 < thm1_f < p and alpha < thm2_g < beta at every grid point.
 
     After taking logs these bounds are THM1_CHAIN, (x/sinh_p)^p < sin_p/x <
@@ -700,7 +699,7 @@ def bounds_sandwich(p: Union[PParam, float], grid: Optional[GridSpec] = None) ->
 
 def verify_claim(
     claim: Union[FunctionId, str],
-    p: Union[PParam, float],
+    p: float,
     grid: Optional[GridSpec] = None,
 ) -> VerificationReport:
     """Dispatch a claim to its verifier (chain, positivity, or monotonicity)."""
@@ -716,7 +715,7 @@ def verify_claim(
     return verify_monotone(claim, p, grid)
 
 
-def is_exploratory(claim: Union[FunctionId, str], p: Union[PParam, float]) -> bool:
+def is_exploratory(claim: Union[FunctionId, str], p: float) -> bool:
     """True when p sits outside the certified hypotheses for the claim.
 
     Only the positivity of lem24_gap is certified down to p > 1; every other
@@ -724,4 +723,4 @@ def is_exploratory(claim: Union[FunctionId, str], p: Union[PParam, float]) -> bo
     """
     if isinstance(claim, str):
         claim = FunctionId[claim.upper()]
-    return _pval(p) < 2.0 and claim is not FunctionId.LEM24_GAP
+    return _valid_p(p) < 2.0 and claim is not FunctionId.LEM24_GAP

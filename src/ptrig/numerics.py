@@ -1,11 +1,13 @@
-"""Error-carrying values, tanh-sinh quadrature, finite differences.
+"""Error-carrying values, tolerances and tanh-sinh quadrature.
 
 Everything downstream of this module consumes :class:`Evaluation`, a value
 paired with a claimed absolute-error bound, and asks for accuracy with a
 :class:`Tolerance`.  :func:`integrate` is adaptive tanh-sinh
 (double-exponential) quadrature, which handles integrable algebraic endpoint
 singularities without any per-integrand substitution; core takes the
-hyperbolic defining integral with it.
+hyperbolic defining integral with it.  The quadrature is internal to the
+package: ``ptrig`` does not re-export :func:`integrate`, its
+:class:`InvalidInterval` or ``DEFAULT_TOLERANCE``.
 
 Its error bounds are heuristic (refinement differences), not
 directed-rounding interval arithmetic; they are validated against closed
@@ -31,7 +33,6 @@ __all__ = [
     "NonConvergence",
     "NumericsError",
     "integrate",
-    "central_diff",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -226,10 +227,3 @@ def integrate(
     raise NonConvergence(
         f"tanh-sinh estimate {est:.3e} above tolerance after {_LEVEL_MAX} levels"
     )
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Symmetric difference quotient (f(x+h) - f(x-h)) / (2h); O(h^2) error."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    return (float(f(x + h)) - float(f(x - h))) / (2.0 * h)

@@ -111,6 +111,15 @@ def classical_pi_p(p):
     return 2.0 * math.pi / (p * math.sin(math.pi / p))
 
 
+def central_diff(f, x, h):
+    """Symmetric difference quotient (f(x+h) - f(x-h)) / (2h); O(h^2) error.
+
+    The derivative oracle of C06 and TestDerivatives."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    return (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion at the end of the run."""
     import re

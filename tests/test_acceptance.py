@@ -26,6 +26,7 @@ import ptrig
 from ptrig import cli
 from ptrig import inequalities as iq
 from ptrig.inequalities import FunctionId as F
+from tests.conftest import central_diff
 
 P_CERT = [2.0, 2.5, 3.0, 5.0, 10.0]
 
@@ -175,7 +176,7 @@ def test_c06_derivatives_vs_central_difference(p):
         hi = half_pi if kind == "circ" else 3.0
         for x in iq.grid_points(spec, 0.0, hi):
             x = float(x)
-            want = ptrig.central_diff(lambda u: base(u, p).value, x, 1e-5)
+            want = central_diff(lambda u: base(u, p).value, x, 1e-5)
             got = deriv(x, p).value
             assert math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-6), (
                 f"{deriv.__name__}({x}, {p}) = {got}, central diff {want}"

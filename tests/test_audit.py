@@ -12,7 +12,8 @@ arsinh_p(s) = x found by mpmath.findroot.
 Near pi_p/2, where s differs from 1 in digits beyond any working precision,
 the root is found in log(om), om = 1 - s^p = cos_p^p, through the connection
 formula pi_p/2 - arcsin_p(s) = om^q/(p q) 2F1(q, q; 1 + q; om), q = 1 - 1/p.
-cos_p, tan_p, cosh_p and tanh_p follow from the roots exactly.
+cos_p, tan_p, d_cos_p, cosh_p, tanh_p and d_tanh_p follow from the roots
+exactly.
 
 Points: seeded random arguments, arguments against both ends of the circular
 domain, the switches between the evaluation routes (_SERIES_Z between the
@@ -81,6 +82,11 @@ def _mp_sin_cos(x, p, guess):
     return (1 - om) ** (1 / P), om ** (1 / P)
 
 
+def _mp_d_cos(s, c, P):
+    """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1) from the reference pair."""
+    return -(c ** (2 - P)) * s ** (P - 1)
+
+
 def _arguments(p):
     """Circular arguments x in [0, pi_p/2] for the audit at p."""
     half = ptrig.pi_p(p).value / 2
@@ -130,6 +136,8 @@ def _audit_circular(p):
             ref_s, ref_c = _mp_sin_cos(x, p, sin.value)
             check("sin_p", x, sin, ref_s)
             check("cos_p", x, ptrig.cos_p(x, p), ref_c)
+            if p <= 2.0 or x <= half - core._POLE_WINDOW:
+                check("d_cos_p", x, ptrig.d_cos_p(x, p), _mp_d_cos(ref_s, ref_c, P))
             if x < half - core._POLE_WINDOW and ref_c > 0:
                 try:
                     tan = ptrig.tan_p(x, p)
@@ -144,7 +152,17 @@ def test_circular_values_lie_within_abs_err(p):
     audit = _audit_circular(p)
     bad = [(name, x, r) for name, x, r in audit if not r <= 1.0]
     assert not bad, bad
-    assert {name for name, _, _ in audit} == {"pi_p", "arcsin_p", "sin_p", "cos_p", "tan_p"}
+    assert {name for name, _, _ in audit} == {"pi_p", "arcsin_p", "sin_p", "cos_p", "tan_p", "d_cos_p"}
+
+
+def test_d_cos_near_zero_lies_within_abs_err():
+    # A single exp of (2 - p) log cos_p + (p - 1) log sin_p would carry a
+    # rounding error of |(p - 1) log sin_p| ulp, past the bound here.
+    p, x = 2.5, 0.00020670493941599456
+    d = ptrig.d_cos_p(x, p)
+    with mp.workdps(_circular_dps(p)):
+        ref_s, ref_c = _mp_sin_cos(x, p, ptrig.sin_p(x, p).value)
+        assert _ratio(d, _mp_d_cos(ref_s, ref_c, mp.mpf(p))) <= 1.0
 
 
 def test_circular_band_rests_on_the_last_step():
@@ -168,13 +186,16 @@ def _mp_arsinh(s, p):
 
 
 def _audit_hyperbolic(p):
-    """(name, x, |value - ref| / abs_err) for sinh_p, cosh_p and tanh_p at p."""
+    """(name, x, |value - ref| / abs_err) for sinh_p, cosh_p, tanh_p and
+    d_tanh_p at x, and for arsinh_p at x as its argument, at p."""
     rng = random.Random(int(p * 1000))
     xs = [3.0 * rng.random() for _ in range(6)]
     xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _ulps(1.0)
     # Where the residual tolerance 1e-13 (1 + x) of the solve is absolute,
     # up to near the end of the double range.
     xs += [7.0, 40.0, 700.0]
+    # Deep in the series range, and for arsinh_p a short quadrature interval.
+    xs += [1e-5]
     out = []
     with mp.workdps(DPS):
         P = mp.mpf(p)
@@ -188,6 +209,9 @@ def _audit_hyperbolic(p):
             out.append(("sinh_p", x, _ratio(sinh, s)))
             out.append(("cosh_p", x, _ratio(ptrig.cosh_p(x, p), c)))
             out.append(("tanh_p", x, _ratio(ptrig.tanh_p(x, p), s / c)))
+            # 1 - tanh_p^p as 1/(1 + s^p), which does not cancel.
+            out.append(("d_tanh_p", x, _ratio(ptrig.d_tanh_p(x, p), 1 / (1 + s ** P))))
+            out.append(("arsinh_p", x, _ratio(ptrig.arsinh_p(x, p), _mp_arsinh(mp.mpf(x), P))))
     return out
 
 

@@ -17,12 +17,11 @@ from ptrig import (
     Evaluation,
     NonConvergence,
     PoleError,
-    PParam,
     Tolerance,
 )
 from ptrig import core, series
 from ptrig import inequalities as iq
-from tests.conftest import classical_pi_p
+from tests.conftest import central_diff, classical_pi_p
 
 P_GRID = [1.5, 2.0, 2.5, 3.0, 5.0, 10.0]
 
@@ -65,25 +64,32 @@ FUNCS = {
 }
 
 
+# Every public entry that takes p, called with that p at an argument inside
+# its domain.
+FUNCTIONALS = [iq.thm1_f, iq.thm2_g, iq.lem22_f, iq.lem23_g, iq.lem24_gap]
+P_ENTRIES = (
+    [lambda p, fn=fn: fn(0.5, p) for fn in EVALUATORS + FUNCTIONALS]
+    + [lambda p, claim=claim: ptrig.verify_claim(claim, p) for claim in iq.FunctionId]
+    + [lambda p, claim=claim: ptrig.is_exploratory(claim, p) for claim in iq.FunctionId]
+    + [ptrig.pi_p, ptrig.sharp_constants, ptrig.bounds_sandwich]
+)
+
+
 class TestParams:
     def test_pparam_accepts_p_above_one(self):
-        assert PParam(1.5).p == 1.5
-        assert PParam(2).p == 2.0
+        assert ptrig.sin_p(0.5, 1.5).value > 0.0
+        sc = ptrig.sharp_constants(2)
+        assert type(sc.p) is float and sc.p == 2.0
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -3.0, math.nan, math.inf])
     def test_pparam_rejects(self, bad):
-        with pytest.raises(ValueError):
-            PParam(bad)
+        for entry in P_ENTRIES:
+            with pytest.raises(ValueError, match="parameter p must be finite and > 1"):
+                entry(bad)
 
-    def test_pparam_is_frozen(self):
-        q = PParam(2.0)
-        with pytest.raises(Exception):
-            q.p = 3.0
-
-    def test_functions_accept_pparam_or_float(self):
-        a = ptrig.sin_p(0.5, 2.0)
-        b = ptrig.sin_p(0.5, PParam(2.0))
-        assert a.value == b.value
+    def test_int_and_float_p_share_one_family(self):
+        assert core._FAMILIES[2, None] is core._FAMILIES[2.0, None]
+        assert ptrig.sin_p(0.5, 2) is ptrig.sin_p(0.5, 2.0)
 
 
 class TestHalfPeriod:
@@ -265,7 +271,7 @@ class TestDerivatives:
             "d_sinh_p": ptrig.sinh_p, "d_cosh_p": ptrig.cosh_p,
             "d_tanh_p": ptrig.tanh_p,
         }[name]
-        want = ptrig.central_diff(lambda u: base(u, p).value, x, 1e-5)
+        want = central_diff(lambda u: base(u, p).value, x, 1e-5)
         got = getattr(ptrig, name)(x, p).value
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -339,7 +345,7 @@ class TestDomains:
     @pytest.mark.parametrize("fn", EVALUATORS, ids=lambda fn: fn.__name__)
     def test_public_signature(self, fn):
         assert str(inspect.signature(fn)) == (
-            "(x: 'float', p: 'Union[PParam, float]', tol: 'Optional[Tolerance]' = None)"
+            "(x: 'float', p: 'float', tol: 'Optional[Tolerance]' = None)"
             " -> 'Evaluation'"
         )
 
@@ -569,9 +575,6 @@ class TestFamilyRegistry:
         monkeypatch.setattr(core, "_MEMO_CAP", 2)
         assert self.evaluate(self.P) == want
         assert len(core._FAMILIES[self.P, None].memo) <= 2
-
-    def test_pparam_and_float_share_one_family(self):
-        assert core._FAMILIES[PParam(self.P), None] is core._FAMILIES[self.P, None]
 
     def test_integer_p_cosh_snap_is_served_from_results(self, monkeypatch):
         snaps = []

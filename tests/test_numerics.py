@@ -1,4 +1,4 @@
-"""Quadrature and differencing against closed forms."""
+"""Quadrature, and the tests' differencing oracle, against closed forms."""
 
 import math
 
@@ -13,9 +13,9 @@ from ptrig.numerics import (
     InvalidInterval,
     NonConvergence,
     Tolerance,
-    central_diff,
     integrate,
 )
+from tests.conftest import central_diff
 
 PI_3 = 2.0 * math.pi / (3.0 * math.sin(math.pi / 3.0))  # closed form for the p=3 half-period
 
@@ -131,6 +131,8 @@ class TestIntegrate:
 
 
 class TestCentralDiff:
+    """The derivative oracle of C06 and TestDerivatives, kept in tests.conftest."""
+
     def test_quadratic(self):
         assert abs(central_diff(lambda x: x * x, 1.0, 1e-5) - 2.0) <= 1e-9
 
