@@ -24,7 +24,7 @@ def show(rep):
 print("Monotonicity of the four ratio functionals at p = 3")
 print("----------------------------------------------------")
 for tag in (FunctionId.THM1_F, FunctionId.THM2_G, FunctionId.LEM22_F, FunctionId.LEM23_G):
-    show(ptrig.verify_monotone(tag, 3.0, GridSpec(n=100)))
+    show(ptrig.verify_claim(tag, 3.0, GridSpec(n=100)))
 
 print()
 print("Inequality chains: every adjacent pair must clear its error budget")
@@ -36,7 +36,7 @@ for tag in (
     FunctionId.LEM23_CHAIN,
     FunctionId.COROLLARY_CHAIN,
 ):
-    show(ptrig.verify_chain(tag, 3.0, GridSpec(n=100)))
+    show(ptrig.verify_claim(tag, 3.0, GridSpec(n=100)))
 
 print()
 print("The positivity gap holds all the way down to p -> 1")
@@ -47,7 +47,7 @@ for p in (1.2, 1.5, 2.0, 3.0, 10.0):
 print()
 print("Chain terms at one grid point (COROLLARY_CHAIN, p = 2, mid-interval)")
 print("---------------------------------------------------------------------")
-rep = ptrig.verify_chain(FunctionId.COROLLARY_CHAIN, 2.0, GridSpec(n=9))
+rep = ptrig.verify_claim(FunctionId.COROLLARY_CHAIN, 2.0, GridSpec(n=9))
 pt = rep.points[4]
 print(f"  x = {pt.x:.6f}")
 for k, v in enumerate(pt.values):
@@ -57,7 +57,7 @@ print(f"  smallest adjacent gap (value space): {pt.margin:.3e}")
 print()
 print("Outside the certified range the verifier reports, it does not assert")
 print("---------------------------------------------------------------------")
-rep = ptrig.verify_chain(FunctionId.THM1_CHAIN, 1.5, GridSpec(n=100))
+rep = ptrig.verify_claim(FunctionId.THM1_CHAIN, 1.5, GridSpec(n=100))
 tag = " [exploratory]" if ptrig.is_exploratory(FunctionId.THM1_CHAIN, 1.5) else ""
 show(rep)
 print(f"  the chain genuinely reverses below p = 2{tag}: min_margin < 0 is the finding.")

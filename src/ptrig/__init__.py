@@ -44,9 +44,7 @@ from .inequalities import (
     sharp_constants,
     thm1_f,
     thm2_g,
-    verify_chain,
     verify_claim,
-    verify_monotone,
 )
 from .numerics import (
     Evaluation,
@@ -93,8 +91,6 @@ __all__ = [
     "tanh_p",
     "thm1_f",
     "thm2_g",
-    "verify_chain",
     "verify_claim",
-    "verify_monotone",
     "__version__",
 ]

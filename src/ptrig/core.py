@@ -118,7 +118,7 @@ _MEMO_CAP = 1 << 14
 
 
 class _Family:
-    """What depends on (p, tol) alone: tolerances, series polynomials, the
+    """What depends on (p, tol) alone: tolerances, the z-series zseries, the
     half-period half (the one source of pi_p/2 for pi_p, the circular domains
     and the verifiers), the integer exponent cosh_p snaps to (0 for none),
     arsinh_p(1), and memo, the one dict in which _kept keeps fn(fam, *key)
@@ -132,10 +132,14 @@ class _Family:
         self.qtol, self.itol = _QUAD_TOL, _INV_TOL
         if tol is not None:
             self.qtol, self.itol = tol, Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
-        self.sin_poly = series.zp(1.0, *series.inverse_coeffs(pf))
-        self.sinh_poly = series.zp(1.0, *series.hyper_inverse_coeffs(pf))
         self.snap = int(pf) if pf.is_integer() and 2.0 <= pf <= 64.0 else 0
         self.memo = {}
+
+    @cached_property
+    def zseries(self) -> series.SmallZSeries:
+        """The z-series near 0: sin_p and sinh_p for the states here, the
+        primitives for the functionals and chains in inequalities."""
+        return series.SmallZSeries(self.pf)
 
     @cached_property
     def half(self) -> tuple[float, float]:
@@ -396,8 +400,9 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
         return 0.0, 0.0, 1.0, 0.0
     z = x ** pf
     if z < _SERIES_Z:
-        s = x * series.zp_eval(fam.sin_poly, z)
-        s_err = x * series.zp_trunc_err(fam.sin_poly, z)
+        q = fam.zseries.sin_ratio.replace(0, 1.0)
+        s = x * series.zp_eval(q, z)
+        s_err = x * series.zp_trunc_err(q, z)
         om = _cos_pow(pf, s)
         return s, s_err, om, pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
 
@@ -468,7 +473,8 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
         return 0.0, 0.0
     if x < 1.0 and x ** pf < _SERIES_Z:
         z = x ** pf
-        return x * series.zp_eval(fam.sinh_poly, z), x * series.zp_trunc_err(fam.sinh_poly, z)
+        q = fam.zseries.sinh_ratio.replace(0, 1.0)
+        return x * series.zp_eval(q, z), x * series.zp_trunc_err(q, z)
 
     # arsinh_p(s) < s puts the root above x.  Grow the bracket up to the
     # largest double; a root beyond it would leave floating-point range.
@@ -604,13 +610,14 @@ def cosh_p(fam: _Family, x: float) -> Evaluation:
 @_served(_half_line)
 def tanh_p(fam: _Family, x: float) -> Evaluation:
     """sinh_p/cosh_p on x >= 0, with values in [0, 1)."""
-    pf = fam.pf
     s, s_err = _sinh_raw(fam, x)
     if s == 0.0:
         return Evaluation(0.0, 0.0)
-    lch = _log_cosh(pf, s)
-    v = math.exp(math.log(s) - lch)
-    return Evaluation(v, s_err * math.exp(-lch) + 4.0 * _EPS * v)
+    # One exp of log s - log cosh_p would carry a rounding error of about
+    # |log s| ulp, which near 0 exceeds the 4 eps below.
+    r = math.exp(-_log_cosh(fam.pf, s))
+    v = s * r
+    return Evaluation(v, s_err * r + 4.0 * _EPS * v)
 
 
 # ---------------------------------------------------------------------------

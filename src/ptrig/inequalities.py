@@ -19,10 +19,12 @@ members whose difference loses its leading z order are differenced in
 coefficient space, never in value space.  Above the switch the evaluators'
 log-space primitives take over.
 
-The verification engine samples claims on grids of strictly interior points
-and certifies strict inequalities as margin > combined error budget.  A
-margin inside the budget is inconclusive and fails the certificate; it is
-never reported as a counterexample.
+Each claim is declared once, in _CLAIMS: its kind, its interval, and the
+formula of its functional or the terms of its chain.  verify_claim samples a
+claim on a grid of strictly interior points and certifies strict
+inequalities as margin > combined error budget.  A margin inside the budget
+is inconclusive and fails the certificate; it is never reported as a
+counterexample.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import series
 from .core import (
@@ -62,8 +64,6 @@ __all__ = [
     "lem22_f",
     "lem23_g",
     "lem24_gap",
-    "verify_chain",
-    "verify_monotone",
     "bounds_sandwich",
     "verify_claim",
     "is_exploratory",
@@ -98,35 +98,74 @@ class FunctionId(Enum):
         return self.value
 
 
-_CHAIN_TAGS = frozenset(
-    {
-        FunctionId.COROLLARY_CHAIN,
-        FunctionId.THM1_CHAIN,
-        FunctionId.THM2_CHAIN,
-        FunctionId.LEM22_CHAIN,
-        FunctionId.LEM23_CHAIN,
-    }
-)
+class _Claim(NamedTuple):
+    """What the verifier knows about one claim.
 
-# Claims sampled on (0, pi_p/2); the rest live on the hyperbolic interval.
-_CIRCULAR_TAGS = frozenset(
-    {
-        FunctionId.THM1_F,
-        FunctionId.THM2_G,
-        FunctionId.LEM22_F,
-        FunctionId.THM1_CHAIN,
-        FunctionId.THM2_CHAIN,
-        FunctionId.LEM22_CHAIN,
-        FunctionId.COROLLARY_CHAIN,
-    }
-)
+    kind is "increasing" or "decreasing" for a monotone functional,
+    "positive" for a functional that stays above 0, and "chain" for an
+    inequality chain T_0 < T_1 < ...  interval is "circular" for claims
+    sampled on (0, pi_p/2) and "hyperbolic" for those sampled on
+    (0, _HYP_UPPER), whose functionals take any x > 0.
 
+    A functional's formula is (num, den, limit, scale): scale * num/den, or
+    num alone when den is None, for primitives num and den named as in
+    series.SmallZSeries; limit is its value as z -> 0.  A chain's formula is
+    its terms (sign, const, prim) with log T = sign * const * prim, prim
+    named likewise (None for T = 1), and cancelling holds the pairs (k, k+1)
+    whose z^1 term cancels.  limit, scale and const name values of
+    _constant.
+
+    route names the functional f whose bounds c_2 < f < c_0, c_k the const
+    of term k, restate a three-term chain; the two are cross-checked at every
+    point.  The claim's hypotheses hold for p >= p_min.
+    """
+
+    kind: str
+    interval: str
+    formula: tuple
+    cancelling: tuple = ()
+    route: Optional[FunctionId] = None
+    p_min: float = 2.0
+
+
+_SIN_RATIO = (-1, "1", "l1")  # sin_p(x)/x
+
+_CLAIMS = {
+    FunctionId.THM1_F: _Claim("increasing", "circular", ("l1", "l2", "1", "1")),
+    FunctionId.THM2_G: _Claim("increasing", "circular", ("l1", "l3", "alpha", "1")),
+    FunctionId.LEM22_F: _Claim("decreasing", "circular", ("l1", "d", "1", "p")),
+    FunctionId.LEM23_G: _Claim("increasing", "hyperbolic", ("l2", "e", "1", "p")),
+    FunctionId.LEM24_GAP: _Claim("positive", "hyperbolic", ("lem24", None, "0", "1"), p_min=1.0),
+    # cos_p^beta < cosh_p^-beta < sin_p/x < cosh_p^-alpha < 1
+    FunctionId.COROLLARY_CHAIN: _Claim(
+        "chain", "circular",
+        ((-1, "beta", "l4"), (-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3"), (1, "0", None)),
+        cancelling=(0, 2),
+    ),
+    # (x/sinh_p)^p < sin_p/x < x/sinh_p
+    FunctionId.THM1_CHAIN: _Claim(
+        "chain", "circular", ((-1, "p", "l2"), _SIN_RATIO, (-1, "1", "l2")), cancelling=(1,)
+    ),
+    # cosh_p^-beta < sin_p/x < cosh_p^-alpha
+    FunctionId.THM2_CHAIN: _Claim(
+        "chain", "circular", ((-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3")),
+        cancelling=(1,), route=FunctionId.THM2_G,
+    ),
+    # exp(-D/p) < sin_p/x < exp(-lam D), D = 1 - x cos_p/sin_p
+    FunctionId.LEM22_CHAIN: _Claim(
+        "chain", "circular", ((-1, "1/p", "d"), _SIN_RATIO, (-1, "lam", "d")), cancelling=(0,)
+    ),
+    # exp(E/p) < sinh_p/x < exp(E), E = x cosh_p/sinh_p - 1
+    FunctionId.LEM23_CHAIN: _Claim(
+        "chain", "hyperbolic", ((1, "1/p", "e"), (1, "1", "l2"), (1, "1", "e")), cancelling=(0,)
+    ),
+}
+
+# The positivity of lem24_gap is certified as its rise from the limit 0.
 CANONICAL_DIRECTION = {
-    FunctionId.THM1_F: "increasing",
-    FunctionId.THM2_G: "increasing",
-    FunctionId.LEM22_F: "decreasing",
-    FunctionId.LEM23_G: "increasing",
-    FunctionId.LEM24_GAP: "increasing",
+    tag: "decreasing" if claim.kind == "decreasing" else "increasing"
+    for tag, claim in _CLAIMS.items()
+    if claim.kind != "chain"
 }
 
 
@@ -235,34 +274,49 @@ class SharpConstants:
             )
 
 
-@_kept
-def _zseries(fam: _Family) -> series.SmallZSeries:
-    return series.primitives(fam.pf)
-
-
-@_kept
-def _consts(fam: _Family) -> tuple:
-    """(alpha, beta, beta_err, lam, lam_err) with lam = log(pi_p/2)."""
+def _constant(fam: _Family, name: str) -> tuple:
+    """(num, den, err) for a number the claim table names: its value is
+    num/den, and err bounds the error in num.  den keeps p a divisor: -d/p
+    and (-1/p) d differ in the last bit."""
     pf = fam.pf
-    ph, ph_err = fam.half
-    ch = cosh_p(ph, pf)
+    if name == "beta":
+        return _beta(fam)
+    if name == "lam":
+        ph, ph_err = fam.half
+        lam = math.log(ph)
+        return lam, 1.0, ph_err / ph + 2.0 * _EPS * abs(lam)
+    if name == "alpha":
+        alpha = 1.0 / (1.0 + pf)
+        return alpha, 1.0, _EPS * alpha
+    if name == "1/p":
+        return 1.0, pf, 0.0
+    return {"0": 0.0, "1": 1.0, "p": pf}[name], 1.0, 0.0
+
+
+@_kept
+def _beta(fam: _Family) -> tuple:
+    """beta = lam / log cosh_p(pi_p/2) as _constant gives it, the one
+    constant that needs cosh_p."""
+    lam, _, lam_err = _constant(fam, "lam")
+    ch = cosh_p(fam.half[0], fam.pf)
     lch = math.log(ch.value)
-    lam = math.log(ph)
-    lam_err = ph_err / ph + 2.0 * _EPS * abs(lam)
     beta = lam / lch
     beta_err = (
         lam_err / lch
         + abs(beta) * (ch.abs_err / ch.value) / lch
         + 4.0 * _EPS * abs(beta)
     )
-    alpha = 1.0 / (1.0 + pf)
-    return alpha, beta, beta_err, lam, lam_err
+    return beta, 1.0, beta_err
+
+
+def _value(fam: _Family, name: str) -> float:
+    num, den, _ = _constant(fam, name)
+    return num / den
 
 
 def sharp_constants(p: float) -> SharpConstants:
     fam = _FAMILIES[p, None]
-    alpha, beta, _, _, _ = _consts(fam)
-    return SharpConstants(alpha=alpha, beta=beta, p=fam.pf)
+    return SharpConstants(alpha=_value(fam, "alpha"), beta=_value(fam, "beta"), p=fam.pf)
 
 
 # ---------------------------------------------------------------------------
@@ -340,122 +394,84 @@ def _series_z(pf: float, x: float) -> Optional[float]:
     return None
 
 
-def _ratio(num: float, num_err: float, den: float, den_err: float, scale: float = 1.0) -> Evaluation:
-    v = scale * (num / den)
-    rel = num_err / abs(num) + den_err / abs(den)
-    return Evaluation(v, abs(v) * rel + 2.0 * _EPS * abs(v))
-
-
-def _require_circular(fam: _Family, x: float) -> None:
-    ph_v, _ = fam.half
-    if not 0.0 < x < ph_v:
-        raise DomainError(f"x must lie strictly inside (0, pi_p/2 = {ph_v}), got {x}")
-
-
-def _require_positive(x: float) -> None:
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-
-
 def _primitive(fam: _Family, name: str, x: float, z: Optional[float]) -> tuple:
     """The primitive named as in series.SmallZSeries at x, with its error:
     from its z-series and truncation bound when z is given, else by _DIRECT."""
     if z is None:
         return _DIRECT[name](fam, x)
-    q = getattr(_zseries(fam), name)
+    q = getattr(fam.zseries, name)
     return series.zp_eval(q, z), series.zp_trunc_err(q, z)
 
 
-def _ratio_functional(
-    fam: _Family, x: float, num: str, den: str, limit: float, scale: float = 1.0
-) -> Evaluation:
-    """scale * num/den for two primitives named as in series.SmallZSeries;
-    limit is the value as z -> 0, returned below the z-floor."""
+def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
+    """The functional of tag at x, from the formula its claim declares; below
+    the z-floor, its limit."""
+    fam = _FAMILIES[p, None]
+    claim = _CLAIMS[tag]
+    if claim.interval == "circular":
+        ph_v, _ = fam.half
+        if not 0.0 < x < ph_v:
+            raise DomainError(f"x must lie strictly inside (0, pi_p/2 = {ph_v}), got {x}")
+    elif not x > 0.0:
+        raise DomainError(f"x must be positive, got {x}")
+    num, den, limit, scale = claim.formula
     z = _series_z(fam.pf, x)
     if z is not None and z <= _Z_FLOOR:
-        return Evaluation(limit, 4.0 * _EPS * limit)
-    return _ratio(*_primitive(fam, num, x, z), *_primitive(fam, den, x, z), scale=scale)
+        v = _value(fam, limit)
+        return Evaluation(v, 4.0 * _EPS * v)
+    n, n_err = _primitive(fam, num, x, z)
+    if den is None:
+        return Evaluation(n, n_err)
+    d, d_err = _primitive(fam, den, x, z)
+    v = _value(fam, scale) * (n / d)
+    return Evaluation(v, abs(v) * (n_err / abs(n) + d_err / abs(d)) + 2.0 * _EPS * abs(v))
 
 
 def thm1_f(x: float, p: float) -> Evaluation:
     """log(x/sin_p(x)) / log(sinh_p(x)/x); increasing on (0, pi_p/2) from 1."""
-    fam = _FAMILIES[p, None]
-    _require_circular(fam, x)
-    return _ratio_functional(fam, x, "l1", "l2", 1.0)
+    return _functional(FunctionId.THM1_F, x, p)
 
 
 def thm2_g(x: float, p: float) -> Evaluation:
     """log(x/sin_p(x)) / log(cosh_p(x)); increasing on (0, pi_p/2) from 1/(1+p)."""
-    fam = _FAMILIES[p, None]
-    _require_circular(fam, x)
-    return _ratio_functional(fam, x, "l1", "l3", 1.0 / (1.0 + fam.pf))
+    return _functional(FunctionId.THM2_G, x, p)
 
 
 def lem22_f(x: float, p: float) -> Evaluation:
     """p sin_p log(x/sin_p) / (sin_p - x cos_p); decreasing on (0, pi_p/2) from 1."""
-    fam = _FAMILIES[p, None]
-    _require_circular(fam, x)
-    return _ratio_functional(fam, x, "l1", "d", 1.0, scale=fam.pf)
+    return _functional(FunctionId.LEM22_F, x, p)
 
 
 def lem23_g(x: float, p: float) -> Evaluation:
     """p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p); increasing on (0, inf), 1 to p."""
-    fam = _FAMILIES[p, None]
-    _require_positive(x)
-    return _ratio_functional(fam, x, "l2", "e", 1.0, scale=fam.pf)
+    return _functional(FunctionId.LEM23_G, x, p)
 
 
 def lem24_gap(x: float, p: float) -> Evaluation:
     """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), strictly positive for x > 0."""
-    fam = _FAMILIES[p, None]
-    _require_positive(x)
-    z = _series_z(fam.pf, x)
-    if z is not None and z <= _Z_FLOOR:
-        return Evaluation(0.0, 0.0)
-    return Evaluation(*_primitive(fam, "lem24", x, z))
+    return _functional(FunctionId.LEM24_GAP, x, p)
 
 
+# Each functional claim's evaluator is the function named after it.  The
+# verifier calls it through this plain dict, so a wrapper installed over the
+# module-level function, as bench/child.py installs them, is the one that runs.
 _FUNCTIONALS = {
-    FunctionId.THM1_F: thm1_f,
-    FunctionId.THM2_G: thm2_g,
-    FunctionId.LEM22_F: lem22_f,
-    FunctionId.LEM23_G: lem23_g,
-    FunctionId.LEM24_GAP: lem24_gap,
+    tag: globals()[tag.value.lower()] for tag, claim in _CLAIMS.items() if claim.kind != "chain"
 }
 
 
 # ---------------------------------------------------------------------------
 # chains
 
-def _interval(tag: FunctionId, fam: _Family) -> tuple:
-    return 0.0, fam.half[0] if tag in _CIRCULAR_TAGS else _HYP_UPPER
-
-
-def _chain_terms(fam: _Family, tag: FunctionId) -> tuple:
-    """The chain T_0 < T_1 < ... as term logs, and the pairs whose z^1 term cancels.
-
-    A term (num, den, num_err, prim) is log T = num * v / den, where v (with
-    error e) is the primitive named prim as in series.SmallZSeries (None for
-    T = 1) and num_err bounds the error in num; the term's error is then
-    |num| e / den + num_err v.  den keeps p a divisor: -d/p and (-1/p) d
-    differ in the last bit.
-    """
-    pf = fam.pf
-    alpha, beta, beta_err, lam, lam_err = _consts(fam)
-    sin_ratio = (-1.0, 1.0, 0.0, "l1")  # sin_p(x)/x
-    cosh_alpha = (-alpha, 1.0, _EPS * alpha, "l3")  # cosh_p(x)^-alpha
-    if tag is FunctionId.THM1_CHAIN:
-        return [(-pf, 1.0, 0.0, "l2"), sin_ratio, (-1.0, 1.0, 0.0, "l2")], {1}
-    if tag is FunctionId.THM2_CHAIN:
-        return [(-beta, 1.0, beta_err, "l3"), sin_ratio, cosh_alpha], {1}
-    if tag is FunctionId.LEM22_CHAIN:
-        return [(-1.0, pf, 0.0, "d"), sin_ratio, (-lam, 1.0, lam_err, "d")], {0}
-    if tag is FunctionId.LEM23_CHAIN:
-        return [(1.0, pf, 0.0, "e"), (1.0, 1.0, 0.0, "l2"), (1.0, 1.0, 0.0, "e")], {0}
-    if tag is FunctionId.COROLLARY_CHAIN:
-        terms = [(-beta, 1.0, beta_err, "l4"), (-beta, 1.0, beta_err, "l3"), sin_ratio, cosh_alpha]
-        return terms + [(0.0, 1.0, 0.0, None)], {0, 2}
-    raise ValueError(f"{tag} is not a chain claim")
+def _chain_terms(fam: _Family, tag: FunctionId) -> list:
+    """The chain's terms as (num, den, num_err, prim): log T = num * v / den,
+    where v (with error e) is the primitive prim (None for T = 1) and num_err
+    bounds the error in num; the term's error is |num| e / den + num_err v."""
+    terms = []
+    for sign, const, prim in _CLAIMS[tag].formula:
+        num, den, err = _constant(fam, const)
+        terms.append((sign * num, den, err, prim))
+    return terms
 
 
 @_kept
@@ -467,10 +483,9 @@ def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
     carry the cancellation removed exactly; evaluating that difference
     polynomial is what keeps margins certifiable down to z ~ 1e-290.
     """
-    sz = _zseries(fam)
-    terms, cancelling = _chain_terms(fam, tag)
+    sz = fam.zseries
     polys, cerrs = [], []
-    for num, den, num_err, prim in terms:
+    for num, den, num_err, prim in _chain_terms(fam, tag):
         q = series.zp() if prim is None else getattr(sz, prim)
         polys.append(num * q / den)
         cerrs.append(num_err * abs(q))
@@ -479,7 +494,7 @@ def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
     for k in range(len(polys) - 1):
         gp = polys[k + 1] - polys[k]
         gc = cerrs[k] + cerrs[k + 1]
-        if k in cancelling:
+        if k in _CLAIMS[tag].cancelling:
             gp = series.zero_coeff(gp, 1)
             # The z^1 coefficient cancels for the exact constants, so their
             # representation error carries no z^1 term either.
@@ -495,7 +510,6 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
     Margins are value-space gaps T_(k+1) - T_k computed as T_k expm1(gap_k)
     with gap_k the log-space difference, so a tiny gap between O(1) terms
     never passes through a float subtraction of the terms themselves.
-    THM2_CHAIN's pairs are cross-checked by _thm2_routes_agree.
     """
     z = _series_z(fam.pf, x)
     if z is not None:
@@ -510,7 +524,7 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
         ]
     else:
         logs = []
-        for num, den, num_err, prim in _chain_terms(fam, tag)[0]:
+        for num, den, num_err, prim in _chain_terms(fam, tag):
             v, e = (0.0, 0.0) if prim is None else _DIRECT[prim](fam, x)
             logs.append((num * v / den, abs(num) * e / den + num_err * v))
         gaps = [
@@ -530,8 +544,6 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
         )
         margins.append(m)
         budgets.append(budget)
-    if tag is FunctionId.THM2_CHAIN:
-        _thm2_routes_agree(fam, x, margins, budgets)
     return values, margins, budgets
 
 
@@ -544,37 +556,42 @@ def _decide(margin: float, budget: float) -> Optional[bool]:
     return None
 
 
-def _thm2_routes_agree(fam: _Family, x: float, margins: list, budgets: list) -> None:
-    """Cross-check the chain against alpha < thm2_g < beta at the same point.
+def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
+    """_chain_point's (values, margins, budgets) at x, and the Evaluation of
+    the chain's route functional f there (None without a route).
 
-    Chain pair 0 is cosh^-beta vs sin/x (sign of beta - g); pair 1 is sin/x
-    vs cosh^-alpha (sign of g - alpha).  A decisive disagreement between the
-    two routes means the point cannot be reported either way.
+    With a route, pair 0 must agree with the sign of c_0 - f and pair 1 with
+    that of f - c_2 (see _Claim).  A decisive disagreement between the two
+    routes means the point cannot be reported either way.
     """
-    pf = fam.pf
-    alpha, beta, beta_err, _, _ = _consts(fam)
-    g = thm2_g(x, pf)
-    route2 = [
-        _decide(beta - g.value, g.abs_err + beta_err),
-        _decide(g.value - alpha, g.abs_err + _EPS * alpha),
-    ]
-    chain = [_decide(m, b) for m, b in zip(margins, budgets)]
-    for k, (a, b) in enumerate(zip(chain, route2)):
+    values, margins, budgets = _chain_point(tag, fam, x)
+    claim = _CLAIMS[tag]
+    if claim.route is None:
+        return values, margins, budgets, None
+    f = _FUNCTIONALS[claim.route](x, fam.pf)
+    hi, _, hi_err = _constant(fam, claim.formula[0][1])
+    lo, _, lo_err = _constant(fam, claim.formula[2][1])
+    route = [_decide(hi - f.value, f.abs_err + hi_err), _decide(f.value - lo, f.abs_err + lo_err)]
+    for k, (a, b) in enumerate(zip(map(_decide, margins, budgets), route)):
         if a is not None and b is not None and a != b:
             raise EvaluationFailed(
-                "THM2_CHAIN", x, pf,
+                tag.value, x, fam.pf,
                 RuntimeError(f"chain and sharp-exponent routes disagree at pair {k}"),
             )
+    return values, margins, budgets, f
 
 
 # ---------------------------------------------------------------------------
-# verifiers: each builds one (x, values, margin, budget) record per point
+# the verifier: one (x, values, margin, budget) record per point
 
-def _records(claim: str, tag: FunctionId, fam: _Family, grid: Optional[GridSpec], at) -> list:
-    """[at(x)] over the grid on tag's interval, a core failure at x raised
-    as EvaluationFailed."""
+def _interval(tag: FunctionId, fam: _Family) -> tuple:
+    return 0.0, fam.half[0] if _CLAIMS[tag].interval == "circular" else _HYP_UPPER
+
+
+def _records(claim: str, fam: _Family, xs: list, at) -> list:
+    """[at(x) for x in xs], a core failure at x raised as EvaluationFailed."""
     out = []
-    for x in grid_points(grid or GridSpec(), *_interval(tag, fam)):
+    for x in xs:
         try:
             out.append(at(x))
         except _CORE_ERRORS as exc:
@@ -611,90 +628,34 @@ def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") 
     )
 
 
-def verify_chain(
-    claim: FunctionId,
-    p: float,
-    grid: Optional[GridSpec] = None,
-) -> VerificationReport:
-    """Certify every adjacent inequality of a chain on a grid.
-
-    passed requires each pair's value-space margin to exceed its error budget
-    at every point.  For THM2_CHAIN the equivalent sharp-exponent bounds
-    alpha < thm2_g < beta are checked alongside and must agree pointwise.
-    """
-    if claim not in _CHAIN_TAGS:
-        raise ValueError(f"{claim} is not a chain claim")
-    fam = _FAMILIES[p, None]
-
-    def at(x: float) -> tuple:
-        return _weakest_pair(x, *_chain_point(claim, fam, x))
-
-    return _report(claim.value, fam.pf, _records(claim.value, claim, fam, grid, at))
-
-
-def verify_monotone(
-    claim: FunctionId,
-    p: float,
-    grid: Optional[GridSpec] = None,
-    direction: Optional[str] = None,
-) -> VerificationReport:
-    """Check that a functional moves in `direction` along the grid.
-
-    The verdict tolerates reversals inside the shared error budget (reported
-    as the claimed direction but leaving passed=false via the margin rule);
-    a reversal beyond the budget yields verdict "violated".
-    """
-    if claim not in _FUNCTIONALS:
-        raise ValueError(f"{claim} does not name a scalar functional")
-    if direction is None:
-        direction = CANONICAL_DIRECTION[claim]
-    if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"direction must be increasing|decreasing, got {direction!r}")
-    fam = _FAMILIES[p, None]
-    fn = _FUNCTIONALS[claim]
-    evs = _records(claim.value, claim, fam, grid, lambda x: (x, fn(x, fam.pf)))
-
-    sign = 1.0 if direction == "increasing" else -1.0
-    records = [
-        (x, (ev.value,), sign * (nxt.value - ev.value), ev.abs_err + nxt.abs_err)
-        for (x, ev), (_, nxt) in zip(evs, evs[1:])
-    ]
-    violated = any(margin < -budget for _, _, margin, budget in records)
-    return _report(claim.value, fam.pf, records, "violated" if violated else direction)
-
-
-def _verify_positive(
-    claim: FunctionId, p: float, grid: Optional[GridSpec] = None
-) -> VerificationReport:
-    fam = _FAMILIES[p, None]
-    fn = _FUNCTIONALS[claim]
-
-    def at(x: float) -> tuple:
-        ev = fn(x, fam.pf)
-        return x, (ev.value,), ev.value, ev.abs_err
-
-    return _report(claim.value, fam.pf, _records(claim.value, claim, fam, grid, at))
-
-
 def bounds_sandwich(p: float, grid: Optional[GridSpec] = None) -> VerificationReport:
     """Certify 1 < thm1_f < p and alpha < thm2_g < beta at every grid point.
 
     After taking logs these bounds are THM1_CHAIN, (x/sinh_p)^p < sin_p/x <
     x/sinh_p, and THM2_CHAIN, cosh_p^-beta < sin_p/x < cosh_p^-alpha, so each
     point's four margins and budgets are the two chains' at that point, and
-    its values are (thm1_f, thm2_g).
+    its values are (thm1_f, thm2_g), the latter THM2_CHAIN's route.
     """
     fam = _FAMILIES[p, None]
     pf = fam.pf
 
     def at(x: float) -> tuple:
-        _, margins1, budgets1 = _chain_point(FunctionId.THM1_CHAIN, fam, x)
-        _, margins2, budgets2 = _chain_point(FunctionId.THM2_CHAIN, fam, x)
-        values = (thm1_f(x, pf).value, thm2_g(x, pf).value)
+        _, margins1, budgets1, _ = _chain_at(FunctionId.THM1_CHAIN, fam, x)
+        _, margins2, budgets2, g = _chain_at(FunctionId.THM2_CHAIN, fam, x)
+        values = (thm1_f(x, pf).value, g.value)
         return _weakest_pair(x, values, margins1 + margins2, budgets1 + budgets2)
 
-    records = _records("BOUNDS_SANDWICH", FunctionId.THM1_F, fam, grid, at)
-    return _report("BOUNDS_SANDWICH", pf, records)
+    xs = grid_points(grid or GridSpec(), *_interval(FunctionId.THM1_CHAIN, fam))
+    return _report("BOUNDS_SANDWICH", pf, _records("BOUNDS_SANDWICH", fam, xs, at))
+
+
+def _claim_id(claim: Union[FunctionId, str]) -> FunctionId:
+    if isinstance(claim, str):
+        try:
+            return FunctionId[claim.upper()]
+        except KeyError:
+            raise ValueError(f"unknown claim {claim!r}") from None
+    return claim
 
 
 def verify_claim(
@@ -702,17 +663,40 @@ def verify_claim(
     p: float,
     grid: Optional[GridSpec] = None,
 ) -> VerificationReport:
-    """Dispatch a claim to its verifier (chain, positivity, or monotonicity)."""
-    if isinstance(claim, str):
-        try:
-            claim = FunctionId[claim.upper()]
-        except KeyError:
-            raise ValueError(f"unknown claim {claim!r}") from None
-    if claim in _CHAIN_TAGS:
-        return verify_chain(claim, p, grid)
-    if claim is FunctionId.LEM24_GAP:
-        return _verify_positive(claim, p, grid)
-    return verify_monotone(claim, p, grid)
+    """Certify one claim on a grid over its interval.
+
+    A chain passes when every adjacent pair's value-space margin exceeds its
+    error budget at every point; a chain with a route must also agree with
+    its functional's bounds there.  A positive functional passes when each
+    value exceeds its error bound.  A monotone functional passes when each
+    step between neighbouring points moves the claimed way by more than
+    their summed error bounds; a step the other way beyond them makes the
+    verdict "violated".
+    """
+    tag = _claim_id(claim)
+    spec = _CLAIMS[tag]
+    fam = _FAMILIES[p, None]
+    if spec.kind == "chain":
+        def at(x: float) -> tuple:
+            return _weakest_pair(x, *_chain_at(tag, fam, x)[:3])
+    else:
+        fn = _FUNCTIONALS[tag]
+
+        def at(x: float) -> tuple:
+            ev = fn(x, fam.pf)
+            return x, (ev.value,), ev.value, ev.abs_err
+
+    xs = grid_points(grid or GridSpec(), *_interval(tag, fam))
+    records = _records(tag.value, fam, xs, at)
+    if spec.kind in ("chain", "positive"):
+        return _report(tag.value, fam.pf, records)
+    sign = 1.0 if spec.kind == "increasing" else -1.0
+    steps = [
+        (x, values, sign * (nxt - v), err + nxt_err)
+        for (x, values, v, err), (_, _, nxt, nxt_err) in zip(records, records[1:])
+    ]
+    violated = any(margin < -budget for _, _, margin, budget in steps)
+    return _report(tag.value, fam.pf, steps, "violated" if violated else spec.kind)
 
 
 def is_exploratory(claim: Union[FunctionId, str], p: float) -> bool:
@@ -721,6 +705,4 @@ def is_exploratory(claim: Union[FunctionId, str], p: float) -> bool:
     Only the positivity of lem24_gap is certified down to p > 1; every other
     claim assumes p >= 2, and runs below that are reported, never asserted.
     """
-    if isinstance(claim, str):
-        claim = FunctionId[claim.upper()]
-    return _valid_p(p) < 2.0 and claim is not FunctionId.LEM24_GAP
+    return _valid_p(p) < _CLAIMS[_claim_id(claim)].p_min

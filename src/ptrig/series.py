@@ -42,7 +42,6 @@ __all__ = [
     "zp_trunc_err",
     "zero_coeff",
     "SmallZSeries",
-    "primitives",
 ]
 
 _DEG = 4  # coefficients kept per polynomial
@@ -249,7 +248,3 @@ class SmallZSeries:
         # loses its z^1 term exactly.
         growth = zp_expm1(zp_scale(self.l2 - self.l3, p - 1.0)).replace(0, 1.0)
         self.lem24 = zero_coeff(self.l3 - zp_shift_z(growth) / p, 1)
-
-
-def primitives(p: float) -> SmallZSeries:
-    return SmallZSeries(p)

@@ -55,13 +55,8 @@ GRID = iq.GridSpec(n=200)
 
 
 @functools.lru_cache(maxsize=None)
-def chain_report(tag: F, p: float) -> iq.VerificationReport:
-    return iq.verify_chain(tag, p, GRID)
-
-
-@functools.lru_cache(maxsize=None)
-def monotone_report(tag: F, p: float) -> iq.VerificationReport:
-    return iq.verify_monotone(tag, p, GRID)
+def claim_report(tag: F, p: float) -> iq.VerificationReport:
+    return iq.verify_claim(tag, p, GRID)
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,11 +180,11 @@ def test_c06_derivatives_vs_central_difference(p):
 
 @pytest.mark.parametrize("p", P_CERT)
 def test_c07_thm1(p):
-    chain = chain_report(F.THM1_CHAIN, p)
+    chain = claim_report(F.THM1_CHAIN, p)
     assert chain.passed
     assert chain.min_margin > 0
     assert len(chain.points) == 200
-    assert monotone_report(F.THM1_F, p).monotone_verdict == "increasing"
+    assert claim_report(F.THM1_F, p).monotone_verdict == "increasing"
     # 1 < f < p at every grid point, certified through the margin machinery
     # (near zero f rounds to 1.0 while f - 1 is still provably positive).
     assert bounds_report(p).passed
@@ -197,9 +192,9 @@ def test_c07_thm1(p):
 
 @pytest.mark.parametrize("p", P_CERT)
 def test_c08_thm2(p):
-    chain = chain_report(F.THM2_CHAIN, p)
+    chain = claim_report(F.THM2_CHAIN, p)
     assert chain.passed
-    assert monotone_report(F.THM2_G, p).monotone_verdict == "increasing"
+    assert claim_report(F.THM2_G, p).monotone_verdict == "increasing"
     assert bounds_report(p).passed
     sc = iq.sharp_constants(p)
     lo, hi = iq._interval(F.THM2_G, ptrig.core._FAMILIES[p, None])
@@ -210,15 +205,15 @@ def test_c08_thm2(p):
 
 @pytest.mark.parametrize("p", P_CERT)
 def test_c09_lem22(p):
-    assert monotone_report(F.LEM22_F, p).monotone_verdict == "decreasing"
-    assert chain_report(F.LEM22_CHAIN, p).passed
+    assert claim_report(F.LEM22_F, p).monotone_verdict == "decreasing"
+    assert claim_report(F.LEM22_CHAIN, p).passed
     assert abs(iq.lem22_f(1e-3, p).value - 1.0) <= 5e-3
 
 
 @pytest.mark.parametrize("p", P_CERT)
 def test_c10_lem23(p):
-    assert monotone_report(F.LEM23_G, p).monotone_verdict == "increasing"
-    assert chain_report(F.LEM23_CHAIN, p).passed
+    assert claim_report(F.LEM23_G, p).monotone_verdict == "increasing"
+    assert claim_report(F.LEM23_CHAIN, p).passed
 
 
 @pytest.mark.xfail(
@@ -238,7 +233,7 @@ def test_c11_lem24_gap(p):
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 10.0])
 def test_c12_corollary_chain(p):
-    rep = chain_report(F.COROLLARY_CHAIN, p)
+    rep = claim_report(F.COROLLARY_CHAIN, p)
     assert rep.passed
     assert rep.min_margin > 0
 

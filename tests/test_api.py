@@ -44,9 +44,7 @@ PUBLIC = {
     "tanh_p",
     "thm1_f",
     "thm2_g",
-    "verify_chain",
     "verify_claim",
-    "verify_monotone",
     "__version__",
 }
 

@@ -195,7 +195,9 @@ def _audit_hyperbolic(p):
     # up to near the end of the double range.
     xs += [7.0, 40.0, 700.0]
     # Deep in the series range, and for arsinh_p a short quadrature interval.
-    xs += [1e-5]
+    # Down to 1e-14 tanh_p's value must not pass through log sinh_p, whose
+    # rounding there is |log sinh_p| ulp.
+    xs += [1e-5, 9.230537181463702e-08] + [10.0 ** -k for k in range(7, 15)]
     out = []
     with mp.workdps(DPS):
         P = mp.mpf(p)

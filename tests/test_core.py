@@ -602,15 +602,15 @@ class TestFamilyRegistry:
             iq.sharp_constants(p)
             iq._chain_point(iq.FunctionId.THM2_CHAIN, core._FAMILIES[p, None], 1e-3)
         assert len(core._FAMILIES) == core._FAMILY_CAP
-        for fn in (series.primitives, series.direct_coeffs, series.inverse_coeffs,
-                   series.hyper_inverse_coeffs, iq._consts, iq._chain_polys):
+        for fn in (series.direct_coeffs, series.inverse_coeffs,
+                   series.hyper_inverse_coeffs, iq._beta, iq._chain_polys):
             assert not hasattr(fn, "cache_info"), fn
         gc.collect()
         live = sum(isinstance(o, series.SmallZSeries) for o in gc.get_objects())
         assert live <= core._FAMILY_CAP
-        derived = (iq._zseries, iq._consts, iq._chain_polys)
+        derived = (iq._beta, iq._chain_polys)
         for fam in core._FAMILIES.values():
-            assert sum(len(self.kept(fam, fn)) for fn in derived) <= 3
+            assert sum(len(self.kept(fam, fn)) for fn in derived) <= 2
 
     def test_concurrent_callers_see_the_same_values(self):
         ps = [1.5 + k / 8 for k in range(core._FAMILY_CAP + 8)]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -226,7 +227,7 @@ class TestChains:
         [F.THM1_CHAIN, F.THM2_CHAIN, F.LEM22_CHAIN, F.LEM23_CHAIN, F.COROLLARY_CHAIN],
     )
     def test_pass_certified(self, tag, p):
-        rep = iq.verify_chain(tag, p, iq.GridSpec(n=50))
+        rep = iq.verify_claim(tag, p, iq.GridSpec(n=50))
         assert rep.passed
         assert rep.min_margin > 0
         assert rep.monotone_verdict == "not_checked"
@@ -234,7 +235,7 @@ class TestChains:
 
     def test_chain_terms_match_oracle(self):
         # Spot-check THM1 terms at x=1, p=3 against the mp oracle.
-        rep = iq.verify_chain(F.THM1_CHAIN, 3.0, iq.GridSpec(n=5))
+        rep = iq.verify_claim(F.THM1_CHAIN, 3.0, iq.GridSpec(n=5))
         x = rep.points[2].x
         s = float(mp_sin_p(3.0, x))
         sh = float(mp_sinh_p(3.0, x))
@@ -249,7 +250,8 @@ class TestChains:
         fam = ptrig.core._FAMILIES[p, None]
         points = [
             (tag, z ** (1.0 / p))
-            for tag in sorted(iq._CHAIN_TAGS, key=str)
+            for tag in sorted(iq._CLAIMS, key=str)
+            if iq._CLAIMS[tag].kind == "chain"
             for z in (4.5e-3, 6e-3, 1e-2)
         ]
         direct = [iq._chain_point(tag, fam, x) for tag, x in points]
@@ -262,7 +264,7 @@ class TestChains:
     def test_ordering_of_terms(self):
         # Adjacent terms can tie at double resolution near 0; the certified
         # ordering lives in the margin, the values only have to not reverse.
-        rep = iq.verify_chain(F.COROLLARY_CHAIN, 2.0, iq.GridSpec(n=20))
+        rep = iq.verify_claim(F.COROLLARY_CHAIN, 2.0, iq.GridSpec(n=20))
         for pt in rep.points:
             vals = pt.values
             assert len(vals) == 5
@@ -272,20 +274,16 @@ class TestChains:
 
     def test_thm1_fails_below_two(self):
         # The chain genuinely reverses for p < 2; an honest negative report.
-        rep = iq.verify_chain(F.THM1_CHAIN, 1.5, iq.GridSpec(n=50))
+        rep = iq.verify_claim(F.THM1_CHAIN, 1.5, iq.GridSpec(n=50))
         assert not rep.passed
         assert rep.min_margin < 0
 
     def test_thm2_equals_bounds_route(self):
         sc = iq.sharp_constants(3.0)
-        rep = iq.verify_chain(F.THM2_CHAIN, 3.0, iq.GridSpec(n=50))
+        rep = iq.verify_claim(F.THM2_CHAIN, 3.0, iq.GridSpec(n=50))
         for pt in rep.points:
             g = iq.thm2_g(pt.x, 3.0).value
             assert (pt.margin > 0) == (sc.alpha < g < sc.beta)
-
-    def test_non_chain_rejected(self):
-        with pytest.raises(ValueError):
-            iq.verify_chain(F.THM1_F, 2.0)
 
 
 class TestMonotone:
@@ -294,36 +292,32 @@ class TestMonotone:
         "tag", [F.THM1_F, F.THM2_G, F.LEM22_F, F.LEM23_G]
     )
     def test_verdicts(self, tag, p):
-        rep = iq.verify_monotone(tag, p, iq.GridSpec(n=200))
+        rep = iq.verify_claim(tag, p, iq.GridSpec(n=200))
         assert rep.monotone_verdict == iq.CANONICAL_DIRECTION[tag]
 
     @pytest.mark.parametrize("tag", [F.THM1_F, F.THM2_G, F.LEM22_F, F.LEM23_G])
     def test_certified_pass_at_p3(self, tag):
         # At moderate p every consecutive difference clears its budget.
-        rep = iq.verify_monotone(tag, 3.0, iq.GridSpec(n=200))
+        rep = iq.verify_claim(tag, 3.0, iq.GridSpec(n=200))
         assert rep.passed
 
-    def test_wrong_direction_violates(self):
-        rep = iq.verify_monotone(F.THM1_F, 2.0, iq.GridSpec(n=50), direction="decreasing")
+    def test_genuine_reversal_violates(self):
+        # LEM22_F's decrease needs p >= 2; at p = 1.5 it genuinely increases.
+        rep = iq.verify_claim("lem22_f", 1.5, iq.GridSpec(n=50))
         assert rep.monotone_verdict == "violated"
         assert not rep.passed
 
     def test_exploratory_lem22_flips(self):
         # Below p=2 the functional increases toward p log(pi_p/2) > 1.
-        rep = iq.verify_monotone(F.LEM22_F, 1.5, iq.GridSpec(n=100), direction="increasing")
-        assert rep.monotone_verdict == "increasing"
+        rep = iq.verify_claim(F.LEM22_F, 1.5, iq.GridSpec(n=100))
+        values = [pt.values[0] for pt in rep.points]
+        assert all(a < b for a, b in zip(values, values[1:]))
         assert iq.is_exploratory(F.LEM22_F, 1.5)
         assert not iq.is_exploratory(F.LEM22_F, 2.0)
         assert not iq.is_exploratory(F.LEM24_GAP, 1.5)
 
-    def test_functional_only(self):
-        with pytest.raises(ValueError):
-            iq.verify_monotone(F.THM1_CHAIN, 2.0)
-        with pytest.raises(ValueError):
-            iq.verify_monotone(F.THM1_F, 2.0, direction="sideways")
-
     def test_point_count(self):
-        rep = iq.verify_monotone(F.THM2_G, 2.0, iq.GridSpec(n=40))
+        rep = iq.verify_claim(F.THM2_G, 2.0, iq.GridSpec(n=40))
         assert len(rep.points) == 39
 
 
@@ -351,8 +345,8 @@ class TestBoundsSandwich:
     @pytest.mark.parametrize("grid", [iq.GridSpec(n=40), iq.GridSpec(n=31, spacing="log")])
     def test_is_the_thm1_and_thm2_chains(self, p, grid):
         rep = iq.bounds_sandwich(p, grid)
-        thm1 = iq.verify_chain(F.THM1_CHAIN, p, grid)
-        thm2 = iq.verify_chain(F.THM2_CHAIN, p, grid)
+        thm1 = iq.verify_claim(F.THM1_CHAIN, p, grid)
+        thm2 = iq.verify_claim(F.THM2_CHAIN, p, grid)
         assert rep.passed == (thm1.passed and thm2.passed)
         for pt, a, b in zip(rep.points, thm1.points, thm2.points, strict=True):
             assert pt.x == a.x == b.x
@@ -393,7 +387,7 @@ class TestDispatchAndFailure:
 
         monkeypatch.setattr(iq, "_sinh_raw", boom)
         with pytest.raises(iq.EvaluationFailed) as exc:
-            iq.verify_chain(F.LEM23_CHAIN, 2.0, iq.GridSpec(n=5))
+            iq.verify_claim(F.LEM23_CHAIN, 2.0, iq.GridSpec(n=5))
         assert exc.value.claim == "LEM23_CHAIN"
         assert exc.value.p == 2.0
         assert isinstance(exc.value.cause, NonConvergence)
@@ -438,3 +432,49 @@ class TestReports:
             assert rep.min_margin == min(pt.margin for pt in rep.points)
             if any(pt.margin <= 0 for pt in rep.points):
                 assert not rep.passed
+
+
+class TestCheckHooks:
+    """bench/child.py's check mode wraps _chain_point and lem24_gap by
+    replacing every module-level reference to them in ptrig, values of plain
+    dicts included, and skips a name it cannot find.  verify_claim must run
+    through the wrappers at every point."""
+
+    @staticmethod
+    def wrap_everywhere(monkeypatch, orig, replacement):
+        for name, mod in list(sys.modules.items()):
+            if name != "ptrig" and not name.startswith("ptrig."):
+                continue
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, replacement)
+                elif type(val) is dict:
+                    for dkey, dval in list(val.items()):
+                        if dval is orig:
+                            monkeypatch.setitem(val, dkey, replacement)
+
+    def test_verify_claim_runs_through_the_wrapped_checks(self, monkeypatch):
+        seen = []
+        chain_point, gap = iq._chain_point, iq.lem24_gap
+
+        def checked_chain_point(*args, **kwargs):
+            values, margins, budgets = chain_point(*args, **kwargs)
+            seen.append(("chain", len(margins) == len(values) - 1 == len(budgets)))
+            return values, margins, budgets
+
+        def checked_gap(*args, **kwargs):
+            ev = gap(*args, **kwargs)
+            seen.append(("positive", ev.abs_err >= 0.0))
+            return ev
+
+        self.wrap_everywhere(monkeypatch, chain_point, checked_chain_point)
+        self.wrap_everywhere(monkeypatch, gap, checked_gap)
+        n = 12
+        for tag, claim in iq._CLAIMS.items():
+            seen.clear()
+            rep = iq.verify_claim(tag, 3.0, iq.GridSpec(n=n))
+            assert rep.passed, tag
+            if claim.kind in ("chain", "positive"):
+                assert seen == [(claim.kind, True)] * n, tag
+            else:
+                assert seen == [], tag

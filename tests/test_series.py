@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ptrig.series import (
+    SmallZSeries,
     direct_coeffs,
     hyper_inverse_coeffs,
     inverse_coeffs,
-    primitives,
     zero_coeff,
     zp,
     zp_eval,
@@ -206,7 +206,7 @@ class TestPrimitiveSeries:
     def test_primitives_and_margins_against_mpmath(self, p, zval):
         x = zval ** (1.0 / p)
         refs = mp_primitives(p, x, dps=50)
-        s = primitives(p)
+        s = SmallZSeries(p)
 
         for name in ("l1", "l2", "l3", "l4", "d", "e"):
             poly = getattr(s, name)
@@ -229,18 +229,18 @@ class TestPrimitiveSeries:
         # the engine certifies through the series route.  This holds on the
         # p >= 2 set only: e.g. the l1 - l2 coefficient is negative at
         # p = 1.5, which is why those claims hypothesize p >= 2.
-        s = primitives(p)
+        s = SmallZSeries(p)
         for name, build in _DEGENERATE.items():
             poly = build(s)
             assert poly[1] == 0.0, name
             assert poly[2] > 0.0, f"{name} leading coefficient at p={p}"
 
     def test_below_two_the_circular_hyperbolic_margin_flips(self):
-        s = primitives(1.5)
+        s = SmallZSeries(1.5)
         assert zero_coeff(s.l1 - s.l2, 1)[2] < 0.0
         assert s.lem24[2] > 0.0  # the gap claim alone covers all p > 1
 
     def test_lem24_classical_coefficient(self):
         # At p=2 the gap expands as z^2/12 + O(z^3).
-        s = primitives(2.0)
+        s = SmallZSeries(2.0)
         assert s.lem24[2] == pytest.approx(1.0 / 12.0, rel=1e-12)
