@@ -29,13 +29,11 @@ from .core import (
     tanh_p,
 )
 from .inequalities import (
-    CANONICAL_DIRECTION,
     EvaluationFailed,
     FunctionId,
     GridSpec,
     SharpConstants,
     VerificationReport,
-    bounds_sandwich,
     grid_points,
     is_exploratory,
     lem22_f,
@@ -56,7 +54,6 @@ from .numerics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CANONICAL_DIRECTION",
     "DomainError",
     "Evaluation",
     "EvaluationFailed",
@@ -70,7 +67,6 @@ __all__ = [
     "VerificationReport",
     "arcsin_p",
     "arsinh_p",
-    "bounds_sandwich",
     "cos_p",
     "cosh_p",
     "d_cos_p",

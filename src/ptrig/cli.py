@@ -58,7 +58,7 @@ _DEFAULT_TOL = 1e-10
 
 def _tolerance(tol: Optional[float]) -> Tolerance:
     t = _DEFAULT_TOL if tol is None else tol
-    return Tolerance(abs_tol=t, rel_tol=t, max_iter=80)
+    return Tolerance(abs_tol=t, rel_tol=t)
 
 
 def _table_interval(fn: str, p: float, tol: Tolerance) -> tuple:
@@ -121,8 +121,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 
 
 def _cmd_constants(ns: argparse.Namespace) -> int:
-    tol = _tolerance(ns.tol)
-    pip = core.pi_p(ns.p, tol).value
+    pip = core.pi_p(ns.p).value
     sc = sharp_constants(ns.p)
     if ns.format == "json":
         payload = {"p": ns.p, "pi_p": pip, "alpha": sc.alpha, "beta": sc.beta}
@@ -232,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_const = verbs.add_parser("constants", help="print pi_p and the sharp exponents")
     _add_common(p_const)
-    _add_tol(p_const)
     p_const.set_defaults(handler=_cmd_constants)
 
     p_verify = verbs.add_parser("verify", help="run inequality verification")

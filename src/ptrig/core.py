@@ -89,8 +89,10 @@ _SERIES_Z = 1e-3
 # tan_p reports a pole and the p > 2 derivative singularities refuse.
 _POLE_WINDOW = 1e-12
 
-_QUAD_TOL = Tolerance(abs_tol=1e-15, rel_tol=5e-14, max_iter=60)
-_INV_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=80)
+_QUAD_TOL = Tolerance(abs_tol=1e-15, rel_tol=5e-14)
+_INV_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+# Step cap of the Newton loops in _sin_state and _sinh_raw.
+_NEWTON_STEPS = 80
 
 
 class DomainError(ValueError):
@@ -129,9 +131,7 @@ class _Family:
     def __init__(self, pf: float, tol: Optional[Tolerance]) -> None:
         self.pf = pf
         self.q = (pf - 1.0) / pf
-        self.qtol, self.itol = _QUAD_TOL, _INV_TOL
-        if tol is not None:
-            self.qtol, self.itol = tol, Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 80))
+        self.qtol, self.itol = (_QUAD_TOL, _INV_TOL) if tol is None else (tol, tol)
         self.snap = int(pf) if pf.is_integer() and 2.0 <= pf <= 64.0 else 0
         self.memo = {}
 
@@ -426,7 +426,7 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     top = min(w_top + 1.0, -math.log1p(z))
     lo, hi = -math.inf, top
     last = False
-    for _ in range(fam.itol.max_iter):
+    for _ in range(_NEWTON_STEPS):
         om, sp = math.exp(w), -math.expm1(w)
         v, v_err = _arcsin_series(fam, sp ** (1.0 / pf), om)
         r = v - x
@@ -448,7 +448,7 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
         step = w + r / slope
         w = step if lo < step < hi else 0.5 * (lo + hi)
     else:
-        raise NonConvergence(f"sin_p({x}): no root in log cos_p^p in {fam.itol.max_iter} steps")
+        raise NonConvergence(f"sin_p({x}): no root in log cos_p^p in {_NEWTON_STEPS} steps")
 
     # The band on w from the residual's bound R.  Above w the slope only
     # grows, so the root lies within d = R/slope, and below the ceilings;
@@ -487,7 +487,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     # Newton on the concave arsinh_p, bisecting whenever a step leaves the
     # bracket; halves are summed separately so that lo + hi cannot overflow.
     lo, s = x, 0.5 * x + 0.5 * hi
-    for _ in range(fam.itol.max_iter):
+    for _ in range(_NEWTON_STEPS):
         r = _arsinh_quad(fam, s)[0] - x
         if abs(r) <= fam.itol.abs_tol * (1.0 + x):
             break
@@ -498,7 +498,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
         step = s - r / math.exp(-_log_cosh(pf, s))
         s = step if lo < step < hi else 0.5 * lo + 0.5 * hi
     else:
-        raise NonConvergence(f"sinh_p({x}): no root in {fam.itol.max_iter} steps")
+        raise NonConvergence(f"sinh_p({x}): no root in {_NEWTON_STEPS} steps")
     # The residual band plus the band of the integral itself, through the
     # slope cosh_p(s)^-1 of arsinh_p.
     restol = fam.itol.abs_tol * (1.0 + x) + 2.0 * fam.qtol.rel_tol * x

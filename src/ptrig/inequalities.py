@@ -56,7 +56,6 @@ __all__ = [
     "VerificationReport",
     "SharpConstants",
     "EvaluationFailed",
-    "CANONICAL_DIRECTION",
     "grid_points",
     "sharp_constants",
     "thm1_f",
@@ -64,7 +63,6 @@ __all__ = [
     "lem22_f",
     "lem23_g",
     "lem24_gap",
-    "bounds_sandwich",
     "verify_claim",
     "is_exploratory",
 ]
@@ -159,13 +157,6 @@ _CLAIMS = {
     FunctionId.LEM23_CHAIN: _Claim(
         "chain", "hyperbolic", ((1, "1/p", "e"), (1, "1", "l2"), (1, "1", "e")), cancelling=(0,)
     ),
-}
-
-# The positivity of lem24_gap is certified as its rise from the limit 0.
-CANONICAL_DIRECTION = {
-    tag: "decreasing" if claim.kind == "decreasing" else "increasing"
-    for tag, claim in _CLAIMS.items()
-    if claim.kind != "chain"
 }
 
 
@@ -557,8 +548,7 @@ def _decide(margin: float, budget: float) -> Optional[bool]:
 
 
 def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
-    """_chain_point's (values, margins, budgets) at x, and the Evaluation of
-    the chain's route functional f there (None without a route).
+    """_chain_point's (values, margins, budgets) at x.
 
     With a route, pair 0 must agree with the sign of c_0 - f and pair 1 with
     that of f - c_2 (see _Claim).  A decisive disagreement between the two
@@ -567,7 +557,7 @@ def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
     values, margins, budgets = _chain_point(tag, fam, x)
     claim = _CLAIMS[tag]
     if claim.route is None:
-        return values, margins, budgets, None
+        return values, margins, budgets
     f = _FUNCTIONALS[claim.route](x, fam.pf)
     hi, _, hi_err = _constant(fam, claim.formula[0][1])
     lo, _, lo_err = _constant(fam, claim.formula[2][1])
@@ -578,7 +568,7 @@ def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
                 tag.value, x, fam.pf,
                 RuntimeError(f"chain and sharp-exponent routes disagree at pair {k}"),
             )
-    return values, margins, budgets, f
+    return values, margins, budgets
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +587,6 @@ def _records(claim: str, fam: _Family, xs: list, at) -> list:
         except _CORE_ERRORS as exc:
             raise EvaluationFailed(claim, x, fam.pf, exc) from exc
     return out
-
-
-def _weakest_pair(x: float, values: tuple, margins: list, budgets: list) -> tuple:
-    """The record of a point with several pairs: its smallest margin and that budget."""
-    m = min(margins)
-    return x, values, m, budgets[margins.index(m)]
 
 
 def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") -> VerificationReport:
@@ -628,27 +612,6 @@ def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") 
     )
 
 
-def bounds_sandwich(p: float, grid: Optional[GridSpec] = None) -> VerificationReport:
-    """Certify 1 < thm1_f < p and alpha < thm2_g < beta at every grid point.
-
-    After taking logs these bounds are THM1_CHAIN, (x/sinh_p)^p < sin_p/x <
-    x/sinh_p, and THM2_CHAIN, cosh_p^-beta < sin_p/x < cosh_p^-alpha, so each
-    point's four margins and budgets are the two chains' at that point, and
-    its values are (thm1_f, thm2_g), the latter THM2_CHAIN's route.
-    """
-    fam = _FAMILIES[p, None]
-    pf = fam.pf
-
-    def at(x: float) -> tuple:
-        _, margins1, budgets1, _ = _chain_at(FunctionId.THM1_CHAIN, fam, x)
-        _, margins2, budgets2, g = _chain_at(FunctionId.THM2_CHAIN, fam, x)
-        values = (thm1_f(x, pf).value, g.value)
-        return _weakest_pair(x, values, margins1 + margins2, budgets1 + budgets2)
-
-    xs = grid_points(grid or GridSpec(), *_interval(FunctionId.THM1_CHAIN, fam))
-    return _report("BOUNDS_SANDWICH", pf, _records("BOUNDS_SANDWICH", fam, xs, at))
-
-
 def _claim_id(claim: Union[FunctionId, str]) -> FunctionId:
     if isinstance(claim, str):
         try:
@@ -668,7 +631,8 @@ def verify_claim(
     A chain passes when every adjacent pair's value-space margin exceeds its
     error budget at every point; a chain with a route must also agree with
     its functional's bounds there.  A positive functional passes when each
-    value exceeds its error bound.  A monotone functional passes when each
+    value exceeds its error bound.  Neither has a direction, so their
+    verdict reads "not_checked".  A monotone functional passes when each
     step between neighbouring points moves the claimed way by more than
     their summed error bounds; a step the other way beyond them makes the
     verdict "violated".
@@ -678,7 +642,10 @@ def verify_claim(
     fam = _FAMILIES[p, None]
     if spec.kind == "chain":
         def at(x: float) -> tuple:
-            return _weakest_pair(x, *_chain_at(tag, fam, x)[:3])
+            # A chain point's record is its weakest pair: the smallest margin and its budget.
+            values, margins, budgets = _chain_at(tag, fam, x)
+            m = min(margins)
+            return x, values, m, budgets[margins.index(m)]
     else:
         fn = _FUNCTIONALS[tag]
 

@@ -68,19 +68,16 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request: absolute / relative targets and an iteration cap."""
+    """Accuracy request: absolute and relative targets."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_iter: int = 60
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol < 1.0):
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 DEFAULT_TOLERANCE = Tolerance()

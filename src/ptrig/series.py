@@ -33,7 +33,6 @@ __all__ = [
     "hyper_inverse_coeffs",
     "zp",
     "zp_mul",
-    "zp_scale",
     "zp_log1p",
     "zp_expm1",
     "zp_pow1p",
@@ -134,10 +133,6 @@ def zp_mul(a: _ZPoly, b: _ZPoly) -> _ZPoly:
     return _ZPoly(out)
 
 
-def zp_scale(a: _ZPoly, c: float) -> _ZPoly:
-    return c * a
-
-
 def zp_shift_z(a: _ZPoly) -> _ZPoly:
     """z * a(z), truncated."""
     return _ZPoly((0.0, *a[:-1]))
@@ -164,7 +159,7 @@ def zp_expm1(a: _ZPoly) -> _ZPoly:
 
 def zp_pow1p(a: _ZPoly, r: float) -> _ZPoly:
     """(1 + a(z))^r as a full polynomial (constant term 1)."""
-    return zp_expm1(zp_scale(zp_log1p(a), r)).replace(0, 1.0)
+    return zp_expm1(r * zp_log1p(a)).replace(0, 1.0)
 
 
 def zp_eval(a: _ZPoly, z: float) -> float:
@@ -246,5 +241,5 @@ class SmallZSeries:
 
         # (x/p) tanh_p^{p-1} = (z/p) exp((p-1)(l2 - l3)); the gap against l3
         # loses its z^1 term exactly.
-        growth = zp_expm1(zp_scale(self.l2 - self.l3, p - 1.0)).replace(0, 1.0)
+        growth = zp_expm1((p - 1.0) * (self.l2 - self.l3)).replace(0, 1.0)
         self.lem24 = zero_coeff(self.l3 - zp_shift_z(growth) / p, 1)

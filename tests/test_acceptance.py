@@ -59,11 +59,6 @@ def claim_report(tag: F, p: float) -> iq.VerificationReport:
     return iq.verify_claim(tag, p, GRID)
 
 
-@functools.lru_cache(maxsize=None)
-def bounds_report(p: float) -> iq.VerificationReport:
-    return iq.bounds_sandwich(p, GRID)
-
-
 def circular_grid(p: float, n: int = 100, spacing: str = "uniform"):
     half_pi = ptrig.pi_p(p).value / 2.0
     spec = iq.GridSpec(n=n, spacing=spacing)
@@ -180,22 +175,23 @@ def test_c06_derivatives_vs_central_difference(p):
 
 @pytest.mark.parametrize("p", P_CERT)
 def test_c07_thm1(p):
+    # After taking logs, 1 < f < p is THM1_CHAIN, (x/sinh_p)^p < sin_p/x <
+    # x/sinh_p, so its pass certifies the bounds at every grid point (near
+    # zero f rounds to 1.0 while f - 1 is still provably positive).
     chain = claim_report(F.THM1_CHAIN, p)
     assert chain.passed
     assert chain.min_margin > 0
     assert len(chain.points) == 200
     assert claim_report(F.THM1_F, p).monotone_verdict == "increasing"
-    # 1 < f < p at every grid point, certified through the margin machinery
-    # (near zero f rounds to 1.0 while f - 1 is still provably positive).
-    assert bounds_report(p).passed
 
 
 @pytest.mark.parametrize("p", P_CERT)
 def test_c08_thm2(p):
+    # alpha < g < beta is THM2_CHAIN, cosh_p^-beta < sin_p/x < cosh_p^-alpha,
+    # whose pass also cross-checks g against alpha and beta at every point.
     chain = claim_report(F.THM2_CHAIN, p)
     assert chain.passed
     assert claim_report(F.THM2_G, p).monotone_verdict == "increasing"
-    assert bounds_report(p).passed
     sc = iq.sharp_constants(p)
     lo, hi = iq._interval(F.THM2_G, ptrig.core._FAMILIES[p, None])
     xs = iq.grid_points(GRID, lo, hi)

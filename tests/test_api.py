@@ -2,6 +2,7 @@
 ``__all__`` names something that exists.  Removing a public name means
 editing PUBLIC below on purpose."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 import ptrig
 
 PUBLIC = {
-    "CANONICAL_DIRECTION",
     "DomainError",
     "Evaluation",
     "EvaluationFailed",
@@ -23,7 +23,6 @@ PUBLIC = {
     "VerificationReport",
     "arcsin_p",
     "arsinh_p",
-    "bounds_sandwich",
     "cos_p",
     "cosh_p",
     "d_cos_p",
@@ -52,6 +51,11 @@ PUBLIC = {
 def test_ptrig_exports_exactly_the_public_set():
     assert len(ptrig.__all__) == len(set(ptrig.__all__))
     assert set(ptrig.__all__) == PUBLIC
+
+
+def test_tolerance_is_two_targets():
+    # No iteration cap: the Newton loops keep their own, and the quadrature its levels.
+    assert [f.name for f in dataclasses.fields(ptrig.Tolerance)] == ["abs_tol", "rel_tol"]
 
 
 @pytest.mark.parametrize("module", ["ptrig", "ptrig.core", "ptrig.inequalities",

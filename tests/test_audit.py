@@ -13,7 +13,8 @@ Near pi_p/2, where s differs from 1 in digits beyond any working precision,
 the root is found in log(om), om = 1 - s^p = cos_p^p, through the connection
 formula pi_p/2 - arcsin_p(s) = om^q/(p q) 2F1(q, q; 1 + q; om), q = 1 - 1/p.
 cos_p, tan_p, d_cos_p, cosh_p, tanh_p and d_tanh_p follow from the roots
-exactly.
+exactly, and so do the five functionals of inequalities, each a closed
+expression in sin_p and cos_p or sinh_p and cosh_p.
 
 Points: seeded random arguments, arguments against both ends of the circular
 domain, the switches between the evaluation routes (_SERIES_Z between the
@@ -21,9 +22,12 @@ reversion series and the Newton solve in log cos_p^p, the two edges of the
 corner where that solve gives way to a bound on cos_p^p, and x = 1 where the
 arsinh_p quadrature changes variable) and the w = s^p = 1/2 seam of the
 arcsin_p series, each switch also one ulp to either side; hyperbolic
-arguments out to x = 700, near the end of the double range.
+arguments out to x = 700, near the end of the double range.  The
+functionals are audited on each claim's verification grid and at their
+own switch between the z-series and the direct route.
 """
 
+import functools
 import math
 import random
 import sys
@@ -33,6 +37,7 @@ import pytest
 
 import ptrig
 from ptrig import core
+from ptrig import inequalities as iq
 
 # p within 1e-9, 1e-14 and one ulp of 1 as well: there pi_p/2 ~ 1/(p-1)
 # carries a large absolute error, which the corner test must account for,
@@ -185,6 +190,16 @@ def _mp_arsinh(s, p):
     return s * mp.re(mp.hyp2f1(a, a, 1 + a, -s ** p))
 
 
+def _mp_sinh(x, P, guess):
+    """sinh_p(x) in mpmath; guess is the double sinh_p value.  The root is
+    found by Newton in L = log s, with d arsinh_p(e^L)/dL = e^L / cosh_p:
+    out at x = 700 a step in s would not move s at the working precision."""
+    return mp.exp(mp.findroot(
+        lambda L: _mp_arsinh(mp.exp(L), P) - mp.mpf(x), mp.log(guess),
+        solver="newton", df=lambda L: mp.exp(L) * (1 + mp.exp(P * L)) ** (-1 / P),
+    ))
+
+
 def _audit_hyperbolic(p):
     """(name, x, |value - ref| / abs_err) for sinh_p, cosh_p, tanh_p and
     d_tanh_p at x, and for arsinh_p at x as its argument, at p."""
@@ -203,10 +218,7 @@ def _audit_hyperbolic(p):
         P = mp.mpf(p)
         for x in xs:
             sinh = ptrig.sinh_p(x, p)
-            # In log s: out at x = 700 a step of the secant in s would not
-            # move s at the working precision.
-            s = mp.exp(mp.findroot(lambda L: _mp_arsinh(mp.exp(L), P) - mp.mpf(x),
-                                   mp.log(sinh.value)))
+            s = _mp_sinh(x, P, sinh.value)
             c = (1 + s ** P) ** (1 / P)
             out.append(("sinh_p", x, _ratio(sinh, s)))
             out.append(("cosh_p", x, _ratio(ptrig.cosh_p(x, p), c)))
@@ -234,7 +246,65 @@ def test_d_cosh_lies_within_abs_err(p, x):
     d = ptrig.d_cosh_p(x, p)
     with mp.workdps(DPS):
         P = mp.mpf(p)
-        s = mp.exp(mp.findroot(lambda L: _mp_arsinh(mp.exp(L), P) - mp.mpf(x),
-                               mp.log(ptrig.sinh_p(x, p).value)))
+        s = _mp_sinh(x, P, ptrig.sinh_p(x, p).value)
         ref = (1 + s ** P) ** ((2 - P) / P) * s ** (P - 1)
         assert _ratio(d, ref) <= 1.0
+
+
+def _functional_dps(x, p):
+    """DPS plus 2p log10(1/x) digits: each functional is a difference of O(1)
+    terms that cancel to O(z) or, for lem24_gap, O(z^2), z = x^p."""
+    return DPS + round(2 * p * max(0.0, -math.log10(x)))
+
+
+# The roots are shared by the functionals of one side, whose grids coincide.
+
+@functools.lru_cache(maxsize=None)
+def _mp_sinh_cosh(x, p):
+    with mp.workdps(_functional_dps(x, p)):
+        P = mp.mpf(p)
+        sh = _mp_sinh(x, P, ptrig.sinh_p(x, p).value)
+        return sh, (1 + sh ** P) ** (1 / P)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_sin_cos_at(x, p):
+    with mp.workdps(_functional_dps(x, p)):
+        return _mp_sin_cos(x, p, ptrig.sin_p(x, p).value)
+
+
+def _mp_functional(name, x, p):
+    """The functional of inequalities called name at (x, p), from the roots,
+    at _functional_dps(x, p) digits."""
+    P, X = mp.mpf(p), mp.mpf(x)
+    sh, ch = _mp_sinh_cosh(x, p)
+    l2, l3 = mp.log(sh / X), mp.log1p(sh ** P) / P
+    if name == "lem23_g":
+        return P * l2 / (X * ch / sh - 1)
+    if name == "lem24_gap":
+        return l3 - X / P * (sh / ch) ** (P - 1)
+    s, c = _mp_sin_cos_at(x, p)
+    l1 = mp.log(X / s)
+    return {"thm1_f": l1 / l2, "thm2_g": l1 / l3, "lem22_f": P * l1 / (1 - X * c / s)}[name]
+
+
+def _functional_arguments(name, p):
+    """The claim's 25-point verification grid and z = x^p at the series switch."""
+    fam = core._FAMILIES[p, None]
+    xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(iq.FunctionId[name.upper()], fam))
+    return xs + _ulps(iq._Z_SWITCH ** (1 / p))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+@pytest.mark.parametrize("name", ["thm1_f", "thm2_g", "lem22_f", "lem23_g", "lem24_gap"])
+def test_functionals_lie_within_abs_err(name, p):
+    xs = _functional_arguments(name, p)
+    # Both the z-series and the direct route are audited.
+    assert {iq._series_z(p, x) is None for x in xs} == {False, True}
+    bad = []
+    for x in xs:
+        with mp.workdps(_functional_dps(x, p)):
+            r = _ratio(getattr(iq, name)(x, p), _mp_functional(name, x, p))
+        if not r <= 1.0:
+            bad.append((x, r))
+    assert not bad, bad

@@ -208,6 +208,10 @@ class TestExitCodes:
     def test_bad_tolerance_value(self):
         assert run("eval", "--p", "2", "--fn", "sin_p", "--x", "0.5", "--tol", "2.0")[0] == 2
 
+    def test_constants_takes_no_tolerance(self):
+        # pi_p is a closed form and beta is computed at the library default.
+        assert run("constants", "--p", "2", "--tol", "1e-8")[0] == 2
+
     def test_unknown_claim(self):
         assert run("verify", "--p", "2", "--claim", "thm9_chain")[0] == 2
 

@@ -71,7 +71,7 @@ P_ENTRIES = (
     [lambda p, fn=fn: fn(0.5, p) for fn in EVALUATORS + FUNCTIONALS]
     + [lambda p, claim=claim: ptrig.verify_claim(claim, p) for claim in iq.FunctionId]
     + [lambda p, claim=claim: ptrig.is_exploratory(claim, p) for claim in iq.FunctionId]
-    + [ptrig.pi_p, ptrig.sharp_constants, ptrig.bounds_sandwich]
+    + [ptrig.pi_p, ptrig.sharp_constants]
 )
 
 
@@ -359,7 +359,7 @@ class TestDomains:
 
     def test_impossible_tolerance_raises(self):
         with pytest.raises(NonConvergence):
-            ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-30, 1e-30, 60))
+            ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-30, 1e-30))
 
 
 class TestParameterNearOne:
@@ -429,7 +429,7 @@ class TestErrorReporting:
 
     def test_loose_tolerance_still_sane(self):
         tight = ptrig.sin_p(1.0, 3.0)
-        loose = ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-6, 1e-6, 60))
+        loose = ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-6, 1e-6))
         assert abs(tight.value - loose.value) <= 1e-5
 
 
@@ -514,7 +514,7 @@ class TestFamilyRegistry:
         for _ in range(core._FAMILY_CAP):
             ptrig.arcsin_p(0.5, 40.0 + next(cls.fresh) / 16)
 
-    @pytest.mark.parametrize("tol", [None, Tolerance(1e-11, 1e-11, 60)])
+    @pytest.mark.parametrize("tol", [None, Tolerance(1e-11, 1e-11)])
     def test_cold_warm_and_evicted_values_are_identical(self, tol):
         self.evict_all()
         cold = self.evaluate(self.P, tol)
@@ -554,7 +554,7 @@ class TestFamilyRegistry:
             assert (x,) not in self.kept(fam, fn), fn.__name__
 
     def test_results_are_never_served_across_tolerances(self):
-        loose = Tolerance(1e-11, 1e-11, 60)
+        loose = Tolerance(1e-11, 1e-11)
         self.evict_all()
         want = self.evaluate(self.P)
         self.evict_all()

@@ -289,11 +289,14 @@ class TestChains:
 class TestMonotone:
     @pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 10.0])
     @pytest.mark.parametrize(
-        "tag", [F.THM1_F, F.THM2_G, F.LEM22_F, F.LEM23_G]
+        "tag,direction",
+        [(F.THM1_F, "increasing"), (F.THM2_G, "increasing"),
+         (F.LEM22_F, "decreasing"), (F.LEM23_G, "increasing")],
+        ids=["THM1_F", "THM2_G", "LEM22_F", "LEM23_G"],
     )
-    def test_verdicts(self, tag, p):
+    def test_verdicts(self, tag, direction, p):
         rep = iq.verify_claim(tag, p, iq.GridSpec(n=200))
-        assert rep.monotone_verdict == iq.CANONICAL_DIRECTION[tag]
+        assert rep.monotone_verdict == direction
 
     @pytest.mark.parametrize("tag", [F.THM1_F, F.THM2_G, F.LEM22_F, F.LEM23_G])
     def test_certified_pass_at_p3(self, tag):
@@ -327,37 +330,45 @@ class TestPositivity:
         rep = iq.verify_claim(F.LEM24_GAP, p, iq.GridSpec(n=200))
         assert rep.passed
         assert rep.min_margin > rep.error_budget > 0
+        # Positivity has no direction to report.
+        assert rep.monotone_verdict == "not_checked"
 
 
 class TestBoundsSandwich:
+    """The bounds 1 < thm1_f < p and alpha < thm2_g < beta, which after
+    taking logs are THM1_CHAIN and THM2_CHAIN."""
+
     @pytest.mark.parametrize("p", P_CERT)
     def test_enclosure(self, p):
-        rep = iq.bounds_sandwich(p, iq.GridSpec(n=100))
-        assert rep.passed
-        assert rep.claim == "BOUNDS_SANDWICH"
+        grid = iq.GridSpec(n=100)
         sc = iq.sharp_constants(p)
-        for pt in rep.points:
-            fv, gv = pt.values
-            assert 1.0 <= fv < p
-            assert sc.alpha <= gv < sc.beta
+        for tag, lo, hi in ((F.THM1_F, 1.0, p), (F.THM2_G, sc.alpha, sc.beta)):
+            for pt in iq.verify_claim(tag, p, grid).points:
+                assert lo <= pt.values[0] < hi
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0, 50.0])
     @pytest.mark.parametrize("grid", [iq.GridSpec(n=40), iq.GridSpec(n=31, spacing="log")])
     def test_is_the_thm1_and_thm2_chains(self, p, grid):
-        rep = iq.bounds_sandwich(p, grid)
-        thm1 = iq.verify_claim(F.THM1_CHAIN, p, grid)
-        thm2 = iq.verify_claim(F.THM2_CHAIN, p, grid)
-        assert rep.passed == (thm1.passed and thm2.passed)
-        for pt, a, b in zip(rep.points, thm1.points, thm2.points, strict=True):
-            assert pt.x == a.x == b.x
-            assert pt.margin == min(a.margin, b.margin)
-            assert pt.values == (iq.thm1_f(pt.x, p).value, iq.thm2_g(pt.x, p).value)
+        # Wherever the functional lies inside or outside its bounds by more
+        # than its error bound, the chain's margin there has the same sign.
+        sc = iq.sharp_constants(p)
+        for chain, fn, lo, hi in ((F.THM1_CHAIN, iq.thm1_f, 1.0, p),
+                                  (F.THM2_CHAIN, iq.thm2_g, sc.alpha, sc.beta)):
+            decided = 0
+            for pt in iq.verify_claim(chain, p, grid).points:
+                f = fn(pt.x, p)
+                gap = min(f.value - lo, hi - f.value)
+                if abs(gap) > f.abs_err:
+                    decided += 1
+                    assert (pt.margin > 0) == (gap > 0), (chain, pt.x)
+            assert decided > 0
 
     def test_beta_out_of_range_fails_as_the_chain_does(self):
         # beta leaves double range below p = 1.00141.
-        with pytest.raises(iq.EvaluationFailed) as exc:
-            iq.bounds_sandwich(1.0001)
-        assert isinstance(exc.value.cause, ptrig.DomainError)
+        for tag in (F.THM2_CHAIN, F.COROLLARY_CHAIN):
+            with pytest.raises(iq.EvaluationFailed) as exc:
+                iq.verify_claim(tag, 1.0001)
+            assert isinstance(exc.value.cause, ptrig.DomainError)
 
     def test_sharpness_evidence(self):
         # g at the extreme grid points hugs alpha and beta.
@@ -418,17 +429,11 @@ class TestReports:
         b = iq.verify_claim(F.COROLLARY_CHAIN, 3.0, iq.GridSpec(n=50)).to_json_dict()
         assert json.dumps(a) == json.dumps(b)
 
-    @pytest.mark.parametrize(
-        "claim", [F.COROLLARY_CHAIN, F.THM2_G, F.LEM24_GAP, "BOUNDS_SANDWICH"]
-    )
+    @pytest.mark.parametrize("claim", [F.COROLLARY_CHAIN, F.THM2_G, F.LEM24_GAP])
     def test_min_margin_is_min(self, claim):
         # At p = 50 points below the z-floor leave margins of 0 or less.
         for p in (2.0, 50.0):
-            grid = iq.GridSpec(n=50)
-            if claim == "BOUNDS_SANDWICH":
-                rep = iq.bounds_sandwich(p, grid)
-            else:
-                rep = iq.verify_claim(claim, p, grid)
+            rep = iq.verify_claim(claim, p, iq.GridSpec(n=50))
             assert rep.min_margin == min(pt.margin for pt in rep.points)
             if any(pt.margin <= 0 for pt in rep.points):
                 assert not rep.passed
