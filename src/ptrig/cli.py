@@ -26,7 +26,7 @@ from .inequalities import (
     sharp_constants,
     verify_claim,
 )
-from .numerics import InvalidInterval, NonConvergence, Tolerance
+from .numerics import NonConvergence, Tolerance
 
 _POINT_FNS = {
     "sin_p": core.sin_p,
@@ -262,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EvaluationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc.cause, NonConvergence) else 2
-    except (DomainError, PoleError, InvalidInterval, ValueError, OverflowError) as exc:
+    except (DomainError, PoleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

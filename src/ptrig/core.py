@@ -93,6 +93,10 @@ _QUAD_TOL = Tolerance(abs_tol=1e-15, rel_tol=5e-14)
 _INV_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
 # Step cap of the Newton loops in _sin_state and _sinh_raw.
 _NEWTON_STEPS = 80
+# Added to the abs_err of every public result: a value rounded among the
+# subnormals, or underflowed, is off by up to an ulp of 0 per rounding there,
+# which a relative bound scales away.  Above ~1e-307 the sum is the bound.
+_ERR_FLOOR = 2.0 * math.ulp(0.0)
 
 
 class DomainError(ValueError):
@@ -212,17 +216,22 @@ def _kept(fn):
 
 def _served(domain):
     """Serve body(fam, x) as the public evaluator (x, p, tol=None), kept
-    under (body, x) in the family of (p, tol).  A hit is one registry lookup
-    and one dict lookup.  A miss first checks x with domain(fam, name, x),
-    which raises DomainError; only results are kept, so a call that raised
-    raises again."""
+    under x in the family of (p, tol), with _ERR_FLOOR added to its abs_err.
+    A hit is one registry lookup and one dict lookup.  A miss first checks x
+    with domain(fam, name, x), which raises DomainError; only results are
+    kept, so a call that raised raises again."""
 
     def wrap(body):
-        kept = _kept(body)
+        @wraps(body)
+        def floored(fam: _Family, x: float) -> Evaluation:
+            got = body(fam, x)
+            return Evaluation(got.value, got.abs_err + _ERR_FLOOR)
+
+        kept = _kept(floored)
 
         def serve(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
             fam = _FAMILIES[p, tol]
-            got = fam.memo.get((body, x))
+            got = fam.memo.get((floored, x))
             if got is None:
                 domain(fam, body.__name__, x)
                 got = kept(fam, x)
@@ -349,10 +358,10 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
 
 def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
     if x <= 1.0:
-        res = integrate(_hyp_integrand(fam.pf), 0.0, x, fam.qtol, vectorized=True)
+        res = integrate(_hyp_integrand(fam.pf), x, fam.qtol)
         return res.value, res.abs_err
     base_v, base_e = fam.arsinh_one
-    tail = integrate(_hyp_tail_integrand(fam.pf), 0.0, math.log(x), fam.qtol, vectorized=True)
+    tail = integrate(_hyp_tail_integrand(fam.pf), math.log(x), fam.qtol)
     v = base_v + tail.value
     return v, base_e + tail.abs_err + 2.0 * _EPS * abs(v)
 
@@ -557,8 +566,6 @@ def tan_p(fam: _Family, x: float) -> Evaluation:
     ph_v, _ = fam.half
     if x > ph_v - _POLE_WINDOW:
         raise PoleError(f"tan_p pole: x = {x} within {_POLE_WINDOW} of pi_p/2 = {ph_v}")
-    if x == 0.0:
-        return Evaluation(0.0, 0.0)
     s, s_err, om, om_err = _sin_state(fam, x)
     c = _cos_from_state(fam.pf, om, om_err)
     if c.value <= c.abs_err:
@@ -611,8 +618,6 @@ def cosh_p(fam: _Family, x: float) -> Evaluation:
 def tanh_p(fam: _Family, x: float) -> Evaluation:
     """sinh_p/cosh_p on x >= 0, with values in [0, 1)."""
     s, s_err = _sinh_raw(fam, x)
-    if s == 0.0:
-        return Evaluation(0.0, 0.0)
     # One exp of log s - log cosh_p would carry a rounding error of about
     # |log s| ulp, which near 0 exceeds the 4 eps below.
     r = math.exp(-_log_cosh(fam.pf, s))
@@ -654,9 +659,7 @@ def d_cos_p(fam: _Family, x: float) -> Evaluation:
         + (pf - 1.0) * s_err / s
         + 4.0 * _EPS
     )
-    # Once sin_p^(p-1) falls below the normal range (large p, small x) its
-    # rounding is absolute, up to the smallest subnormal; cos_p is then 1.
-    return Evaluation(v, abs(v) * rel + 2.0 * math.ulp(0.0))
+    return Evaluation(v, abs(v) * rel)
 
 
 def d_sinh_p(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
@@ -688,10 +691,10 @@ def d_tanh_p(fam: _Family, x: float) -> Evaluation:
     """d/dx tanh_p = 1 - tanh_p^p."""
     pf = fam.pf
     s, s_err = _sinh_raw(fam, x)
-    if s == 0.0:
-        return Evaluation(1.0, pf * s_err + 4.0 * _EPS)
+    # 1 - tanh_p^p = cosh_p^(-p), which does not cancel as tanh_p -> 1.  One
+    # exp of -p log cosh_p carries a rounding error of |p log cosh_p| ulp.
     lch = _log_cosh(pf, s)
-    lth = math.log(s) - lch
-    v = -math.expm1(pf * lth)
-    t_err = s_err * math.exp(-lch)
-    return Evaluation(v, pf * math.exp((pf - 1.0) * lth) * t_err + 4.0 * _EPS)
+    v = math.exp(-pf * lch)
+    r = math.exp(-lch)
+    prop = pf * (s * r) ** (pf - 1.0) * (s_err * r)
+    return Evaluation(v, prop + (2.0 * pf * lch + 4.0) * _EPS * v)

@@ -1,13 +1,10 @@
-"""Error-carrying values, tolerances and tanh-sinh quadrature.
+"""Error-carrying values, tolerances and the hyperbolic quadrature.
 
 Everything downstream of this module consumes :class:`Evaluation`, a value
 paired with a claimed absolute-error bound, and asks for accuracy with a
-:class:`Tolerance`.  :func:`integrate` is adaptive tanh-sinh
-(double-exponential) quadrature, which handles integrable algebraic endpoint
-singularities without any per-integrand substitution; core takes the
-hyperbolic defining integral with it.  The quadrature is internal to the
-package: ``ptrig`` does not re-export :func:`integrate`, its
-:class:`InvalidInterval` or ``DEFAULT_TOLERANCE``.
+:class:`Tolerance`.  :func:`integrate` is tanh-sinh (double-exponential)
+quadrature over (0, b), internal to the package: core takes the hyperbolic
+defining integral arsinh_p with it, and nothing else does.
 
 Its error bounds are heuristic (refinement differences), not
 directed-rounding interval arithmetic; they are validated against closed
@@ -28,11 +25,8 @@ from typing import Callable
 __all__ = [
     "Evaluation",
     "Tolerance",
-    "DEFAULT_TOLERANCE",
-    "InvalidInterval",
     "NonConvergence",
     "NumericsError",
-    "integrate",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -40,10 +34,6 @@ _EPS = sys.float_info.epsilon
 
 class NumericsError(Exception):
     """Base class for numerical-routine failures."""
-
-
-class InvalidInterval(NumericsError):
-    """Integration interval is empty or reversed (a >= b)."""
 
 
 class NonConvergence(NumericsError):
@@ -70,8 +60,8 @@ class Evaluation:
 class Tolerance:
     """Accuracy request: absolute and relative targets."""
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    abs_tol: float
+    rel_tol: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol < 1.0):
@@ -79,8 +69,6 @@ class Tolerance:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
 
-
-DEFAULT_TOLERANCE = Tolerance()
 
 # tanh-sinh truncation point.  y(t) = (pi/2)*sinh(t) reaches ~316.8 at t = 6,
 # which keeps cosh(y)^2 below float64 overflow while pushing the innermost
@@ -120,55 +108,36 @@ def _node_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta, wdens
 
 
-def _eval_nodes(f: Callable, vectorized: bool, x: np.ndarray) -> np.ndarray:
+def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
     import numpy as np
 
     with np.errstate(all="ignore"):
-        if vectorized:
-            return np.asarray(f(x), dtype=float)
-        return np.array([float(f(xi)) for xi in x], dtype=float)
+        return np.asarray(f(x), dtype=float)
 
 
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    vectorized: bool = False,
-) -> Evaluation:
-    """Integrate f over (a, b) by adaptive tanh-sinh quadrature.
+def integrate(f: Callable, b: float, tol: Tolerance) -> Evaluation:
+    """Integrate f over (0, b) by adaptive tanh-sinh quadrature.
 
-    The integrand may diverge at either endpoint with an integrable algebraic
-    singularity.  With a = 0 the nodes near a are the node offsets
-    themselves and keep full resolution, so a singularity placed at 0
-    (reflect the variable if need be) integrates to full double precision.
-    Nodes near a nonzero endpoint round onto it once the offset drops below
-    half an ulp; samples that come back non-finite there are treated as
-    singular overflow and dropped, with their estimated mass added to the
-    error bound, which caps the attainable accuracy near 1e-8 for such a
-    singularity.  In this package only the hyperbolic integral arsinh_p,
-    which has no singularity, is taken this way.
+    Internal: core's arsinh_p is the one caller.  f maps an array of nodes to
+    the array of its values; b is finite and positive.  Nodes near 0 are the
+    node offsets themselves and keep full resolution, so an integrable
+    algebraic singularity at 0 integrates to full double precision.  Nodes
+    near b round onto it once the offset drops below half an ulp; samples
+    that come back non-finite are dropped, with their estimated mass added
+    to the error bound, which caps the accuracy near 1e-8 for a singularity
+    at b.  The integrand of arsinh_p has none.
 
     Refinement halves the node spacing per level (budget: 12 levels) and the
     returned abs_err is twice the last two-level difference plus a summation
-    noise floor.  Set ``vectorized=True`` if f accepts numpy arrays.
-
-    Raises InvalidInterval if a >= b, NonConvergence if the estimate never
-    falls below max(tol.abs_tol, tol.rel_tol * |value|).
+    noise floor.  Raises NonConvergence if that never falls below
+    max(tol.abs_tol, tol.rel_tol * |value|).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidInterval(f"integration endpoints must be finite, got [{a}, {b}]")
-    if a >= b:
-        raise InvalidInterval(f"integration interval is empty or reversed: [{a}, {b}]")
     import numpy as np
 
-    length = b - a
-    half = 0.5 * length
-    mid = a + half
+    half = 0.5 * b
 
     # Midpoint node (t = 0): delta = 1/2, weight density pi/2.
-    fm = _eval_nodes(f, vectorized, np.array([mid]))[0]
+    fm = _eval_nodes(f, np.array([half]))[0]
     clip = 0.0
     if not math.isfinite(fm):
         fm = 0.0
@@ -176,22 +145,18 @@ def integrate(
 
     total = 0.5 * math.pi * fm  # running trapezoid sum in t-space, h factored out
     abs_total = abs(total)
-    prev_value = math.nan
     value = half * 0.5 * total  # placeholder; real values start at level 1
 
     for level in range(1, _LEVEL_MAX + 1):
         h = 2.0 ** (-level)
         delta, wdens = _node_table(level)
-        off = length * delta
-        x_lo = a + off
-        x_hi = b - off
-        f_lo = _eval_nodes(f, vectorized, x_lo)
-        f_hi = _eval_nodes(f, vectorized, x_hi)
+        x_lo = b * delta
+        f_lo = _eval_nodes(f, x_lo)
+        f_hi = _eval_nodes(f, b - x_lo)
 
         level_clip = 0.0
-        bad_lo = ~np.isfinite(f_lo)
-        bad_hi = ~np.isfinite(f_hi)
-        for fv, bad in ((f_lo, bad_lo), (f_hi, bad_hi)):
+        for fv in (f_lo, f_hi):
+            bad = ~np.isfinite(fv)
             if bad.any():
                 good = np.nonzero(~bad)[0]
                 if good.size == 0:
@@ -212,7 +177,9 @@ def integrate(
         clip += level_clip
 
         prev_value = value
-        value = half * h * total
+        # h * total is exact; scaled last, a subnormal half is rounded once
+        # (half * h first would drop the level's bits of it).
+        value = half * (h * total)
         noise = 8.0 * _EPS * half * h * abs_total
         est = 2.0 * abs(value - prev_value) + noise + 2.0 * half * h * clip
 

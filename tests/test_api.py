@@ -8,6 +8,7 @@ import importlib
 import pytest
 
 import ptrig
+from ptrig import numerics
 
 PUBLIC = {
     "DomainError",
@@ -56,6 +57,20 @@ def test_ptrig_exports_exactly_the_public_set():
 def test_tolerance_is_two_targets():
     # No iteration cap: the Newton loops keep their own, and the quadrature its levels.
     assert [f.name for f in dataclasses.fields(ptrig.Tolerance)] == ["abs_tol", "rel_tol"]
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"abs_tol": 1e-8}])
+def test_tolerance_has_no_defaults(kwargs):
+    # The library default is tol=None, the CLI's is --tol; a third would go unused.
+    with pytest.raises(TypeError):
+        ptrig.Tolerance(**kwargs)
+
+
+def test_numerics_exports_no_quadrature():
+    # integrate is internal: core's arsinh_p is its one caller.
+    assert sorted(numerics.__all__) == ["Evaluation", "NonConvergence", "NumericsError", "Tolerance"]
+    assert not hasattr(numerics, "InvalidInterval")
+    assert not hasattr(numerics, "DEFAULT_TOLERANCE")
 
 
 @pytest.mark.parametrize("module", ["ptrig", "ptrig.core", "ptrig.inequalities",

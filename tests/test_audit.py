@@ -22,7 +22,8 @@ reversion series and the Newton solve in log cos_p^p, the two edges of the
 corner where that solve gives way to a bound on cos_p^p, and x = 1 where the
 arsinh_p quadrature changes variable) and the w = s^p = 1/2 seam of the
 arcsin_p series, each switch also one ulp to either side; hyperbolic
-arguments out to x = 700, near the end of the double range.  The
+arguments out to x = 700, near the end of the double range; and subnormal
+arguments on both sides, where a value rounds in absolute terms.  The
 functionals are audited on each claim's verification grid and at their
 own switch between the z-series and the direct route.
 """
@@ -52,6 +53,10 @@ def _circular_dps(p):
     grows like 1/(p-1) and the slope of T(om) in log om shrinks like
     q = 1 - 1/p, so pi_p/2 - x pins log om only to 10^-DPS (p-1)^-2."""
     return DPS + round(2 * max(0.0, -math.log10(p - 1)))
+
+
+# Subnormal arguments, where values underflow or round in absolute terms.
+SUBNORMAL_X = [5e-324, 1e-320, 1e-310]
 
 
 def _ulps(x):
@@ -103,6 +108,7 @@ def _arguments(p):
     xs += [10.0, 11.0, 12.0, 20.0, 30.0, 100.0, 700.0]
     # x = 0.05 stays a sample: below it the series once served every z for p < 2.
     xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p))
+    xs += SUBNORMAL_X
     # The edges of the corner: x within the uncertainty of pi_p/2, and cos_p^p
     # at the smallest normal double by the solve's ceiling on log cos_p^p.
     fam = core._FAMILIES[p, None]
@@ -134,7 +140,8 @@ def _audit_circular(p):
         check("pi_p", None, ptrig.pi_p(p), 2 * mp.pi / (P * mp.sin(mp.pi / P)))
         half = (ptrig.pi_p(p).value / 2)
         s_seam = 0.5 ** (1 / p)
-        for s in [0.1, 0.37, 0.8, 1 - 1e-6, 1 - 1e-12, math.nextafter(1.0, 0.0), 1.0, *_ulps(s_seam)]:
+        for s in [*SUBNORMAL_X, 0.1, 0.37, 0.8, 1 - 1e-6, 1 - 1e-12, math.nextafter(1.0, 0.0), 1.0,
+                  *_ulps(s_seam)]:
             check("arcsin_p", s, ptrig.arcsin_p(s, p), _mp_arcsin(mp.mpf(s), P))
         for x in _arguments(p):
             sin = ptrig.sin_p(x, p)
@@ -182,7 +189,7 @@ def test_circular_band_rests_on_the_last_step():
     assert sin.abs_err < 1e-14 * sin.value
 
 
-P_HYPERBOLIC = [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0]
+P_HYPERBOLIC = [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
 
 
 def _mp_arsinh(s, p):
@@ -212,7 +219,7 @@ def _audit_hyperbolic(p):
     # Deep in the series range, and for arsinh_p a short quadrature interval.
     # Down to 1e-14 tanh_p's value must not pass through log sinh_p, whose
     # rounding there is |log sinh_p| ulp.
-    xs += [1e-5, 9.230537181463702e-08] + [10.0 ** -k for k in range(7, 15)]
+    xs += [1e-5, 9.230537181463702e-08] + [10.0 ** -k for k in range(7, 15)] + SUBNORMAL_X
     out = []
     with mp.workdps(DPS):
         P = mp.mpf(p)
@@ -238,11 +245,13 @@ def test_hyperbolic_values_lie_within_abs_err(p):
 @pytest.mark.parametrize(
     "p,x",
     [(2.5, 0.00023491957668433328), (3.7, 0.00031343483472087615), (3.0, 0.8),
-     (10.0, 0.05), (50.0, 2.0), (1.5, 40.0), (300.0, 700.0)],
+     (10.0, 0.05), (50.0, 2.0), (1.5, 40.0), (300.0, 700.0),
+     (300.0, 0.05), (300.0, 0.09), (2.5, 1e-300)],
 )
 def test_d_cosh_lies_within_abs_err(p, x):
     # Below s = 1 a single exp of (p - 1) log s would carry a rounding error
-    # of |(p - 1) log s| ulp, past the bound at the first two points.
+    # of |(p - 1) log s| ulp, past the bound at the first two points.  The
+    # last three values underflow, or round among the subnormals.
     d = ptrig.d_cosh_p(x, p)
     with mp.workdps(DPS):
         P = mp.mpf(p)

@@ -127,10 +127,12 @@ class TestVerify:
         assert len(reports) == 10
         assert a[2].strip().endswith("summary: 10/10 passed")
 
-    # Quadratures of arsinh_p and series sums of arcsin_p in a cold verify
-    # --claim all, at most these inversions' counts; a solve that needs more
-    # steps fails here.
+    # Quadratures of arsinh_p, their integrand nodes and series sums of
+    # arcsin_p in a cold verify --claim all, at most these inversions'
+    # counts; a solve that needs more steps, or a quadrature that evaluates
+    # more nodes, fails here.
     QUADRATURES = {2.0: 2202, 3.0: 2110}
+    NODES = {2.0: 424026, 3.0: 404254}
     SERIES_SUMS = {2.0: 737, 3.0: 688}
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))
@@ -150,9 +152,21 @@ class TestVerify:
 
         for name in calls:
             monkeypatch.setattr(core, name, counting(name))
+        nodes = [0]
+        orig_integrate = core.integrate
+
+        def integrate(f, b, tol):
+            def counted(t):
+                nodes[0] += t.size
+                return f(t)
+
+            return orig_integrate(counted, b, tol)
+
+        monkeypatch.setattr(core, "integrate", integrate)
         code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
         assert code == 0
         assert calls["_arsinh_quad"] <= self.QUADRATURES[p]
+        assert nodes[0] <= self.NODES[p]
         assert calls["_arcsin_series"] <= self.SERIES_SUMS[p]
 
     def test_human_summary_last(self):

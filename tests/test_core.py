@@ -281,6 +281,15 @@ class TestDerivatives:
     def test_d_tanh_at_origin_is_one(self):
         assert abs(ptrig.d_tanh_p(0.0, 3.0).value - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("p", [1.5, 50.0, 300.0])
+    def test_d_tanh_is_never_negative_zero(self, p):
+        # 1 - tanh_p^p is positive; as tanh_p rounds to 1 it must shrink
+        # toward +0.0, not cancel to -0.0.  The CLI's table grid and tolerance.
+        tol = Tolerance(1e-10, 1e-10)
+        xs = iq.grid_points(iq.GridSpec(n=200), 0.0, iq._HYP_UPPER) + [40.0, 700.0]
+        negative = [x for x in xs if math.copysign(1.0, ptrig.d_tanh_p(x, p, tol).value) < 0]
+        assert not negative
+
     @pytest.mark.parametrize("p", [5.0, 10.0, 50.0, 300.0])
     def test_d_cosh_at_the_top_of_the_range(self, p):
         # d_cosh_p = cosh_p tanh_p^(p-1) <= cosh_p stays finite wherever
