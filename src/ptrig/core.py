@@ -695,6 +695,13 @@ def d_tanh_p(fam: _Family, x: float) -> Evaluation:
     # exp of -p log cosh_p carries a rounding error of |p log cosh_p| ulp.
     lch = _log_cosh(pf, s)
     v = math.exp(-pf * lch)
-    r = math.exp(-lch)
-    prop = pf * (s * r) ** (pf - 1.0) * (s_err * r)
+    # v = 1/(1 + s^p) moves by p tanh_p^p v d to first order in d = s_err/s;
+    # over s +- s_err its slope grows by at most (1+d)^(p-1)/(1-d)^(2p), which
+    # is below 1 + 4pd while pd < 0.1.  Past that, the change is at most
+    # 1 - v(s + s_err) = tanh_p(s + s_err)^p <= min(1, s + s_err)^p.
+    d = s_err / s if s > 0.0 else math.inf
+    if pf * d < 0.1:
+        prop = pf * (s * math.exp(-lch)) ** pf * v * d * (1.0 + 4.0 * pf * d)
+    else:
+        prop = min(1.0, s + s_err) ** pf
     return Evaluation(v, prop + (2.0 * pf * lch + 4.0) * _EPS * v)

@@ -30,7 +30,6 @@ counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -47,7 +46,7 @@ from .core import (
     _sinh_raw,
     cosh_p,
 )
-from .numerics import _EPS, Evaluation, NonConvergence
+from .numerics import _EPS, Evaluation, NonConvergence, _Record
 
 __all__ = [
     "FunctionId",
@@ -174,25 +173,23 @@ class EvaluationFailed(RuntimeError):
 _CORE_ERRORS = (DomainError, PoleError, NonConvergence, OverflowError)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Sampling grid: n strictly interior points, offsets as interval fractions."""
 
-    n: int = 200
-    spacing: str = "cosine"
-    left_offset: float = 1e-4
-    right_offset: float = 1e-4
+    __slots__ = ("n", "spacing", "left_offset", "right_offset")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
-            raise ValueError(f"GridSpec.n must be an integer >= 3, got {self.n!r}")
-        if self.spacing not in ("uniform", "log", "cosine"):
-            raise ValueError(f"GridSpec.spacing must be uniform|log|cosine, got {self.spacing!r}")
-        for name, off in (("left_offset", self.left_offset), ("right_offset", self.right_offset)):
+    def __init__(self, n: int = 200, spacing: str = "cosine",
+                 left_offset: float = 1e-4, right_offset: float = 1e-4) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 3:
+            raise ValueError(f"GridSpec.n must be an integer >= 3, got {n!r}")
+        if spacing not in ("uniform", "log", "cosine"):
+            raise ValueError(f"GridSpec.spacing must be uniform|log|cosine, got {spacing!r}")
+        for name, off in (("left_offset", left_offset), ("right_offset", right_offset)):
             if not (isinstance(off, (int, float)) and math.isfinite(off) and off >= 1e-4):
                 raise ValueError(f"GridSpec.{name} must be a finite fraction >= 1e-4, got {off!r}")
-        if self.left_offset + self.right_offset >= 1.0:
+        if left_offset + right_offset >= 1.0:
             raise ValueError("GridSpec offsets consume the whole interval")
+        self._set(n, spacing, left_offset, right_offset)
 
 
 def grid_points(spec: GridSpec, lo: float, hi: float) -> list:
@@ -219,22 +216,20 @@ def grid_points(spec: GridSpec, lo: float, hi: float) -> list:
     return [a + (b - a) * (0.5 * (1.0 - math.cos(math.pi * k / div))) for k in range(spec.n)]
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    x: float
-    values: tuple
-    margin: float
+class GridPoint(_Record):
+    __slots__ = ("x", "values", "margin")
+
+    def __init__(self, x: float, values: tuple, margin: float) -> None:
+        self._set(x, values, margin)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    p: float
-    points: tuple
-    min_margin: float
-    monotone_verdict: str
-    passed: bool
-    error_budget: float
+class VerificationReport(_Record):
+    __slots__ = ("claim", "p", "points", "min_margin", "monotone_verdict", "passed",
+                 "error_budget")
+
+    def __init__(self, claim: str, p: float, points: tuple, min_margin: float,
+                 monotone_verdict: str, passed: bool, error_budget: float) -> None:
+        self._set(claim, p, points, min_margin, monotone_verdict, passed, error_budget)
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,19 +245,15 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class SharpConstants:
+class SharpConstants(_Record):
     """alpha = 1/(1+p) exactly; beta computed from pi_p and cosh_p."""
 
-    alpha: float
-    beta: float
-    p: float
+    __slots__ = ("alpha", "beta", "p")
 
-    def __post_init__(self) -> None:
-        if self.p >= 2.0 and not 0.0 < self.alpha < self.beta < 1.0:
-            raise ValueError(
-                f"sharp constants out of order: alpha={self.alpha}, beta={self.beta}"
-            )
+    def __init__(self, alpha: float, beta: float, p: float) -> None:
+        if p >= 2.0 and not 0.0 < alpha < beta < 1.0:
+            raise ValueError(f"sharp constants out of order: alpha={alpha}, beta={beta}")
+        self._set(alpha, beta, p)
 
 
 def _constant(fam: _Family, name: str) -> tuple:

@@ -2,9 +2,11 @@
 
 Everything downstream of this module consumes :class:`Evaluation`, a value
 paired with a claimed absolute-error bound, and asks for accuracy with a
-:class:`Tolerance`.  :func:`integrate` is tanh-sinh (double-exponential)
-quadrature over (0, b), internal to the package: core takes the hyperbolic
-defining integral arsinh_p with it, and nothing else does.
+:class:`Tolerance`.  Both, like the report types of :mod:`.inequalities`,
+are immutable :class:`_Record` types over ``__slots__``, which behave as
+frozen dataclasses without importing :mod:`dataclasses` and :mod:`inspect`.
+:func:`integrate` is tanh-sinh (double-exponential) quadrature over (0, b),
+internal to the package: core's arsinh_p is its one caller.
 
 Its error bounds are heuristic (refinement differences), not
 directed-rounding interval arithmetic; they are validated against closed
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -40,34 +41,73 @@ class NonConvergence(NumericsError):
     """Refinement or iteration budget exhausted before tolerance was met."""
 
 
-@dataclass(frozen=True)
-class Evaluation:
+_fill = object.__setattr__
+
+
+class _Record:
+    """Immutable record over ``__slots__``.  A subclass names its fields in
+    ``__slots__``, in constructor order, and its ``__init__`` checks its
+    arguments and stores them with ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _fill(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Evaluation(_Record):
     """A computed value with a claimed absolute-error bound."""
 
-    value: float
-    abs_err: float
+    __slots__ = ("value", "abs_err")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "abs_err", float(self.abs_err))
-        if not math.isfinite(self.value):
-            raise ValueError(f"Evaluation value must be finite, got {self.value}")
-        if not (math.isfinite(self.abs_err) and self.abs_err >= 0.0):
-            raise ValueError(f"Evaluation abs_err must be finite and >= 0, got {self.abs_err}")
+    def __init__(self, value: float, abs_err: float) -> None:
+        value = float(value)
+        abs_err = float(abs_err)
+        if not math.isfinite(value):
+            raise ValueError(f"Evaluation value must be finite, got {value}")
+        if not (math.isfinite(abs_err) and abs_err >= 0.0):
+            raise ValueError(f"Evaluation abs_err must be finite and >= 0, got {abs_err}")
+        # Built on every evaluation: two plain stores cost half of _set.
+        _fill(self, "value", value)
+        _fill(self, "abs_err", abs_err)
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(_Record):
     """Accuracy request: absolute and relative targets."""
 
-    abs_tol: float
-    rel_tol: float
+    __slots__ = ("abs_tol", "rel_tol")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol < 1.0):
-            raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+    def __init__(self, abs_tol: float, rel_tol: float) -> None:
+        if not (0.0 < abs_tol < 1.0):
+            raise ValueError(f"abs_tol must lie in (0, 1), got {abs_tol}")
+        if not (0.0 < rel_tol < 1.0):
+            raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+        self._set(abs_tol, rel_tol)
 
 
 # tanh-sinh truncation point.  y(t) = (pi/2)*sinh(t) reaches ~316.8 at t = 6,

@@ -7,8 +7,10 @@ are the hypergeometric closed forms of the defining integrals (DLMF 15.4),
     arsinh_p(s) = s 2F1(1/p, 1/p; 1 + 1/p; -s^p),
 
 taken by mpmath at 40 digits, and pi_p = 2 pi / (p sin(pi/p)) in the same
-precision.  sin_p(x) and sinh_p(x) are the roots of arcsin_p(s) = x and
-arsinh_p(s) = x found by mpmath.findroot.
+precision; more digits near p = 1 and at subnormal arguments, where 40
+would not resolve the value's distance from its argument.  sin_p(x) and
+sinh_p(x) are the roots of arcsin_p(s) = x and arsinh_p(s) = x found by
+mpmath.findroot.
 Near pi_p/2, where s differs from 1 in digits beyond any working precision,
 the root is found in log(om), om = 1 - s^p = cos_p^p, through the connection
 formula pi_p/2 - arcsin_p(s) = om^q/(p q) 2F1(q, q; 1 + q; om), q = 1 - 1/p.
@@ -57,6 +59,14 @@ def _circular_dps(p):
 
 # Subnormal arguments, where values underflow or round in absolute terms.
 SUBNORMAL_X = [5e-324, 1e-320, 1e-310]
+
+
+def _subnormal_dps(x, dps):
+    """dps plus 2 log10(1/x) digits at subnormal x.  The deficit x - sin_p(x)
+    ~ x^(p+1)/(p(p+1)) (and arsinh_p's) lies p log10(1/x) digits below x, so
+    dps digits round the reference onto x; these resolve it for p up to
+    about 2, and beyond that it lies below x^3, under any nonzero abs_err."""
+    return dps + (round(-2 * math.log10(x)) if x < sys.float_info.min else 0)
 
 
 def _ulps(x):
@@ -142,20 +152,22 @@ def _audit_circular(p):
         s_seam = 0.5 ** (1 / p)
         for s in [*SUBNORMAL_X, 0.1, 0.37, 0.8, 1 - 1e-6, 1 - 1e-12, math.nextafter(1.0, 0.0), 1.0,
                   *_ulps(s_seam)]:
-            check("arcsin_p", s, ptrig.arcsin_p(s, p), _mp_arcsin(mp.mpf(s), P))
+            with mp.workdps(_subnormal_dps(s, mp.mp.dps)):
+                check("arcsin_p", s, ptrig.arcsin_p(s, p), _mp_arcsin(mp.mpf(s), P))
         for x in _arguments(p):
-            sin = ptrig.sin_p(x, p)
-            ref_s, ref_c = _mp_sin_cos(x, p, sin.value)
-            check("sin_p", x, sin, ref_s)
-            check("cos_p", x, ptrig.cos_p(x, p), ref_c)
-            if p <= 2.0 or x <= half - core._POLE_WINDOW:
-                check("d_cos_p", x, ptrig.d_cos_p(x, p), _mp_d_cos(ref_s, ref_c, P))
-            if x < half - core._POLE_WINDOW and ref_c > 0:
-                try:
-                    tan = ptrig.tan_p(x, p)
-                except ptrig.PoleError:  # cos_p underflowed: no value to audit
-                    continue
-                check("tan_p", x, tan, ref_s / ref_c)
+            with mp.workdps(_subnormal_dps(x, mp.mp.dps)):
+                sin = ptrig.sin_p(x, p)
+                ref_s, ref_c = _mp_sin_cos(x, p, sin.value)
+                check("sin_p", x, sin, ref_s)
+                check("cos_p", x, ptrig.cos_p(x, p), ref_c)
+                if p <= 2.0 or x <= half - core._POLE_WINDOW:
+                    check("d_cos_p", x, ptrig.d_cos_p(x, p), _mp_d_cos(ref_s, ref_c, P))
+                if x < half - core._POLE_WINDOW and ref_c > 0:
+                    try:
+                        tan = ptrig.tan_p(x, p)
+                    except ptrig.PoleError:  # cos_p underflowed: no value to audit
+                        continue
+                    check("tan_p", x, tan, ref_s / ref_c)
     return out
 
 
@@ -221,9 +233,9 @@ def _audit_hyperbolic(p):
     # rounding there is |log sinh_p| ulp.
     xs += [1e-5, 9.230537181463702e-08] + [10.0 ** -k for k in range(7, 15)] + SUBNORMAL_X
     out = []
-    with mp.workdps(DPS):
-        P = mp.mpf(p)
-        for x in xs:
+    P = mp.mpf(p)
+    for x in xs:
+        with mp.workdps(_subnormal_dps(x, DPS)):
             sinh = ptrig.sinh_p(x, p)
             s = _mp_sinh(x, P, sinh.value)
             c = (1 + s ** P) ** (1 / P)
@@ -240,6 +252,21 @@ def _audit_hyperbolic(p):
 def test_hyperbolic_values_lie_within_abs_err(p):
     bad = [(name, x, r) for name, x, r in _audit_hyperbolic(p) if not r <= 1.0]
     assert not bad, bad
+
+
+@pytest.mark.parametrize("tol", [None, ptrig.Tolerance(1e-10, 1e-10)], ids=["default", "cli"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("x", [5.0, 40.0, 700.0])
+def test_d_tanh_bound_shrinks_with_the_value(x, p, tol):
+    # d_tanh_p = cosh_p^(-p) falls like e^(-p x): an error in sinh_p moves it
+    # in relative terms, so its abs_err must fall with it.  At x = 700 the
+    # value underflows and only the 2 ulp(0) floor is left.
+    d = ptrig.d_tanh_p(x, p, tol)
+    with mp.workdps(DPS):
+        P = mp.mpf(p)
+        s = _mp_sinh(x, P, ptrig.sinh_p(x, p).value)
+        assert _ratio(d, 1 / (1 + s ** P)) <= 1.0
+    assert d.abs_err <= 1e-6 * d.value + core._ERR_FLOOR
 
 
 @pytest.mark.parametrize(
