@@ -48,7 +48,6 @@ from .numerics import (
     Evaluation,
     NonConvergence,
     NumericsError,
-    Tolerance,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "NumericsError",
     "PoleError",
     "SharpConstants",
-    "Tolerance",
     "VerificationReport",
     "arcsin_p",
     "arsinh_p",

@@ -3,7 +3,8 @@
 Four verbs: ``eval`` prints one function value with its error bound, ``table``
 streams a grid of values, ``constants`` reports pi_p and the sharp exponent
 pair, and ``verify`` runs the inequality engine and emits its report.  Output
-is fully determined by argv; no environment variables are consulted.
+is fully determined by argv; no environment variables are consulted.  Every
+verb evaluates at the library's one precision, so none takes ``--tol``.
 
 Exit codes: 0 success (and, for verify, every requested claim passed),
 1 verification failure, 2 usage or domain error, 3 numerical non-convergence.
@@ -26,7 +27,7 @@ from .inequalities import (
     sharp_constants,
     verify_claim,
 )
-from .numerics import NonConvergence, Tolerance
+from .numerics import NonConvergence
 
 _POINT_FNS = {
     "sin_p": core.sin_p,
@@ -53,17 +54,10 @@ _UNIT = frozenset({"arcsin_p"})
 
 _CLAIM_NAMES = [tag.value.lower() for tag in FunctionId]
 
-_DEFAULT_TOL = 1e-10
 
-
-def _tolerance(tol: Optional[float]) -> Tolerance:
-    t = _DEFAULT_TOL if tol is None else tol
-    return Tolerance(abs_tol=t, rel_tol=t)
-
-
-def _table_interval(fn: str, p: float, tol: Tolerance) -> tuple:
+def _table_interval(fn: str, p: float) -> tuple:
     if fn in _CIRCULAR:
-        return 0.0, core._FAMILIES[p, tol].half[0]
+        return 0.0, core._family(p).half[0]
     if fn in _UNIT:
         return 0.0, 1.0
     return 0.0, _HYP_UPPER
@@ -74,12 +68,11 @@ def _fmt17(v: float) -> str:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    tol = _tolerance(ns.tol)
     if ns.fn == "pi_p":
-        ev = core.pi_p(ns.p, tol)
+        ev = core.pi_p(ns.p)
         x = None
     else:
-        ev = _POINT_FNS[ns.fn](ns.x, ns.p, tol)
+        ev = _POINT_FNS[ns.fn](ns.x, ns.p)
         x = ns.x
     if ns.format == "json":
         payload = {"fn": ns.fn, "p": ns.p, "x": x, "value": ev.value, "abs_err": ev.abs_err}
@@ -93,14 +86,13 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    tol = _tolerance(ns.tol)
     spec = GridSpec(n=ns.n, spacing=ns.spacing)
-    lo, hi = _table_interval(ns.fn, ns.p, tol)
+    lo, hi = _table_interval(ns.fn, ns.p)
     xs = grid_points(spec, lo, hi)
     fn = _POINT_FNS[ns.fn]
     rows = []
     for x in xs:
-        ev = fn(x, ns.p, tol)
+        ev = fn(x, ns.p)
         rows.append((x, ev.value, ev.abs_err))
     if ns.format == "json":
         payload = {
@@ -188,13 +180,6 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True) -> None:
         )
 
 
-def _add_tol(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--tol", type=float, default=None,
-        help=f"evaluation tolerance (default: {_DEFAULT_TOL:g})",
-    )
-
-
 def _add_grid(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=200, help="grid point count (default: 200)")
     sub.add_argument(
@@ -217,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="function to evaluate",
     )
     p_eval.add_argument("--x", type=float, default=None, help="evaluation point")
-    _add_tol(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_table = verbs.add_parser("table", help="tabulate a function over a grid")
@@ -226,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fn", required=True, choices=sorted(_POINT_FNS), help="function to tabulate",
     )
     _add_grid(p_table)
-    _add_tol(p_table)
     p_table.set_defaults(handler=_cmd_table)
 
     p_const = verbs.add_parser("constants", help="print pi_p and the sharp exponents")

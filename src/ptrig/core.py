@@ -41,13 +41,15 @@ the hyperbolic ones on x >= 0 up to arsinh_p of the largest double (about
 Every public operation returns an :class:`Evaluation` whose abs_err chains
 the series or quadrature bound, the inversion residual converted through the
 local slope, and the small-argument series truncation, so downstream margin
-certification can budget against it.  A series or quadrature whose bound
-cannot meet the requested tolerance raises NonConvergence.  Every public
-evaluator takes a finite x and raises DomainError outside its domain.
+certification can budget against it.  There is one precision: the targets
+of the quadrature and of the two Newton loops are fixed constants below, and
+NonConvergence means the quadrature missed its target or a loop ran out of
+steps.  Every public evaluator takes (x, p), a finite x, and raises
+DomainError outside its domain.
 
-Each (p, tol) family keeps one capped memo of per-point states and the
-Evaluation of every successful public call, so a repeated call returns the
-same object without recomputing it.
+Each p has one family, which keeps a capped memo of per-point states, and
+each public evaluator keeps its own capped table of the Evaluations it
+returned, so a repeated call returns the same object without recomputing it.
 """
 
 from __future__ import annotations
@@ -56,10 +58,9 @@ import math
 import sys
 import threading
 from functools import cached_property, wraps
-from typing import Optional
 
 from . import series
-from .numerics import _EPS, Evaluation, NonConvergence, Tolerance, integrate
+from .numerics import _EPS, Evaluation, NonConvergence, integrate
 
 __all__ = [
     "DomainError",
@@ -89,8 +90,12 @@ _SERIES_Z = 1e-3
 # tan_p reports a pole and the p > 2 derivative singularities refuse.
 _POLE_WINDOW = 1e-12
 
-_QUAD_TOL = Tolerance(abs_tol=1e-15, rel_tol=5e-14)
-_INV_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+# The quadrature's absolute and relative targets for arsinh_p.
+_QUAD_ABS = 1e-15
+_QUAD_REL = 5e-14
+# The Newton loops stop at a step below this relative size (_sin_state) or a
+# residual below this times 1 + x (_sinh_raw).
+_INV_TOL = 1e-13
 # Step cap of the Newton loops in _sin_state and _sinh_raw.
 _NEWTON_STEPS = 80
 # Added to the abs_err of every public result: a value rounded among the
@@ -116,26 +121,28 @@ def _valid_p(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Families.  At most _FAMILY_CAP stay registered (the oldest goes first), and
-# a family's memo is emptied when it reaches _MEMO_CAP entries.  A miss
-# recomputes exactly what a hit returns, so values never depend on cache state.
+# Families and kept results.  At most _FAMILY_CAP families stay registered, and
+# as many values of p in each evaluator's results (the oldest goes first).  A
+# family's memo is emptied at _MEMO_CAP entries and a table of results at
+# _RESULT_CAP: with the eleven evaluators of _RESULTS, at most 16 * 16,384
+# states and 11 * 16 * 1,024 results are kept.  A miss recomputes exactly what
+# a hit returns, so values never depend on cache state.
 _FAMILY_CAP = 16
 _MEMO_CAP = 1 << 14
+_RESULT_CAP = 1 << 10
 
 
 class _Family:
-    """What depends on (p, tol) alone: tolerances, the z-series zseries, the
-    half-period half (the one source of pi_p/2 for pi_p, the circular domains
-    and the verifiers), the integer exponent cosh_p snaps to (0 for none),
+    """What depends on p alone: the z-series zseries, the half-period half
+    (the one source of pi_p/2 for pi_p, the circular domains and the
+    verifiers), the integer exponent cosh_p snaps to (0 for none),
     arsinh_p(1), and memo, the one dict in which _kept keeps fn(fam, *key)
-    under (fn, *key): the states of _sin_state and _sinh_raw, the Evaluation
-    of every public evaluator (keyed on its body and x, see _served) and
-    what other modules derive from p."""
+    under (fn, *key): the states of _sin_state and _sinh_raw and what other
+    modules derive from p."""
 
-    def __init__(self, pf: float, tol: Optional[Tolerance]) -> None:
+    def __init__(self, pf: float) -> None:
         self.pf = pf
         self.q = (pf - 1.0) / pf
-        self.qtol, self.itol = (_QUAD_TOL, _INV_TOL) if tol is None else (tol, tol)
         self.snap = int(pf) if pf.is_integer() and 2.0 <= pf <= 64.0 else 0
         self.memo = {}
 
@@ -154,7 +161,7 @@ class _Family:
         """
         theta = math.pi / self.pf if self.pf >= 2.0 else math.pi * self.q
         v = math.pi / (self.pf * math.sin(theta))
-        return _within(self.qtol, v, 4.0 * _EPS * v)
+        return v, 4.0 * _EPS * v
 
     @cached_property
     def pi(self) -> Evaluation:
@@ -178,27 +185,38 @@ class _Family:
         return _arsinh_quad(self, 1.0)
 
 
-class _Registry(dict):
-    """(p, tol) -> _Family; a miss validates p and files the family under (float p, tol)."""
-
-    _lock = threading.Lock()
-
-    def __missing__(self, key: tuple) -> _Family:
-        canon = (_valid_p(key[0]), key[1])
-        with self._lock:
-            if canon not in self:
-                if len(self) >= _FAMILY_CAP:
-                    del self[next(iter(self))]
-                self[canon] = _Family(*canon)
-            return self[canon]
+# Validated float p -> its _Family.  An int or numpy p finds its float key.
+_FAMILIES: dict = {}
+# Public evaluator name -> its results: validated float p -> {x: Evaluation}.
+_RESULTS: dict = {}
+_LOCK = threading.Lock()
 
 
-_FAMILIES = _Registry()
+def _filed(registry: dict, pf: float, make):
+    """registry[pf], filed as make() if absent, the oldest entry dropped
+    first once registry holds _FAMILY_CAP."""
+    with _LOCK:
+        got = registry.get(pf)
+        if got is None:
+            if len(registry) >= _FAMILY_CAP:
+                del registry[next(iter(registry))]
+            got = registry[pf] = make()
+        return got
+
+
+def _family(p: float) -> _Family:
+    """The family of p; a miss validates p."""
+    try:
+        return _FAMILIES[p]
+    except KeyError:
+        pf = _valid_p(p)
+        return _filed(_FAMILIES, pf, lambda: _Family(pf))
 
 
 def _kept(fn):
     """Keep fn(fam, *key) in fam.memo under (fn, *key), emptying the memo
-    first once it holds _MEMO_CAP entries."""
+    first once it holds _MEMO_CAP entries.  It keeps the states and what
+    inequalities derives from p; public results are kept by _served."""
 
     @wraps(fn)
     def kept(fam: _Family, *key):
@@ -215,31 +233,45 @@ def _kept(fn):
 
 
 def _served(domain):
-    """Serve body(fam, x) as the public evaluator (x, p, tol=None), kept
-    under x in the family of (p, tol), with _ERR_FLOOR added to its abs_err.
-    A hit is one registry lookup and one dict lookup.  A miss first checks x
-    with domain(fam, name, x), which raises DomainError; only results are
-    kept, so a call that raised raises again."""
+    """Serve body(fam, x) as the public evaluator (x, p), with _ERR_FLOOR
+    added to its abs_err, and keep each result in the evaluator's own table,
+    _RESULTS[name][float p][x].
+
+    A hit is two dict lookups and nothing else: an int, float or numpy p
+    finds its float key.  A miss looks up the family, which validates p, and
+    the table of the float p; one that finds no result there checks x with
+    domain(fam, name, x), which raises DomainError, and stores the result.
+    Only results are stored, so a call that raised raises again.
+    """
 
     def wrap(body):
-        @wraps(body)
-        def floored(fam: _Family, x: float) -> Evaluation:
-            got = body(fam, x)
-            return Evaluation(got.value, got.abs_err + _ERR_FLOOR)
+        name = body.__name__
+        results = _RESULTS[name] = {}
 
-        kept = _kept(floored)
-
-        def serve(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
-            fam = _FAMILIES[p, tol]
-            got = fam.memo.get((floored, x))
+        def serve(x: float, p: float) -> Evaluation:
+            try:
+                return results[p][x]
+            except KeyError:
+                pass
+            fam = _family(p)
+            table = results.get(fam.pf)
+            if table is None:
+                table = _filed(results, fam.pf, dict)
+            # A p that validates but is no number, such as "3", finds its
+            # results here.
+            got = table.get(x)
             if got is None:
-                domain(fam, body.__name__, x)
-                got = kept(fam, x)
+                domain(fam, name, x)
+                got = body(fam, x)
+                got = Evaluation(got.value, got.abs_err + _ERR_FLOOR)
+                if len(table) >= _RESULT_CAP:
+                    table.clear()
+                table[x] = got
             return got
 
         # Not functools.wraps: its __wrapped__ would show body's (fam, x)
         # as the public signature.
-        serve.__name__ = serve.__qualname__ = body.__name__
+        serve.__name__ = serve.__qualname__ = name
         serve.__doc__ = body.__doc__
         return serve
 
@@ -268,13 +300,6 @@ def _half_line(fam: _Family, name: str, x: float) -> None:
 
 # ---------------------------------------------------------------------------
 # Defining integrals
-
-
-def _within(tol: Tolerance, v: float, err: float) -> tuple[float, float]:
-    """(v, err), or NonConvergence when err exceeds what tol asks of v."""
-    if err > max(tol.abs_tol, tol.rel_tol * abs(v)):
-        raise NonConvergence(f"error bound {err:.3e} above tolerance at value {v:.17g}")
-    return v, err
 
 
 def _beta_tail(a: float, x: float) -> tuple[float, float]:
@@ -339,7 +364,7 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
     if w <= 0.5:
         S, e = _beta_tail(1.0 / pf, w)
         v = s * (1.0 + S / pf)
-        return _within(fam.qtol, v, s * e / pf + 2.0 * _EPS * v)
+        return v, s * e / pf + 2.0 * _EPS * v
     # glue + T(1/2) - T(om): the k = 0 terms of the two T series differ by
     # ((1/2)^q - om^q)/q, taken through expm1.  The 6 eps term covers the
     # rounding of the sum; the (1 + |log om|) eps terms cover the relative
@@ -353,25 +378,28 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
     v = g_v + (head - omq * S) / pf
     rounding = 6.0 * (head + hq + omq * (1.0 + S)) + 3.0 * (1.0 + abs(log_om)) * omq * (1.0 + S)
     err = g_e + (omq * e + rounding * _EPS) / pf + 2.0 * _EPS * v
-    return _within(fam.qtol, v, err)
+    return v, err
 
 
 def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
     if x <= 1.0:
-        res = integrate(_hyp_integrand(fam.pf), x, fam.qtol)
+        res = integrate(_hyp_integrand(fam.pf), x, _QUAD_ABS, _QUAD_REL)
         return res.value, res.abs_err
     base_v, base_e = fam.arsinh_one
-    tail = integrate(_hyp_tail_integrand(fam.pf), math.log(x), fam.qtol)
+    tail = integrate(_hyp_tail_integrand(fam.pf), math.log(x), _QUAD_ABS, _QUAD_REL)
     v = base_v + tail.value
     return v, base_e + tail.abs_err + 2.0 * _EPS * abs(v)
 
 
-def pi_p(p: float, tol: Optional[Tolerance] = None) -> Evaluation:
+def pi_p(p: float) -> Evaluation:
     """The half-period constant pi_p = 2 arcsin_p(1) = 2 pi / (p sin(pi/p)).
 
     Cross-checked in the test suite against the defining integral.
     """
-    return _FAMILIES[p, tol].pi
+    try:
+        return _FAMILIES[p].pi
+    except KeyError:
+        return _family(p).pi
 
 
 @_served(_unit)
@@ -450,10 +478,10 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
             lo = w
         else:
             hi = w
-        # A step below rel_tol relative to both om and s^p (d log s^p =
+        # A step below _INV_TOL relative to both om and s^p (d log s^p =
         # (om/s^p) dw) is the last one; the residual after it is summed once
         # more, so the band rests on the stepped w.
-        last = abs(r) <= fam.itol.rel_tol * slope * min(1.0, sp / om)
+        last = abs(r) <= _INV_TOL * slope * min(1.0, sp / om)
         step = w + r / slope
         w = step if lo < step < hi else 0.5 * (lo + hi)
     else:
@@ -498,7 +526,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     lo, s = x, 0.5 * x + 0.5 * hi
     for _ in range(_NEWTON_STEPS):
         r = _arsinh_quad(fam, s)[0] - x
-        if abs(r) <= fam.itol.abs_tol * (1.0 + x):
+        if abs(r) <= _INV_TOL * (1.0 + x):
             break
         if r < 0.0:
             lo = s
@@ -510,7 +538,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
         raise NonConvergence(f"sinh_p({x}): no root in {_NEWTON_STEPS} steps")
     # The residual band plus the band of the integral itself, through the
     # slope cosh_p(s)^-1 of arsinh_p.
-    restol = fam.itol.abs_tol * (1.0 + x) + 2.0 * fam.qtol.rel_tol * x
+    restol = _INV_TOL * (1.0 + x) + 2.0 * _QUAD_REL * x
     s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
     return s, s_err
 
@@ -629,9 +657,9 @@ def tanh_p(fam: _Family, x: float) -> Evaluation:
 # Closed-form derivatives
 
 
-def d_sin_p(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
+def d_sin_p(x: float, p: float) -> Evaluation:
     """d/dx sin_p = cos_p."""
-    return cos_p(x, p, tol)
+    return cos_p(x, p)
 
 
 @_served(_circular)
@@ -662,9 +690,9 @@ def d_cos_p(fam: _Family, x: float) -> Evaluation:
     return Evaluation(v, abs(v) * rel)
 
 
-def d_sinh_p(x: float, p: float, tol: Optional[Tolerance] = None) -> Evaluation:
+def d_sinh_p(x: float, p: float) -> Evaluation:
     """d/dx sinh_p = cosh_p."""
-    return cosh_p(x, p, tol)
+    return cosh_p(x, p)
 
 
 @_served(_half_line)

@@ -37,8 +37,9 @@ from . import series
 from .core import (
     DomainError,
     PoleError,
-    _FAMILIES,
+    _ERR_FLOOR,
     _Family,
+    _family,
     _kept,
     _log_cosh,
     _valid_p,
@@ -297,7 +298,7 @@ def _value(fam: _Family, name: str) -> float:
 
 
 def sharp_constants(p: float) -> SharpConstants:
-    fam = _FAMILIES[p, None]
+    fam = _family(p)
     return SharpConstants(alpha=_value(fam, "alpha"), beta=_value(fam, "beta"), p=fam.pf)
 
 
@@ -387,8 +388,9 @@ def _primitive(fam: _Family, name: str, x: float, z: Optional[float]) -> tuple:
 
 def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
     """The functional of tag at x, from the formula its claim declares; below
-    the z-floor, its limit."""
-    fam = _FAMILIES[p, None]
+    the z-floor, its limit.  As in core's _served, _ERR_FLOOR is added to
+    every abs_err: lem24_gap underflows to 0 at large p."""
+    fam = _family(p)
     claim = _CLAIMS[tag]
     if claim.interval == "circular":
         ph_v, _ = fam.half
@@ -400,13 +402,14 @@ def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
     z = _series_z(fam.pf, x)
     if z is not None and z <= _Z_FLOOR:
         v = _value(fam, limit)
-        return Evaluation(v, 4.0 * _EPS * v)
+        return Evaluation(v, 4.0 * _EPS * v + _ERR_FLOOR)
     n, n_err = _primitive(fam, num, x, z)
     if den is None:
-        return Evaluation(n, n_err)
+        return Evaluation(n, n_err + _ERR_FLOOR)
     d, d_err = _primitive(fam, den, x, z)
     v = _value(fam, scale) * (n / d)
-    return Evaluation(v, abs(v) * (n_err / abs(n) + d_err / abs(d)) + 2.0 * _EPS * abs(v))
+    err = abs(v) * (n_err / abs(n) + d_err / abs(d)) + 2.0 * _EPS * abs(v)
+    return Evaluation(v, err + _ERR_FLOOR)
 
 
 def thm1_f(x: float, p: float) -> Evaluation:
@@ -630,7 +633,7 @@ def verify_claim(
     """
     tag = _claim_id(claim)
     spec = _CLAIMS[tag]
-    fam = _FAMILIES[p, None]
+    fam = _family(p)
     if spec.kind == "chain":
         def at(x: float) -> tuple:
             # A chain point's record is its weakest pair: the smallest margin and its budget.

@@ -1,12 +1,12 @@
-"""Error-carrying values, tolerances and the hyperbolic quadrature.
+"""Error-carrying values, the error classes and the hyperbolic quadrature.
 
 Everything downstream of this module consumes :class:`Evaluation`, a value
-paired with a claimed absolute-error bound, and asks for accuracy with a
-:class:`Tolerance`.  Both, like the report types of :mod:`.inequalities`,
-are immutable :class:`_Record` types over ``__slots__``, which behave as
-frozen dataclasses without importing :mod:`dataclasses` and :mod:`inspect`.
-:func:`integrate` is tanh-sinh (double-exponential) quadrature over (0, b),
-internal to the package: core's arsinh_p is its one caller.
+paired with a claimed absolute-error bound.  It is, like the report types of
+:mod:`.inequalities`, an immutable :class:`_Record` type over ``__slots__``,
+which behaves as a frozen dataclass without importing :mod:`dataclasses` and
+:mod:`inspect`.  :func:`integrate` is tanh-sinh (double-exponential)
+quadrature over (0, b), internal to the package: core's arsinh_p is its one
+caller, and passes it core's fixed targets.
 
 Its error bounds are heuristic (refinement differences), not
 directed-rounding interval arithmetic; they are validated against closed
@@ -25,7 +25,6 @@ from typing import Callable
 
 __all__ = [
     "Evaluation",
-    "Tolerance",
     "NonConvergence",
     "NumericsError",
 ]
@@ -38,7 +37,7 @@ class NumericsError(Exception):
 
 
 class NonConvergence(NumericsError):
-    """Refinement or iteration budget exhausted before tolerance was met."""
+    """Refinement or iteration budget exhausted before the target was met."""
 
 
 _fill = object.__setattr__
@@ -97,19 +96,6 @@ class Evaluation(_Record):
         _fill(self, "abs_err", abs_err)
 
 
-class Tolerance(_Record):
-    """Accuracy request: absolute and relative targets."""
-
-    __slots__ = ("abs_tol", "rel_tol")
-
-    def __init__(self, abs_tol: float, rel_tol: float) -> None:
-        if not (0.0 < abs_tol < 1.0):
-            raise ValueError(f"abs_tol must lie in (0, 1), got {abs_tol}")
-        if not (0.0 < rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-        self._set(abs_tol, rel_tol)
-
-
 # tanh-sinh truncation point.  y(t) = (pi/2)*sinh(t) reaches ~316.8 at t = 6,
 # which keeps cosh(y)^2 below float64 overflow while pushing the innermost
 # node offset to ~5e-276 of the interval length: deep enough that any
@@ -155,7 +141,7 @@ def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
         return np.asarray(f(x), dtype=float)
 
 
-def integrate(f: Callable, b: float, tol: Tolerance) -> Evaluation:
+def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluation:
     """Integrate f over (0, b) by adaptive tanh-sinh quadrature.
 
     Internal: core's arsinh_p is the one caller.  f maps an array of nodes to
@@ -170,7 +156,7 @@ def integrate(f: Callable, b: float, tol: Tolerance) -> Evaluation:
     Refinement halves the node spacing per level (budget: 12 levels) and the
     returned abs_err is twice the last two-level difference plus a summation
     noise floor.  Raises NonConvergence if that never falls below
-    max(tol.abs_tol, tol.rel_tol * |value|).
+    max(abs_tol, rel_tol * |value|).
     """
     import numpy as np
 
@@ -223,11 +209,11 @@ def integrate(f: Callable, b: float, tol: Tolerance) -> Evaluation:
         noise = 8.0 * _EPS * half * h * abs_total
         est = 2.0 * abs(value - prev_value) + noise + 2.0 * half * h * clip
 
-        if level >= _LEVEL_MIN and est <= max(tol.abs_tol, tol.rel_tol * abs(value)):
+        if level >= _LEVEL_MIN and est <= max(abs_tol, rel_tol * abs(value)):
             if not math.isfinite(value):
                 raise NonConvergence("integrand produced a non-finite sum")
             return Evaluation(float(value), float(est))
 
     raise NonConvergence(
-        f"tanh-sinh estimate {est:.3e} above tolerance after {_LEVEL_MAX} levels"
+        f"tanh-sinh estimate {est:.3e} above its target after {_LEVEL_MAX} levels"
     )

@@ -1,6 +1,6 @@
 """The public surface: what ``import ptrig`` exports, and that every module's
 ``__all__`` names something that exists.  Removing a public name means
-editing PUBLIC below on purpose.  Also the contract of the six immutable
+editing PUBLIC below on purpose.  Also the contract of the five immutable
 records, and what a fresh ``import ptrig.cli`` leaves unloaded."""
 
 import copy
@@ -27,7 +27,6 @@ PUBLIC = {
     "NumericsError",
     "PoleError",
     "SharpConstants",
-    "Tolerance",
     "VerificationReport",
     "arcsin_p",
     "arsinh_p",
@@ -61,24 +60,12 @@ def test_ptrig_exports_exactly_the_public_set():
     assert set(ptrig.__all__) == PUBLIC
 
 
-def test_tolerance_is_two_targets():
-    # No iteration cap: the Newton loops keep their own, and the quadrature its levels.
-    assert list(ptrig.Tolerance.__slots__) == ["abs_tol", "rel_tol"]
-    assert list(inspect.signature(ptrig.Tolerance).parameters) == ["abs_tol", "rel_tol"]
-
-
-@pytest.mark.parametrize("kwargs", [{}, {"abs_tol": 1e-8}])
-def test_tolerance_has_no_defaults(kwargs):
-    # The library default is tol=None, the CLI's is --tol; a third would go unused.
-    with pytest.raises(TypeError):
-        ptrig.Tolerance(**kwargs)
-
-
 def test_numerics_exports_no_quadrature():
-    # integrate is internal: core's arsinh_p is its one caller.
-    assert sorted(numerics.__all__) == ["Evaluation", "NonConvergence", "NumericsError", "Tolerance"]
-    assert not hasattr(numerics, "InvalidInterval")
-    assert not hasattr(numerics, "DEFAULT_TOLERANCE")
+    # integrate is internal: core's arsinh_p is its one caller.  There is one
+    # precision, so no Tolerance either.
+    assert sorted(numerics.__all__) == ["Evaluation", "NonConvergence", "NumericsError"]
+    for name in ("InvalidInterval", "DEFAULT_TOLERANCE", "Tolerance"):
+        assert not hasattr(numerics, name), name
 
 
 @pytest.mark.parametrize("module", ["ptrig", "ptrig.core", "ptrig.inequalities",
@@ -102,7 +89,6 @@ _POINT = GridPoint(0.5, (1.0, 2.0), 3e-9)
 # Each record with two sets of field values, and the repr of the first.
 RECORDS = [
     (ptrig.Evaluation, (1.5, 2e-16), (1.5, 3e-16), "Evaluation(value=1.5, abs_err=2e-16)"),
-    (ptrig.Tolerance, (1e-8, 1e-9), (1e-8, 1e-10), "Tolerance(abs_tol=1e-08, rel_tol=1e-09)"),
     (ptrig.GridSpec, (50, "log", 1e-3, 2e-3), (50, "log", 1e-3, 3e-3),
      "GridSpec(n=50, spacing='log', left_offset=0.001, right_offset=0.002)"),
     (GridPoint, (0.5, (1.0, 2.0), 3e-9), (0.5, (1.0, 2.5), 3e-9),
@@ -163,8 +149,8 @@ class TestRecords:
     lambda: ptrig.Evaluation(-math.inf, 0.0),
     lambda: ptrig.Evaluation(1.0, -1e-16),
     lambda: ptrig.Evaluation(1.0, math.inf),
-    lambda: ptrig.Tolerance(0.0, 1e-9),
-    lambda: ptrig.Tolerance(1e-9, 1.0),
+    lambda: ptrig.Evaluation(1.0, math.nan),
+    lambda: ptrig.Evaluation(math.inf, 0.0),
     lambda: ptrig.GridSpec(n=2),
     lambda: ptrig.GridSpec(n=True),
     lambda: ptrig.GridSpec(n=50.0),

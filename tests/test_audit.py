@@ -27,10 +27,14 @@ arcsin_p series, each switch also one ulp to either side; hyperbolic
 arguments out to x = 700, near the end of the double range; and subnormal
 arguments on both sides, where a value rounds in absolute terms.  The
 functionals are audited on each claim's verification grid and at their
-own switch between the z-series and the direct route.
+own switch between the z-series and the direct route, at p from 1.1 to 100,
+where the grid's first points fall below the z-floor.
 """
 
+import contextlib
 import functools
+import io
+import json
 import math
 import random
 import sys
@@ -39,7 +43,7 @@ import mpmath as mp
 import pytest
 
 import ptrig
-from ptrig import core
+from ptrig import cli, core
 from ptrig import inequalities as iq
 
 # p within 1e-9, 1e-14 and one ulp of 1 as well: there pi_p/2 ~ 1/(p-1)
@@ -121,7 +125,7 @@ def _arguments(p):
     xs += SUBNORMAL_X
     # The edges of the corner: x within the uncertainty of pi_p/2, and cos_p^p
     # at the smallest normal double by the solve's ceiling on log cos_p^p.
-    fam = core._FAMILIES[p, None]
+    fam = core._family(p)
     ph_v, ph_e = fam.half
     tau_err = ph_e + core._EPS * ph_v
     xs += _ulps(ph_v - tau_err)
@@ -254,14 +258,25 @@ def test_hyperbolic_values_lie_within_abs_err(p):
     assert not bad, bad
 
 
-@pytest.mark.parametrize("tol", [None, ptrig.Tolerance(1e-10, 1e-10)], ids=["default", "cli"])
+def _cli_eval(fn, x, p):
+    """fn(x, p) as ``ptrig eval --format json`` prints it."""
+    out = io.StringIO()
+    argv = ["eval", "--fn", fn, "--x", repr(x), "--p", repr(p), "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    got = json.loads(out.getvalue())
+    return ptrig.Evaluation(got["value"], got["abs_err"])
+
+
+@pytest.mark.parametrize("route", ["default", "cli"])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("x", [5.0, 40.0, 700.0])
-def test_d_tanh_bound_shrinks_with_the_value(x, p, tol):
+def test_d_tanh_bound_shrinks_with_the_value(x, p, route):
     # d_tanh_p = cosh_p^(-p) falls like e^(-p x): an error in sinh_p moves it
-    # in relative terms, so its abs_err must fall with it.  At x = 700 the
-    # value underflows and only the 2 ulp(0) floor is left.
-    d = ptrig.d_tanh_p(x, p, tol)
+    # in relative terms, so its abs_err must fall with it, in the library and
+    # as the CLI prints it.  At x = 700 the value underflows and only the
+    # 2 ulp(0) floor is left.
+    d = ptrig.d_tanh_p(x, p) if route == "default" else _cli_eval("d_tanh_p", x, p)
     with mp.workdps(DPS):
         P = mp.mpf(p)
         s = _mp_sinh(x, P, ptrig.sinh_p(x, p).value)
@@ -326,12 +341,12 @@ def _mp_functional(name, x, p):
 
 def _functional_arguments(name, p):
     """The claim's 25-point verification grid and z = x^p at the series switch."""
-    fam = core._FAMILIES[p, None]
+    fam = core._family(p)
     xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(iq.FunctionId[name.upper()], fam))
     return xs + _ulps(iq._Z_SWITCH ** (1 / p))
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 24.0, 50.0, 100.0])
 @pytest.mark.parametrize("name", ["thm1_f", "thm2_g", "lem22_f", "lem23_g", "lem24_gap"])
 def test_functionals_lie_within_abs_err(name, p):
     xs = _functional_arguments(name, p)

@@ -137,8 +137,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))
     def test_cold_verify_quadrature_count(self, p, monkeypatch):
-        for key in [key for key in core._FAMILIES if key[0] == p]:
-            monkeypatch.delitem(core._FAMILIES, key)
+        monkeypatch.delitem(core._FAMILIES, p, raising=False)
+        for results in core._RESULTS.values():
+            monkeypatch.delitem(results, p, raising=False)
         calls = {"_arsinh_quad": 0, "_arcsin_series": 0}
 
         def counting(name):
@@ -155,12 +156,12 @@ class TestVerify:
         nodes = [0]
         orig_integrate = core.integrate
 
-        def integrate(f, b, tol):
+        def integrate(f, b, *targets):
             def counted(t):
                 nodes[0] += t.size
                 return f(t)
 
-            return orig_integrate(counted, b, tol)
+            return orig_integrate(counted, b, *targets)
 
         monkeypatch.setattr(core, "integrate", integrate)
         code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
@@ -214,16 +215,28 @@ class TestExitCodes:
         code, _, _ = run("eval", "--p", "2", "--fn", "tan_p", "--x", "1.5707963267948966")
         assert code == 2
 
-    def test_unreachable_tolerance(self):
-        code, _, err = run("eval", "--p", "2", "--fn", "arcsin_p", "--x", "0.5", "--tol", "1e-30")
+    def test_nonconvergence(self, monkeypatch):
+        # A Newton loop that runs out of steps; the point is new to the process.
+        monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
+        code, _, err = run("eval", "--p", "2", "--fn", "sin_p", "--x", "0.5000000001234567")
         assert code == 3
         assert "error:" in err
+
+    # There is one precision, so no verb takes --tol: any value is a usage error.
+    def test_unreachable_tolerance(self):
+        code, out, err = run("eval", "--p", "2", "--fn", "arcsin_p", "--x", "0.5", "--tol", "1e-30")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol" in err
 
     def test_bad_tolerance_value(self):
         assert run("eval", "--p", "2", "--fn", "sin_p", "--x", "0.5", "--tol", "2.0")[0] == 2
 
+    def test_table_takes_no_tolerance(self):
+        code, out, err = run("table", "--p", "2", "--fn", "sinh_p", "--n", "5", "--tol", "1e-10")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol" in err
+
     def test_constants_takes_no_tolerance(self):
-        # pi_p is a closed form and beta is computed at the library default.
         assert run("constants", "--p", "2", "--tol", "1e-8")[0] == 2
 
     def test_unknown_claim(self):

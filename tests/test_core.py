@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ptrig
-from ptrig import (
-    DomainError,
-    Evaluation,
-    NonConvergence,
-    PoleError,
-    Tolerance,
-)
+from ptrig import DomainError, NonConvergence, PoleError
 from ptrig import core, series
 from ptrig import inequalities as iq
 from tests.conftest import central_diff, classical_pi_p
@@ -88,8 +82,8 @@ class TestParams:
                 entry(bad)
 
     def test_int_and_float_p_share_one_family(self):
-        assert core._FAMILIES[2, None] is core._FAMILIES[2.0, None]
-        assert ptrig.sin_p(0.5, 2) is ptrig.sin_p(0.5, 2.0)
+        assert core._family(2) is core._family(2.0)
+        assert ptrig.sin_p(0.5, 2) is ptrig.sin_p(0.5, 2.0) is ptrig.sin_p(0.5, "2")
 
 
 class TestHalfPeriod:
@@ -284,10 +278,9 @@ class TestDerivatives:
     @pytest.mark.parametrize("p", [1.5, 50.0, 300.0])
     def test_d_tanh_is_never_negative_zero(self, p):
         # 1 - tanh_p^p is positive; as tanh_p rounds to 1 it must shrink
-        # toward +0.0, not cancel to -0.0.  The CLI's table grid and tolerance.
-        tol = Tolerance(1e-10, 1e-10)
+        # toward +0.0, not cancel to -0.0.  The CLI's table grid.
         xs = iq.grid_points(iq.GridSpec(n=200), 0.0, iq._HYP_UPPER) + [40.0, 700.0]
-        negative = [x for x in xs if math.copysign(1.0, ptrig.d_tanh_p(x, p, tol).value) < 0]
+        negative = [x for x in xs if math.copysign(1.0, ptrig.d_tanh_p(x, p).value) < 0]
         assert not negative
 
     @pytest.mark.parametrize("p", [5.0, 10.0, 50.0, 300.0])
@@ -353,10 +346,7 @@ class TestDomains:
 
     @pytest.mark.parametrize("fn", EVALUATORS, ids=lambda fn: fn.__name__)
     def test_public_signature(self, fn):
-        assert str(inspect.signature(fn)) == (
-            "(x: 'float', p: 'float', tol: 'Optional[Tolerance]' = None)"
-            " -> 'Evaluation'"
-        )
+        assert str(inspect.signature(fn)) == "(x: 'float', p: 'float') -> 'Evaluation'"
 
     def test_sinh_overflow_guard(self):
         # arsinh_2 of the largest double is 710.4759: beyond it sinh_p, and
@@ -366,9 +356,13 @@ class TestDomains:
             with pytest.raises(DomainError):
                 fn(x, 2.0)
 
-    def test_impossible_tolerance_raises(self):
-        with pytest.raises(NonConvergence):
-            ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-30, 1e-30))
+    def test_newton_step_cap_raises(self, monkeypatch):
+        # Each Newton loop raises once it runs out of steps; the point is new
+        # to the process, so nothing is served from the memos.
+        monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
+        for fn in (ptrig.sin_p, ptrig.sinh_p):
+            with pytest.raises(NonConvergence):
+                fn(1.0000000001234567, 3.0)
 
 
 class TestParameterNearOne:
@@ -436,11 +430,6 @@ class TestErrorReporting:
             assert ev.value > 0.0
             assert ev.abs_err < 1e-4 * ev.value
 
-    def test_loose_tolerance_still_sane(self):
-        tight = ptrig.sin_p(1.0, 3.0)
-        loose = ptrig.sin_p(1.0, 3.0, tol=Tolerance(1e-6, 1e-6))
-        assert abs(tight.value - loose.value) <= 1e-5
-
 
 class TestProperties:
     @settings(max_examples=40, deadline=None)
@@ -470,8 +459,9 @@ class TestProperties:
 
 
 class TestFamilyRegistry:
-    """One family per (p, tol), held in a bounded registry; its memos never
-    change a value, only whether it is recomputed."""
+    """One family per p, held in a bounded registry, and one bounded table of
+    results per public evaluator; neither ever changes a value, only whether
+    it is recomputed."""
 
     P = 2.75
     fresh = itertools.count()
@@ -479,24 +469,31 @@ class TestFamilyRegistry:
     # What a repeated public call must not reach: the per-point states and
     # the defining integrals.
     SOLVERS = ("_sin_state", "_sinh_raw", "_arcsin_quad", "_arsinh_quad")
+    # The public evaluators that are another one under a second name.
+    ALIASES = {ptrig.d_sin_p: ptrig.cos_p, ptrig.d_sinh_p: ptrig.cosh_p}
 
     @staticmethod
-    def evaluations(p, tol=None):
-        """Every public evaluator at p, over the series route and the solve in log cos_p^p."""
+    def calls(p):
+        """(evaluator, args) for every public evaluator at p, over the series
+        route and the solve in log cos_p^p."""
         half = ptrig.pi_p(p).value / 2
         circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_sin_p, ptrig.d_cos_p)
         hyperbolic = (ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p,
                       ptrig.d_sinh_p, ptrig.d_cosh_p, ptrig.d_tanh_p)
-        evs = [ptrig.pi_p(p, tol), ptrig.arcsin_p(0.9, p, tol), ptrig.arsinh_p(4.0, p, tol)]
+        calls = [(ptrig.pi_p, (p,)), (ptrig.arcsin_p, (0.9, p)), (ptrig.arsinh_p, (4.0, p))]
         for x in (0.01 * half, 0.6 * half, (1.0 - 1e-7) * half):
-            evs += [f(x, p, tol) for f in circular]
+            calls += [(f, (x, p)) for f in circular]
         for x in (0.02, 0.9, 2.5):
-            evs += [f(x, p, tol) for f in hyperbolic]
-        return evs
+            calls += [(f, (x, p)) for f in hyperbolic]
+        return calls
 
     @classmethod
-    def evaluate(cls, p, tol=None):
-        return [repr(ev) for ev in cls.evaluations(p, tol)]
+    def evaluations(cls, p):
+        return [f(*args) for f, args in cls.calls(p)]
+
+    @classmethod
+    def evaluate(cls, p):
+        return [repr(ev) for ev in cls.evaluations(p)]
 
     @classmethod
     def count_solver_calls(cls, monkeypatch) -> list:
@@ -517,25 +514,40 @@ class TestFamilyRegistry:
         """fn's entries in the family memo, keyed on the rest of their key."""
         return {key[1:]: v for key, v in fam.memo.items() if key[0].__name__ == fn.__name__}
 
+    @staticmethod
+    def results(fn, p) -> dict:
+        """The results fn keeps at p, keyed on x."""
+        return core._RESULTS[fn.__name__].get(p, {})
+
+    @staticmethod
+    def entries() -> int:
+        """Entries kept in every family memo and every results table."""
+        states = sum(len(fam.memo) for fam in core._FAMILIES.values())
+        return states + sum(
+            len(table) for results in core._RESULTS.values() for table in results.values()
+        )
+
     @classmethod
     def evict_all(cls):
-        """Register _FAMILY_CAP families never seen before."""
+        """File _FAMILY_CAP values of p never seen before, in the registry and
+        in every results table."""
         for _ in range(core._FAMILY_CAP):
-            ptrig.arcsin_p(0.5, 40.0 + next(cls.fresh) / 16)
+            p = 40.0 + next(cls.fresh) / 16
+            for name in core._RESULTS:
+                getattr(core, name)(0.0, p)
 
-    @pytest.mark.parametrize("tol", [None, Tolerance(1e-11, 1e-11)])
-    def test_cold_warm_and_evicted_values_are_identical(self, tol):
+    def test_cold_warm_and_evicted_values_are_identical(self):
         self.evict_all()
-        cold = self.evaluate(self.P, tol)
-        warm = self.evaluate(self.P, tol)
-        # Without the kept Evaluations the same calls are served by the states.
-        memo = core._FAMILIES[self.P, tol].memo
-        for key in [key for key, v in memo.items() if isinstance(v, Evaluation)]:
-            del memo[key]
-        states = self.evaluate(self.P, tol)
+        cold = self.evaluate(self.P)
+        warm = self.evaluate(self.P)
+        # Without the kept results the same calls are served by the states.
+        for results in core._RESULTS.values():
+            del results[self.P]
+        states = self.evaluate(self.P)
         self.evict_all()
-        assert (self.P, tol) not in core._FAMILIES
-        assert self.evaluate(self.P, tol) == states == warm == cold
+        assert self.P not in core._FAMILIES
+        assert not any(self.P in results for results in core._RESULTS.values())
+        assert self.evaluate(self.P) == states == warm == cold
 
     def test_repeated_calls_return_the_first_result_without_solving(self, monkeypatch):
         self.evict_all()
@@ -545,9 +557,60 @@ class TestFamilyRegistry:
         assert calls == []
         assert all(a is b for a, b in zip(again, first))
 
+    def test_a_repeated_call_runs_no_other_python_function(self):
+        import numpy as np
+
+        calls = self.calls(self.P)
+        # An int or numpy p finds the results filed under the float p.
+        calls += [(ptrig.sin_p, (0.5, 3.0)), (ptrig.sin_p, (0.5, 3)),
+                  (ptrig.sin_p, (0.5, np.float64(3.0))), (ptrig.pi_p, (3,)),
+                  (ptrig.pi_p, (np.float64(3.0),))]
+        for fn, args in calls:
+            fn(*args)
+        for fn, args in calls:
+            ran = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    ran.append(frame.f_code)
+
+            sys.setprofile(profile)
+            try:
+                fn(*args)
+            finally:
+                sys.setprofile(None)
+            want = [fn.__code__] + ([self.ALIASES[fn].__code__] if fn in self.ALIASES else [])
+            assert ran == want, (fn.__name__, [code.co_name for code in ran])
+
+    def test_kept_entries_stay_within_the_stated_bound(self, monkeypatch):
+        # With today's caps: the families' states and the evaluators' results
+        # together keep at most twice what _FAMILY_CAP full memos hold.
+        served = len(core._RESULTS)
+        assert served == 11
+        bound = core._FAMILY_CAP * (core._MEMO_CAP + served * core._RESULT_CAP)
+        assert bound <= 2 * 16 * 16384
+        # The same bound with small caps, under a loop over more p and more x
+        # than they hold, through every public evaluator.
+        monkeypatch.setattr(core, "_FAMILIES", {})
+        for results in core._RESULTS.values():
+            results.clear()
+        monkeypatch.setattr(core, "_FAMILY_CAP", 3)
+        monkeypatch.setattr(core, "_MEMO_CAP", 16)
+        monkeypatch.setattr(core, "_RESULT_CAP", 8)
+        most = 0
+        for p in (2.0 + k / 8 for k in range(5)):
+            for x in (k * 1e-4 for k in range(12)):
+                ptrig.pi_p(p)
+                for fn in EVALUATORS:
+                    fn(x, p)
+                    most = max(most, self.entries())
+        assert len(EVALUATORS) == 13
+        assert len(core._FAMILIES) == 3
+        assert all(len(results) == 3 for results in core._RESULTS.values())
+        assert 0 < most <= 3 * (16 + served * 8)
+
     def test_failed_calls_raise_again_and_leave_no_entry(self):
         half = ptrig.pi_p(self.P).value / 2
-        fam = core._FAMILIES[self.P, None]
         failing = [
             (ptrig.arcsin_p, 1.5, DomainError), (ptrig.arsinh_p, -1.0, DomainError),
             (ptrig.sin_p, 2.0 * half, DomainError), (ptrig.cos_p, -0.1, DomainError),
@@ -560,17 +623,7 @@ class TestFamilyRegistry:
             for _ in range(2):
                 with pytest.raises(exc):
                     fn(x, self.P)
-            assert (x,) not in self.kept(fam, fn), fn.__name__
-
-    def test_results_are_never_served_across_tolerances(self):
-        loose = Tolerance(1e-11, 1e-11)
-        self.evict_all()
-        want = self.evaluate(self.P)
-        self.evict_all()
-        other = self.evaluate(self.P, loose)
-        assert self.evaluate(self.P) == want
-        assert other != want
-        assert self.evaluate(self.P, loose) == other
+            assert x not in self.results(fn, self.P), fn.__name__
 
     def test_registry_stays_at_its_cap(self):
         for k in range(core._FAMILY_CAP + 5):
@@ -582,20 +635,23 @@ class TestFamilyRegistry:
         want = self.evaluate(self.P)
         self.evict_all()
         monkeypatch.setattr(core, "_MEMO_CAP", 2)
+        monkeypatch.setattr(core, "_RESULT_CAP", 2)
         assert self.evaluate(self.P) == want
-        assert len(core._FAMILIES[self.P, None].memo) <= 2
+        assert len(core._family(self.P).memo) <= 2
+        assert all(len(results[self.P]) <= 2 for results in core._RESULTS.values())
 
     def test_integer_p_cosh_snap_is_served_from_results(self, monkeypatch):
         snaps = []
         snap = core._snap_to_identity
         monkeypatch.setattr(core, "_snap_to_identity", lambda *a: snaps.append(a) or snap(*a))
         for p in (3.0, 3.5):
-            core._FAMILIES.pop((p, None), None)
+            core._FAMILIES.pop(p, None)
+            core._RESULTS["cosh_p"].pop(p, None)
         first = ptrig.cosh_p(0.7, 3.0)
         assert len(snaps) == 1
         calls = self.count_solver_calls(monkeypatch)
         assert ptrig.cosh_p(0.7, 3.0) is first
-        assert self.kept(core._FAMILIES[3.0, None], ptrig.cosh_p)[0.7,] is first
+        assert self.results(ptrig.cosh_p, 3.0)[0.7] is first
         assert len(snaps) == 1 and calls == []
         ptrig.cosh_p(0.7, 3.5)
         assert len(snaps) == 1
@@ -609,7 +665,7 @@ class TestFamilyRegistry:
         for k in range(core._FAMILY_CAP + 4):
             p = 2.0 + k / 3.0
             iq.sharp_constants(p)
-            iq._chain_point(iq.FunctionId.THM2_CHAIN, core._FAMILIES[p, None], 1e-3)
+            iq._chain_point(iq.FunctionId.THM2_CHAIN, core._family(p), 1e-3)
         assert len(core._FAMILIES) == core._FAMILY_CAP
         for fn in (series.direct_coeffs, series.inverse_coeffs,
                    series.hyper_inverse_coeffs, iq._beta, iq._chain_polys):

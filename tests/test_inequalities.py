@@ -247,7 +247,7 @@ class TestChains:
     def test_series_and_direct_routes_agree_above_the_switch(self, p, monkeypatch):
         # Both routes derive from one declaration of each chain, so where the
         # series is still accurate their margins agree within the budgets.
-        fam = ptrig.core._FAMILIES[p, None]
+        fam = ptrig.core._family(p)
         points = [
             (tag, z ** (1.0 / p))
             for tag in sorted(iq._CLAIMS, key=str)
@@ -374,7 +374,7 @@ class TestBoundsSandwich:
         # g at the extreme grid points hugs alpha and beta.
         for p in P_CERT:
             sc = iq.sharp_constants(p)
-            xs = iq.grid_points(iq.GridSpec(n=200), *iq._interval(F.THM2_G, ptrig.core._FAMILIES[p, None]))
+            xs = iq.grid_points(iq.GridSpec(n=200), *iq._interval(F.THM2_G, ptrig.core._family(p)))
             assert abs(iq.thm2_g(float(xs[0]), p).value - sc.alpha) <= 1e-2
             assert abs(iq.thm2_g(float(xs[-1]), p).value - sc.beta) <= 1e-2
 

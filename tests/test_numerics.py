@@ -7,28 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptrig.numerics import Evaluation, NonConvergence, Tolerance, integrate
+from ptrig.numerics import Evaluation, NonConvergence, integrate
 from tests.conftest import central_diff
 
 PI_3 = 2.0 * math.pi / (3.0 * math.sin(math.pi / 3.0))  # closed form for the p=3 half-period
-TOL = Tolerance(1e-12, 1e-12)
+TOL = (1e-12, 1e-12)  # integrate's absolute and relative targets
 
 
 class TestDataTypes:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"abs_tol": 1.0},
-            {"abs_tol": -1e-9},
-            {"rel_tol": 0.0},
-            {"rel_tol": 2.0},
-        ],
-    )
-    def test_tolerance_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**{"abs_tol": 1e-9, "rel_tol": 1e-9, **kwargs})
-
     def test_evaluation_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Evaluation(math.nan, 0.0)
@@ -41,16 +27,16 @@ class TestDataTypes:
 
 
 class TestIntegrate:
-    """integrate(f, b, tol) takes f over (0, b), f mapping an array of nodes
-    to the array of its values."""
+    """integrate(f, b, abs_tol, rel_tol) takes f over (0, b), f mapping an
+    array of nodes to the array of its values."""
 
     def test_constant(self):
-        res = integrate(np.ones_like, 1.0, TOL)
+        res = integrate(np.ones_like, 1.0, *TOL)
         assert abs(res.value - 1.0) <= res.abs_err
         assert res.abs_err < 1e-12
 
     def test_cubic_moment(self):
-        res = integrate(lambda t: 3.0 * t * t, 1.0, TOL)
+        res = integrate(lambda t: 3.0 * t * t, 1.0, *TOL)
         assert abs(res.value - 1.0) <= max(res.abs_err, 4e-16)
 
     def test_classical_arcsine_singularity_one_arg(self):
@@ -65,7 +51,7 @@ class TestIntegrate:
             clipped.append(not np.isfinite(v).all())
             return v
 
-        res = integrate(f, 1.0, Tolerance(1e-6, 1e-6))
+        res = integrate(f, 1.0, 1e-6, 1e-6)
         assert any(clipped)
         assert abs(res.value - math.pi / 2.0) <= res.abs_err
 
@@ -75,7 +61,7 @@ class TestIntegrate:
         def f(v):
             return (v * (3.0 - 3.0 * v + v * v)) ** (-1.0 / 3.0)
 
-        res = integrate(f, 1.0, Tolerance(1e-12, 1e-12))
+        res = integrate(f, 1.0, *TOL)
         assert abs(res.value - PI_3 / 2.0) <= max(res.abs_err, 1e-13)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -87,17 +73,17 @@ class TestIntegrate:
             (lambda v: (v * (2.0 - v)) ** -0.5, math.pi / 2.0),
         ]
         for f, exact in cases:
-            res = integrate(f, 1.0, Tolerance(tol, tol))
+            res = integrate(f, 1.0, tol, tol)
             assert abs(res.value - exact) <= res.abs_err
             assert res.abs_err <= 10.0 * tol * max(1.0, abs(exact))
 
     def test_zero_mean_integrand(self):
-        res = integrate(lambda t: t - 0.5, 1.0, TOL)
+        res = integrate(lambda t: t - 0.5, 1.0, *TOL)
         assert abs(res.value) <= max(res.abs_err, 1e-15)
 
     def test_nonconvergence_on_jump(self):
         with pytest.raises(NonConvergence):
-            integrate(lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0), 1.0, Tolerance(1e-12, 1e-12))
+            integrate(lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0), 1.0, *TOL)
 
     @given(
         st.floats(-2.0, 0.0),
@@ -110,9 +96,9 @@ class TestIntegrate:
         b = gap1
         c = b + gap2
         f = lambda t: (t + a) ** 3 - 2.0 * (t + a) + 1.0
-        whole = integrate(f, c, TOL)
-        left = integrate(f, b, TOL)
-        right = integrate(lambda t: f(t + b), c - b, TOL)
+        whole = integrate(f, c, *TOL)
+        left = integrate(f, b, *TOL)
+        right = integrate(lambda t: f(t + b), c - b, *TOL)
         assert abs(whole.value - left.value - right.value) <= (
             whole.abs_err + left.abs_err + right.abs_err + 4e-16
         )
