@@ -28,8 +28,9 @@ from which s^p = -expm1(w) and om = e^w both keep full relative accuracy, at
 every x from the series switch up to a corner within the uncertainty of
 pi_p/2 (or with om below the double range), where only a bound on om is
 reported.  sinh_p is solved for s on a bracket above x grown geometrically
-up to the largest double.  The remaining functions follow from the
-identities
+up to the largest double; closed-form bounds on arsinh_p decide each step
+of that growth, and a quadrature only the steps where the bounds come within
+about 1e-9 (1 + x) of x.  The remaining functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
@@ -98,6 +99,9 @@ _QUAD_REL = 5e-14
 _INV_TOL = 1e-13
 # Step cap of the Newton loops in _sin_state and _sinh_raw.
 _NEWTON_STEPS = 80
+# _sinh_raw's bracket test trusts a closed-form enclosure of arsinh_p that
+# clears x by this times 1 + x, some 2e4 times the quadrature's error.
+_BOUNDS_MARGIN = 1e-9
 # Added to the abs_err of every public result: a value rounded among the
 # subnormals, or underflowed, is off by up to an ulp of 0 per rounding there,
 # which a relative bound scales away.  Above ~1e-307 the sum is the bound.
@@ -113,7 +117,10 @@ class PoleError(DomainError):
 
 
 def _valid_p(p: float) -> float:
-    """p as a float; every definition here requires p finite and > 1."""
+    """p as a float; every definition here requires p finite and > 1.  Text
+    is no number, though float() would parse it."""
+    if isinstance(p, (str, bytes, bytearray)):
+        raise TypeError(f"parameter p must be a number, got {type(p).__name__}")
     pf = float(p)
     if not (math.isfinite(pf) and pf > 1.0):
         raise ValueError(f"parameter p must be finite and > 1, got {pf}")
@@ -238,10 +245,10 @@ def _served(domain):
     _RESULTS[name][float p][x].
 
     A hit is two dict lookups and nothing else: an int, float or numpy p
-    finds its float key.  A miss looks up the family, which validates p, and
-    the table of the float p; one that finds no result there checks x with
-    domain(fam, name, x), which raises DomainError, and stores the result.
-    Only results are stored, so a call that raised raises again.
+    finds its float key.  A miss looks up the family, which validates p,
+    checks x with domain(fam, name, x), which raises DomainError, and stores
+    the result in the table of the float p.  Only results are stored, so a
+    call that raised raises again.
     """
 
     def wrap(body):
@@ -257,16 +264,12 @@ def _served(domain):
             table = results.get(fam.pf)
             if table is None:
                 table = _filed(results, fam.pf, dict)
-            # A p that validates but is no number, such as "3", finds its
-            # results here.
-            got = table.get(x)
-            if got is None:
-                domain(fam, name, x)
-                got = body(fam, x)
-                got = Evaluation(got.value, got.abs_err + _ERR_FLOOR)
-                if len(table) >= _RESULT_CAP:
-                    table.clear()
-                table[x] = got
+            domain(fam, name, x)
+            got = body(fam, x)
+            got = Evaluation(got.value, got.abs_err + _ERR_FLOOR)
+            if len(table) >= _RESULT_CAP:
+                table.clear()
+            table[x] = got
             return got
 
         # Not functools.wraps: its __wrapped__ would show body's (fam, x)
@@ -514,10 +517,11 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
         return x * series.zp_eval(q, z), x * series.zp_trunc_err(q, z)
 
     # arsinh_p(s) < s puts the root above x.  Grow the bracket up to the
-    # largest double; a root beyond it would leave floating-point range.
+    # largest double, a step integrating only where closed-form bounds
+    # cannot settle it; a root beyond it would leave floating-point range.
     big = sys.float_info.max
     hi = min(2.0 * x, big)
-    while _arsinh_quad(fam, hi)[0] < x:
+    while _arsinh_below(fam, hi, x):
         if hi == big:
             raise DomainError(f"sinh_p({x}) exceeds floating-point range")
         hi = min(4.0 * hi, big)
@@ -541,6 +545,34 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     restol = _INV_TOL * (1.0 + x) + 2.0 * _QUAD_REL * x
     s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
     return s, s_err
+
+
+def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
+    """An enclosure of arsinh_p(s), s > 0, in closed form but for arsinh_p(1).
+
+    On [0, 1] the integrand lies in [2^(-1/p), 1]; for t >= 1 it lies in
+    [(1 - t^(-p)/p)/t, 1/t] (Bernoulli), whose integrals over [1, s] differ
+    by at most 1/p^2.  The 4 eps pad covers the rounding of the sums.
+    """
+    if s <= 1.0:
+        return 0.5 ** (1.0 / fam.pf) * s, s
+    one_v, one_e = fam.arsinh_one
+    top = one_v + one_e + math.log(s)
+    pad = 4.0 * _EPS * top
+    return top - 2.0 * one_e - 1.0 / fam.pf ** 2 - pad, top + pad
+
+
+def _arsinh_below(fam: _Family, s: float, x: float) -> bool:
+    """Whether arsinh_p(s) < x, as the quadrature's value answers it.  Where
+    _arsinh_bounds clear x by _BOUNDS_MARGIN (1 + x), far above the
+    quadrature's error, they answer the same, and no quadrature is run."""
+    lo, up = _arsinh_bounds(fam, s)
+    margin = _BOUNDS_MARGIN * (1.0 + x)
+    if up < x - margin:
+        return True
+    if lo > x + margin:
+        return False
+    return _arsinh_quad(fam, s)[0] < x
 
 
 def _cos_pow(pf: float, s: float) -> float:

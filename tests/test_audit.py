@@ -28,7 +28,10 @@ arguments out to x = 700, near the end of the double range; and subnormal
 arguments on both sides, where a value rounds in absolute terms.  The
 functionals are audited on each claim's verification grid and at their
 own switch between the z-series and the direct route, at p from 1.1 to 100,
-where the grid's first points fall below the z-floor.
+where the grid's first points fall below the z-floor.  The closed-form
+enclosure of arsinh_p that decides the growth of sinh_p's bracket is checked
+against the same arsinh_p reference, and against the quadrature's answer
+wherever it decides.
 """
 
 import contextlib
@@ -256,6 +259,34 @@ def _audit_hyperbolic(p):
 def test_hyperbolic_values_lie_within_abs_err(p):
     bad = [(name, x, r) for name, x, r in _audit_hyperbolic(p) if not r <= 1.0]
     assert not bad, bad
+
+
+# The closed-form enclosure of arsinh_p(s) that settles the steps of
+# sinh_p's bracket, from just above the series range to near the largest
+# double, around the change of bound at s = 1.
+P_BOUNDS = [1.0 + 1e-9, 1.001, 1.1, 2.0, 3.0, 10.0, 50.0, 300.0]
+S_BOUNDS = [1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 10.0, 1e3, 1e10, 1e100, 1e300]
+
+
+@pytest.mark.parametrize("p", P_BOUNDS)
+def test_arsinh_bounds_enclose_the_integral(p, monkeypatch):
+    fam = core._Family(p)
+    quad = functools.partial(core._arsinh_quad, fam)
+    fam.arsinh_one
+    monkeypatch.setattr(core, "_arsinh_quad", lambda *args: pytest.fail(f"quadrature at {args[1:]}"))
+    m = core._BOUNDS_MARGIN
+    for s in S_BOUNDS:
+        lo, up = core._arsinh_bounds(fam, s)
+        with mp.workdps(DPS):
+            ref = _mp_arsinh(mp.mpf(s), mp.mpf(p))
+        assert lo <= ref <= up, (s, lo, ref, up)
+        # The x nearest the enclosure on either side that the bounds decide
+        # without a quadrature: the quadrature's value must answer the same.
+        x_above = (up + m) / (1.0 - m) * (1.0 + 1e-12)
+        assert core._arsinh_below(fam, s, x_above) and quad(s)[0] < x_above
+        x_below = (lo - m) / (1.0 + m) * (1.0 - 1e-12)
+        if x_below > 0.0:
+            assert not core._arsinh_below(fam, s, x_below) and quad(s)[0] >= x_below
 
 
 def _cli_eval(fn, x, p):

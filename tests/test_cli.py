@@ -131,8 +131,8 @@ class TestVerify:
     # arcsin_p in a cold verify --claim all, at most these inversions'
     # counts; a solve that needs more steps, or a quadrature that evaluates
     # more nodes, fails here.
-    QUADRATURES = {2.0: 2202, 3.0: 2110}
-    NODES = {2.0: 424026, 3.0: 404254}
+    QUADRATURES = {2.0: 1798, 3.0: 1740}
+    NODES = {2.0: 346150, 3.0: 332940}
     SERIES_SUMS = {2.0: 737, 3.0: 688}
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))

@@ -82,8 +82,22 @@ class TestParams:
                 entry(bad)
 
     def test_int_and_float_p_share_one_family(self):
+        import numpy as np
+
         assert core._family(2) is core._family(2.0)
-        assert ptrig.sin_p(0.5, 2) is ptrig.sin_p(0.5, 2.0) is ptrig.sin_p(0.5, "2")
+        for fn in (ptrig.sin_p, ptrig.sinh_p):
+            assert fn(0.5, 2) is fn(0.5, 2.0) is fn(0.5, np.float64(2.0))
+        assert ptrig.pi_p(2) is ptrig.pi_p(2.0) is ptrig.pi_p(np.float64(2.0))
+
+    @pytest.mark.parametrize("text", ["3", b"2.5", bytearray(b"3")],
+                             ids=lambda text: type(text).__name__)
+    def test_text_p_is_no_number(self, text):
+        # float() would parse it, but p is a plain number.
+        for entry in (lambda p: ptrig.sin_p(0.5, p), lambda p: ptrig.sinh_p(0.5, p),
+                      ptrig.pi_p, ptrig.sharp_constants,
+                      lambda p: ptrig.verify_claim("thm1_f", p)):
+            with pytest.raises(TypeError):
+                entry(text)
 
 
 class TestHalfPeriod:
@@ -355,6 +369,35 @@ class TestDomains:
                       (iq.lem23_g, math.inf), (iq.lem24_gap, math.inf)):
             with pytest.raises(DomainError):
                 fn(x, 2.0)
+
+    @staticmethod
+    def count_quadratures(monkeypatch) -> list:
+        calls = []
+        orig = core._arsinh_quad
+
+        def counted(fam, s):
+            calls.append(s)
+            return orig(fam, s)
+
+        monkeypatch.setattr(core, "_arsinh_quad", counted)
+        return calls
+
+    @pytest.mark.parametrize("x", [40.0, 100.0, 300.0, 700.0])
+    def test_large_sinh_takes_a_few_quadratures(self, x, monkeypatch):
+        # The bracket above x grows without quadrature while the closed-form
+        # bounds of arsinh_p settle each step; the solve then takes a few.
+        calls = self.count_quadratures(monkeypatch)
+        s, _ = core._sinh_raw(core._Family(2.0), x)
+        assert abs(math.asinh(s) - x) <= 1e-12 * x
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("x", [720.0, 1e280])
+    def test_sinh_past_the_range_raises_after_one_quadrature(self, x, monkeypatch):
+        # Only arsinh_p(1), the base of the bounds above 1, is integrated.
+        calls = self.count_quadratures(monkeypatch)
+        with pytest.raises(DomainError, match="exceeds floating-point range"):
+            core._sinh_raw(core._Family(2.0), x)
+        assert calls == [1.0]
 
     def test_newton_step_cap_raises(self, monkeypatch):
         # Each Newton loop raises once it runs out of steps; the point is new
