@@ -29,21 +29,8 @@ from .inequalities import (
 )
 from .numerics import NonConvergence
 
-_POINT_FNS = {
-    "sin_p": core.sin_p,
-    "cos_p": core.cos_p,
-    "tan_p": core.tan_p,
-    "sinh_p": core.sinh_p,
-    "cosh_p": core.cosh_p,
-    "tanh_p": core.tanh_p,
-    "arcsin_p": core.arcsin_p,
-    "arsinh_p": core.arsinh_p,
-    "d_sin_p": core.d_sin_p,
-    "d_cos_p": core.d_cos_p,
-    "d_sinh_p": core.d_sinh_p,
-    "d_cosh_p": core.d_cosh_p,
-    "d_tanh_p": core.d_tanh_p,
-}
+# Every public evaluator of core that takes (x, p).
+_POINT_FNS = {f: getattr(core, f) for f in core.__all__ if f.endswith("_p") and f != "pi_p"}
 
 # Tabulation interval by function family: circular functions live on
 # (0, pi_p/2), arcsin_p on (0, 1), the hyperbolic family on the desk-scale
@@ -171,13 +158,12 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if n_pass == len(reports) else 1
 
 
-def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=float, required=True, help="family parameter, p > 1")
-    if fmt:
-        sub.add_argument(
-            "--format", choices=("csv", "json", "human"), default="human",
-            help="output format (default: human)",
-        )
+    sub.add_argument(
+        "--format", choices=("csv", "json", "human"), default="human",
+        help="output format (default: human)",
+    )
 
 
 def _add_grid(sub: argparse.ArgumentParser) -> None:

@@ -20,17 +20,15 @@ below w or om, both at most 1/2, so the dropped tail is at most the last
 term kept; with a rounding allowance per term this is the error bound.  The
 hyperbolic integral is still taken by tanh-sinh quadrature.
 
-sin_p and sinh_p invert the integrals, each with its own safeguarded Newton
-loop that bisects its bracket when a step would leave it, switching to
-verified reversion series near zero where inversion would lose the deficit
+sin_p and sinh_p invert the integrals by safeguarded Newton loops, and near
+zero by verified reversion series, where inversion would lose the deficit
 x - sin_p(x) to cancellation.  sin_p is solved for w = log cos_p^p = log om,
-from which s^p = -expm1(w) and om = e^w both keep full relative accuracy, at
-every x from the series switch up to a corner within the uncertainty of
-pi_p/2 (or with om below the double range), where only a bound on om is
-reported.  sinh_p is solved for s on a bracket above x grown geometrically
-up to the largest double; closed-form bounds on arsinh_p decide each step
-of that growth, and a quadrature only the steps where the bounds come within
-about 1e-9 (1 + x) of x.  The remaining functions follow from the identities
+so that s^p = -expm1(w) and om = e^w keep full relative accuracy up to a
+corner within the uncertainty of pi_p/2 (or with om below the double range),
+where only a bound on om is reported.  sinh_p is solved for s on a bracket
+grown from x, whose steps closed-form bounds on arsinh_p decide unless they
+come within about 1e-9 (1 + x) of x.  The other functions follow from the
+identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
@@ -39,10 +37,11 @@ circular functions are defined on [0, pi_p/2] only (no periodic extension);
 the hyperbolic ones on x >= 0 up to arsinh_p of the largest double (about
 709.8 to 710.8, growing with p), beyond which they raise DomainError.
 
-Every public operation returns an :class:`Evaluation` whose abs_err chains
-the series or quadrature bound, the inversion residual converted through the
-local slope, and the small-argument series truncation, so downstream margin
-certification can budget against it.  There is one precision: the targets
+The states of sin_p and sinh_p bound their own errors: the inversion
+residual through the local slope, or the series truncation.  Every other
+evaluator is a ball expression of them and of p, so its abs_err follows by
+the one rule of :class:`.numerics.Evaluation`, and margin certification
+downstream can budget against it.  There is one precision: the targets
 of the quadrature and of the two Newton loops are fixed constants below, and
 NonConvergence means the quadrature missed its target or a loop ran out of
 steps.  Every public evaluator takes (x, p), a finite x, and raises
@@ -61,7 +60,7 @@ import threading
 from functools import cached_property, wraps
 
 from . import series
-from .numerics import _EPS, Evaluation, NonConvergence, integrate
+from .numerics import _EPS, _ULP0, Evaluation, NonConvergence, _centred, integrate
 
 __all__ = [
     "DomainError",
@@ -102,10 +101,6 @@ _NEWTON_STEPS = 80
 # _sinh_raw's bracket test trusts a closed-form enclosure of arsinh_p that
 # clears x by this times 1 + x, some 2e4 times the quadrature's error.
 _BOUNDS_MARGIN = 1e-9
-# Added to the abs_err of every public result: a value rounded among the
-# subnormals, or underflowed, is off by up to an ulp of 0 per rounding there,
-# which a relative bound scales away.  Above ~1e-307 the sum is the bound.
-_ERR_FLOOR = 2.0 * math.ulp(0.0)
 
 
 class DomainError(ValueError):
@@ -119,9 +114,12 @@ class PoleError(DomainError):
 def _valid_p(p: float) -> float:
     """p as a float; every definition here requires p finite and > 1.  Text
     is no number, though float() would parse it."""
-    if isinstance(p, (str, bytes, bytearray)):
-        raise TypeError(f"parameter p must be a number, got {type(p).__name__}")
-    pf = float(p)
+    try:
+        if isinstance(p, (str, bytes, bytearray)):
+            raise TypeError
+        pf = float(p)
+    except TypeError:
+        raise TypeError(f"parameter p must be a number, got {type(p).__name__}") from None
     if not (math.isfinite(pf) and pf > 1.0):
         raise ValueError(f"parameter p must be finite and > 1, got {pf}")
     return pf
@@ -173,8 +171,7 @@ class _Family:
     @cached_property
     def pi(self) -> Evaluation:
         """pi_p = 2 arcsin_p(1), the one Evaluation pi_p returns for the family."""
-        v, e = self.half
-        return Evaluation(2.0 * v, 2.0 * e)
+        return 2.0 * Evaluation(*self.half)
 
     @cached_property
     def glue(self) -> tuple[float, float]:
@@ -187,8 +184,8 @@ class _Family:
         return v, (root * ea + hq * eq) / pf + 4.0 * _EPS * v
 
     @cached_property
-    def arsinh_one(self) -> tuple[float, float]:
-        """arsinh_p(1) and its error bound, the base of arsinh_p above 1."""
+    def arsinh_one(self) -> Evaluation:
+        """arsinh_p(1), the base of arsinh_p above 1."""
         return _arsinh_quad(self, 1.0)
 
 
@@ -215,7 +212,7 @@ def _family(p: float) -> _Family:
     """The family of p; a miss validates p."""
     try:
         return _FAMILIES[p]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable p
         pf = _valid_p(p)
         return _filed(_FAMILIES, pf, lambda: _Family(pf))
 
@@ -240,15 +237,13 @@ def _kept(fn):
 
 
 def _served(domain):
-    """Serve body(fam, x) as the public evaluator (x, p), with _ERR_FLOOR
-    added to its abs_err, and keep each result in the evaluator's own table,
-    _RESULTS[name][float p][x].
+    """Serve body(fam, x) as the public evaluator (x, p), and keep each result
+    in the evaluator's own table, _RESULTS[name][float p][x].
 
     A hit is two dict lookups and nothing else: an int, float or numpy p
     finds its float key.  A miss looks up the family, which validates p,
     checks x with domain(fam, name, x), which raises DomainError, and stores
-    the result in the table of the float p.  Only results are stored, so a
-    call that raised raises again.
+    the result; a call that raised raises again.
     """
 
     def wrap(body):
@@ -258,7 +253,7 @@ def _served(domain):
         def serve(x: float, p: float) -> Evaluation:
             try:
                 return results[p][x]
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: an unhashable p or x
                 pass
             fam = _family(p)
             table = results.get(fam.pf)
@@ -266,7 +261,6 @@ def _served(domain):
                 table = _filed(results, fam.pf, dict)
             domain(fam, name, x)
             got = body(fam, x)
-            got = Evaluation(got.value, got.abs_err + _ERR_FLOOR)
             if len(table) >= _RESULT_CAP:
                 table.clear()
             table[x] = got
@@ -367,7 +361,7 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
     if w <= 0.5:
         S, e = _beta_tail(1.0 / pf, w)
         v = s * (1.0 + S / pf)
-        return v, s * e / pf + 2.0 * _EPS * v
+        return v, s * e / pf + 2.0 * (_EPS * v + _ULP0)
     # glue + T(1/2) - T(om): the k = 0 terms of the two T series differ by
     # ((1/2)^q - om^q)/q, taken through expm1.  The 6 eps term covers the
     # rounding of the sum; the (1 + |log om|) eps terms cover the relative
@@ -384,14 +378,11 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
     return v, err
 
 
-def _arsinh_quad(fam: _Family, x: float) -> tuple[float, float]:
+def _arsinh_quad(fam: _Family, x: float) -> Evaluation:
     if x <= 1.0:
-        res = integrate(_hyp_integrand(fam.pf), x, _QUAD_ABS, _QUAD_REL)
-        return res.value, res.abs_err
-    base_v, base_e = fam.arsinh_one
+        return integrate(_hyp_integrand(fam.pf), x, _QUAD_ABS, _QUAD_REL)
     tail = integrate(_hyp_tail_integrand(fam.pf), math.log(x), _QUAD_ABS, _QUAD_REL)
-    v = base_v + tail.value
-    return v, base_e + tail.abs_err + 2.0 * _EPS * abs(v)
+    return fam.arsinh_one + tail
 
 
 def pi_p(p: float) -> Evaluation:
@@ -401,7 +392,7 @@ def pi_p(p: float) -> Evaluation:
     """
     try:
         return _FAMILIES[p].pi
-    except KeyError:
+    except (KeyError, TypeError):
         return _family(p).pi
 
 
@@ -418,7 +409,7 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
     """Inverse generalized hyperbolic sine on x >= 0."""
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    return Evaluation(*_arsinh_quad(fam, x))
+    return _arsinh_quad(fam, x)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +417,9 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
 
 
 @_kept
-def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
-    """(s, s_err, om, om_err) with s = sin_p(x) and om = cos_p(x)^p.
+def _sin_state(fam: _Family, x: float) -> tuple:
+    """The balls (s, om, w) of s = sin_p(x), om = cos_p(x)^p and w = log om
+    (None where om = 0).
 
     om is carried separately because 1 - s^p loses all relative accuracy
     once s rounds to 1; every cosine-like quantity downstream feeds on it.
@@ -437,14 +429,12 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     """
     pf, q = fam.pf, fam.q
     if x == 0.0:
-        return 0.0, 0.0, 1.0, 0.0
+        return Evaluation(0.0, 0.0), Evaluation(1.0, 0.0), Evaluation(0.0, 0.0)
     z = x ** pf
     if z < _SERIES_Z:
-        q = fam.zseries.sin_ratio.replace(0, 1.0)
-        s = x * series.zp_eval(q, z)
-        s_err = x * series.zp_trunc_err(q, z)
-        om = _cos_pow(pf, s)
-        return s, s_err, om, pf * s ** (pf - 1.0) * s_err + 2.0 * _EPS * om
+        s = _zseries(fam.zseries.sin_ratio, x, z)
+        om = -(pf * s.log()).expm1()
+        return s, om, om.log()
 
     # pi_p/2 - x = T(om) >= om^q/(p-1), and the true pi_p/2 - x is at most
     # tau + tau_err: a ceiling on w = log om.
@@ -457,7 +447,7 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
         # the normal range.  The ceiling bounds om, the + 1 absorbing
         # rounding, and 1 - s <= om/p.
         om_ub = math.exp(max(w_top, -745.0) + 1.0)
-        return 1.0, max(2.0 * _EPS, om_ub / pf), 0.0, om_ub
+        return Evaluation(1.0, max(2.0 * _EPS, om_ub / pf)), Evaluation(0.0, om_ub), None
 
     # arcsin_p(s) <= s om^(-1/p) gives s^p >= z/(1 + z), a second ceiling.
     # x(w) decreases and is concave, so Newton started above the root
@@ -502,19 +492,27 @@ def _sin_state(fam: _Family, x: float) -> tuple[float, float, float, float]:
     s = sp ** (1.0 / pf)
     rho = om_err / sp
     s_err = s * ((1.0 if rho >= 1.0 else -math.expm1(math.log1p(-rho) / pf)) + 4.0 * _EPS)
-    return s, s_err, om, om_err
+    # The same band in log om.  Where it leaves no floor under om, pi_p/2 - x
+    # >= tau - tau_err does: T(om) <= om^q (1 - q log(1 - om)) / (p - 1), as
+    # each term of T's series after the first is at most om^k/k of it.
+    lw = math.log(om)
+    if c * d < 1.0:
+        below = -math.log1p(-c * d) / c
+    else:
+        wf = math.log((pf - 1.0) * (tau - tau_err) / (1.0 - q * math.log1p(-om * (1.0 + up))))
+        below = w - (wf - 8.0 * _EPS * (1.0 + abs(wf))) / q
+    w_err = max(min(d, top - w), below) + abs(lw - w) + 4.0 * _EPS * (1.0 + abs(lw))
+    return Evaluation(s, s_err), Evaluation(om, om_err), Evaluation(lw, w_err)
 
 
 @_kept
-def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
-    """sinh_p(x) with an error bound, for x >= 0."""
+def _sinh_raw(fam: _Family, x: float) -> Evaluation:
+    """The ball of sinh_p(x), for x >= 0."""
     pf = fam.pf
     if x == 0.0:
-        return 0.0, 0.0
+        return Evaluation(0.0, 0.0)
     if x < 1.0 and x ** pf < _SERIES_Z:
-        z = x ** pf
-        q = fam.zseries.sinh_ratio.replace(0, 1.0)
-        return x * series.zp_eval(q, z), x * series.zp_trunc_err(q, z)
+        return _zseries(fam.zseries.sinh_ratio, x, x ** pf)
 
     # arsinh_p(s) < s puts the root above x.  Grow the bracket up to the
     # largest double, a step integrating only where closed-form bounds
@@ -529,7 +527,7 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     # bracket; halves are summed separately so that lo + hi cannot overflow.
     lo, s = x, 0.5 * x + 0.5 * hi
     for _ in range(_NEWTON_STEPS):
-        r = _arsinh_quad(fam, s)[0] - x
+        r = _arsinh_quad(fam, s).value - x
         if abs(r) <= _INV_TOL * (1.0 + x):
             break
         if r < 0.0:
@@ -544,7 +542,14 @@ def _sinh_raw(fam: _Family, x: float) -> tuple[float, float]:
     # slope cosh_p(s)^-1 of arsinh_p.
     restol = _INV_TOL * (1.0 + x) + 2.0 * _QUAD_REL * x
     s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
-    return s, s_err
+    return Evaluation(s, s_err)
+
+
+def _zseries(ratio: series._ZPoly, x: float, z: float) -> Evaluation:
+    """The ball of x (1 + ratio(z)), z = x^p.  At a subnormal x the product
+    is exact and the bound, 0, short by far less than an ulp of 0."""
+    q = ratio.replace(0, 1.0)
+    return Evaluation(x * series.zp_eval(q, z), x * series.zp_trunc_err(q, z))
 
 
 def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
@@ -556,7 +561,7 @@ def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
     """
     if s <= 1.0:
         return 0.5 ** (1.0 / fam.pf) * s, s
-    one_v, one_e = fam.arsinh_one
+    one_v, one_e = fam.arsinh_one.value, fam.arsinh_one.abs_err
     top = one_v + one_e + math.log(s)
     pad = 4.0 * _EPS * top
     return top - 2.0 * one_e - 1.0 / fam.pf ** 2 - pad, top + pad
@@ -572,16 +577,7 @@ def _arsinh_below(fam: _Family, s: float, x: float) -> bool:
         return True
     if lo > x + margin:
         return False
-    return _arsinh_quad(fam, s)[0] < x
-
-
-def _cos_pow(pf: float, s: float) -> float:
-    """cos_p^p = 1 - s^p at full relative accuracy, for s = sin_p value."""
-    if s <= 0.0:
-        return 1.0
-    if s >= 1.0:
-        return 0.0
-    return -math.expm1(pf * math.log(s))
+    return _arsinh_quad(fam, s).value < x
 
 
 def _log_cosh(pf: float, s: float) -> float:
@@ -594,30 +590,36 @@ def _log_cosh(pf: float, s: float) -> float:
     return math.log1p(math.exp(pf * ls)) / pf
 
 
+def _lcosh(pf: float, s: Evaluation) -> Evaluation:
+    """_log_cosh of the ball of sinh_p."""
+    if s.value <= 0.0:
+        return s  # 0 = log cosh_p(0)
+    ls = s.log()
+    if s.value > 1.0:
+        return ls + ((-pf) * ls).exp().log1p() / pf
+    return (pf * ls).exp().log1p() / pf
+
+
 @_served(_circular)
 def sin_p(fam: _Family, x: float) -> Evaluation:
     """Generalized sine on [0, pi_p/2]; increasing from 0 to 1."""
-    s, s_err, _, _ = _sin_state(fam, x)
-    return Evaluation(min(s, 1.0), s_err)
+    return _sin_state(fam, x)[0] + 0.0  # + 0 rounds the state as a result
 
 
-def _cos_from_state(pf: float, om: float, om_err: float) -> Evaluation:
-    if om <= 0.0:
-        return Evaluation(0.0, om_err ** (1.0 / pf))
-    c = math.exp(math.log(om) / pf)
-    # Linearized propagation, capped by the full enclosure width when the
-    # relative uncertainty of om is not small.  The relative error is formed
-    # first: for tiny om the product c * om_err would underflow to zero.
-    lin = c * (om_err / om) / pf
-    cap = (om + om_err) ** (1.0 / pf) - max(om - om_err, 0.0) ** (1.0 / pf)
-    return Evaluation(c, min(lin, cap) + 4.0 * _EPS * c)
+def _cos_from_state(pf: float, om: Evaluation, w: Evaluation | None) -> Evaluation:
+    """cos_p = exp(w/p), or om^(1/p) where om = 0.  Near the corner the ball
+    of om, clipped at 0, can be the narrower one about the same value."""
+    if w is None:
+        return om ** (1.0 / pf)
+    c = (w / pf).exp()
+    clipped = _centred(om ** (1.0 / pf), c.value)
+    return clipped if clipped.abs_err < c.abs_err else c
 
 
 @_served(_circular)
 def cos_p(fam: _Family, x: float) -> Evaluation:
     """Generalized cosine (1 - sin_p^p)^(1/p); decreasing from 1 to 0."""
-    _, _, om, om_err = _sin_state(fam, x)
-    return _cos_from_state(fam.pf, om, om_err)
+    return _cos_from_state(fam.pf, *_sin_state(fam, x)[1:])
 
 
 @_served(_circular)
@@ -626,21 +628,17 @@ def tan_p(fam: _Family, x: float) -> Evaluation:
     ph_v, _ = fam.half
     if x > ph_v - _POLE_WINDOW:
         raise PoleError(f"tan_p pole: x = {x} within {_POLE_WINDOW} of pi_p/2 = {ph_v}")
-    s, s_err, om, om_err = _sin_state(fam, x)
-    c = _cos_from_state(fam.pf, om, om_err)
+    s, om, w = _sin_state(fam, x)
+    c = _cos_from_state(fam.pf, om, w)
     if c.value <= c.abs_err:
         raise PoleError(f"tan_p pole: cos_p = {c.value} is not resolved from 0 at x = {x}")
-    v = s / c.value
-    # The far end of the enclosure s/c over both error bands; first-order
-    # propagation would understate it once c's relative error is not small.
-    hi = (s + s_err) / (c.value - c.abs_err)
-    return Evaluation(v, (hi - v) + 4.0 * _EPS * v)
+    return s / c
 
 
 @_served(_half_line)
 def sinh_p(fam: _Family, x: float) -> Evaluation:
     """Generalized hyperbolic sine on x >= 0; sinh_p(x) > x for x > 0."""
-    return Evaluation(*_sinh_raw(fam, x))
+    return _sinh_raw(fam, x) + 0.0  # rounded as in sin_p
 
 
 def _snap_to_identity(n: int, s: float, v: float) -> float:
@@ -663,26 +661,20 @@ def _snap_to_identity(n: int, s: float, v: float) -> float:
 @_served(_half_line)
 def cosh_p(fam: _Family, x: float) -> Evaluation:
     """Generalized hyperbolic cosine (1 + sinh_p^p)^(1/p) >= 1."""
-    pf = fam.pf
-    s, s_err = _sinh_raw(fam, x)
-    lch = _log_cosh(pf, s)
-    v = math.exp(lch)
-    if fam.snap and s > 0.0 and 1.0 < v < math.inf:
-        v = _snap_to_identity(fam.snap, s, v)
-    # d cosh/d sinh = tanh^(p-1) <= 1.
-    slope = 1.0 if s == 0.0 else math.exp((pf - 1.0) * (math.log(s) - lch))
-    return Evaluation(v, slope * s_err + 4.0 * _EPS * v)
+    s = _sinh_raw(fam, x)
+    c = _lcosh(fam.pf, s).exp()
+    if fam.snap and s.value > 0.0 and 1.0 < c.value:
+        c = _centred(c, _snap_to_identity(fam.snap, s.value, c.value))
+    return c
 
 
 @_served(_half_line)
 def tanh_p(fam: _Family, x: float) -> Evaluation:
     """sinh_p/cosh_p on x >= 0, with values in [0, 1)."""
-    s, s_err = _sinh_raw(fam, x)
     # One exp of log s - log cosh_p would carry a rounding error of about
-    # |log s| ulp, which near 0 exceeds the 4 eps below.
-    r = math.exp(-_log_cosh(fam.pf, s))
-    v = s * r
-    return Evaluation(v, s_err * r + 4.0 * _EPS * v)
+    # |log s| ulp.
+    s = _sinh_raw(fam, x)
+    return s * (-_lcosh(fam.pf, s)).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -705,21 +697,14 @@ def d_cos_p(fam: _Family, x: float) -> Evaluation:
         )
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    s, s_err, om, om_err = _sin_state(fam, x)
-    c = _cos_from_state(pf, om, om_err)
-    if c.value == 0.0:  # reachable only for p <= 2; the p = 2 case is -sin_p
-        v = -(s ** (pf - 1.0)) if pf == 2.0 else 0.0
-        return Evaluation(v, pf * s_err + om_err ** (1.0 / pf) + 4.0 * _EPS)
+    s, om, w = _sin_state(fam, x)
+    c = _cos_from_state(pf, om, w)
     # Each power is taken on its own, within an ulp of its exact value; one
     # exp of the summed logs would carry a rounding error of about
-    # |(p - 1) log s| ulp, which near 0 exceeds the 4 eps below.
-    v = -(c.value ** (2.0 - pf)) * s ** (pf - 1.0)
-    rel = (
-        abs(2.0 - pf) * c.abs_err / c.value
-        + (pf - 1.0) * s_err / s
-        + 4.0 * _EPS
-    )
-    return Evaluation(v, abs(v) * rel)
+    # |(p - 1) log s| ulp.
+    d = c ** (2.0 - pf) * s ** (pf - 1.0)
+    # cos_p = 0 only for p <= 2, where adding 0 keeps the value of p < 2 unsigned.
+    return -d + 0.0 if c.value == 0.0 else -d
 
 
 def d_sinh_p(x: float, p: float) -> Evaluation:
@@ -731,37 +716,18 @@ def d_sinh_p(x: float, p: float) -> Evaluation:
 def d_cosh_p(fam: _Family, x: float) -> Evaluation:
     """d/dx cosh_p = cosh_p^(2-p) sinh_p^(p-1) (forced by the identity)."""
     pf = fam.pf
-    s, s_err = _sinh_raw(fam, x)
-    if s == 0.0:
-        return Evaluation(0.0, (pf - 1.0) * s_err)
-    lch = _log_cosh(pf, s)
+    s = _sinh_raw(fam, x)
+    lch = _lcosh(pf, s)
     # Up to s = 1 the power of s keeps its few-ulp accuracy, which one exp of
     # (p - 1) log s would lose; above it the value is cosh_p tanh_p^(p-1),
     # each factor in range up to arsinh_p(largest double).
-    if s <= 1.0:
-        v = math.exp((2.0 - pf) * lch) * s ** (pf - 1.0)
-    else:
-        v = math.exp(lch) * math.exp((pf - 1.0) * (math.log(s) - lch))
-    rel = (abs(2.0 - pf) + (pf - 1.0)) * (s_err / s) + 4.0 * _EPS
-    return Evaluation(v, v * rel)
+    if s.value <= 1.0:
+        return ((2.0 - pf) * lch).exp() * s ** (pf - 1.0)
+    return lch.exp() * ((pf - 1.0) * (s.log() - lch)).exp()
 
 
 @_served(_half_line)
 def d_tanh_p(fam: _Family, x: float) -> Evaluation:
     """d/dx tanh_p = 1 - tanh_p^p."""
-    pf = fam.pf
-    s, s_err = _sinh_raw(fam, x)
-    # 1 - tanh_p^p = cosh_p^(-p), which does not cancel as tanh_p -> 1.  One
-    # exp of -p log cosh_p carries a rounding error of |p log cosh_p| ulp.
-    lch = _log_cosh(pf, s)
-    v = math.exp(-pf * lch)
-    # v = 1/(1 + s^p) moves by p tanh_p^p v d to first order in d = s_err/s;
-    # over s +- s_err its slope grows by at most (1+d)^(p-1)/(1-d)^(2p), which
-    # is below 1 + 4pd while pd < 0.1.  Past that, the change is at most
-    # 1 - v(s + s_err) = tanh_p(s + s_err)^p <= min(1, s + s_err)^p.
-    d = s_err / s if s > 0.0 else math.inf
-    if pf * d < 0.1:
-        prop = pf * (s * math.exp(-lch)) ** pf * v * d * (1.0 + 4.0 * pf * d)
-    else:
-        prop = min(1.0, s + s_err) ** pf
-    return Evaluation(v, prop + (2.0 * pf * lch + 4.0) * _EPS * v)
+    # 1 - tanh_p^p = cosh_p^(-p), which does not cancel as tanh_p -> 1.
+    return (-fam.pf * _lcosh(fam.pf, _sinh_raw(fam, x))).exp()

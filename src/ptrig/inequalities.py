@@ -37,17 +37,16 @@ from . import series
 from .core import (
     DomainError,
     PoleError,
-    _ERR_FLOOR,
     _Family,
     _family,
     _kept,
-    _log_cosh,
+    _lcosh,
     _valid_p,
     _sin_state,
     _sinh_raw,
     cosh_p,
 )
-from .numerics import _EPS, Evaluation, NonConvergence, _Record
+from .numerics import Evaluation, NonConvergence, _Record
 
 __all__ = [
     "FunctionId",
@@ -110,7 +109,7 @@ class _Claim(NamedTuple):
     series.SmallZSeries; limit is its value as z -> 0.  A chain's formula is
     its terms (sign, const, prim) with log T = sign * const * prim, prim
     named likewise (None for T = 1), and cancelling holds the pairs (k, k+1)
-    whose z^1 term cancels.  limit, scale and const name values of
+    whose z^1 term cancels.  limit, scale and const name numbers of
     _constant.
 
     route names the functional f whose bounds c_2 < f < c_0, c_k the const
@@ -257,111 +256,79 @@ class SharpConstants(_Record):
         self._set(alpha, beta, p)
 
 
+@_kept
 def _constant(fam: _Family, name: str) -> tuple:
-    """(num, den, err) for a number the claim table names: its value is
-    num/den, and err bounds the error in num.  den keeps p a divisor: -d/p
-    and (-1/p) d differ in the last bit."""
+    """(num, den) for a number the claim table names: its value is num/den,
+    num a ball and den a float.  den keeps p a divisor: -d/p and (-1/p) d
+    differ in the last bit."""
     pf = fam.pf
     if name == "beta":
-        return _beta(fam)
+        return _beta(fam), 1.0
     if name == "lam":
-        ph, ph_err = fam.half
-        lam = math.log(ph)
-        return lam, 1.0, ph_err / ph + 2.0 * _EPS * abs(lam)
+        return Evaluation(*fam.half).log(), 1.0
     if name == "alpha":
-        alpha = 1.0 / (1.0 + pf)
-        return alpha, 1.0, _EPS * alpha
-    if name == "1/p":
-        return 1.0, pf, 0.0
-    return {"0": 0.0, "1": 1.0, "p": pf}[name], 1.0, 0.0
+        return 1.0 / (Evaluation(pf, 0.0) + 1.0), 1.0
+    den = pf if name == "1/p" else 1.0
+    return Evaluation({"0": 0.0, "1": 1.0, "p": pf, "1/p": 1.0}[name], 0.0), den
 
 
 @_kept
-def _beta(fam: _Family) -> tuple:
-    """beta = lam / log cosh_p(pi_p/2) as _constant gives it, the one
-    constant that needs cosh_p."""
-    lam, _, lam_err = _constant(fam, "lam")
-    ch = cosh_p(fam.half[0], fam.pf)
-    lch = math.log(ch.value)
-    beta = lam / lch
-    beta_err = (
-        lam_err / lch
-        + abs(beta) * (ch.abs_err / ch.value) / lch
-        + 4.0 * _EPS * abs(beta)
-    )
-    return beta, 1.0, beta_err
-
-
-def _value(fam: _Family, name: str) -> float:
-    num, den, _ = _constant(fam, name)
-    return num / den
+def _beta(fam: _Family) -> Evaluation:
+    """beta = lam / log cosh_p(pi_p/2), the one constant that needs cosh_p."""
+    return _constant(fam, "lam")[0] / cosh_p(fam.half[0], fam.pf).log()
 
 
 def sharp_constants(p: float) -> SharpConstants:
     fam = _family(p)
-    return SharpConstants(alpha=_value(fam, "alpha"), beta=_value(fam, "beta"), p=fam.pf)
+    return SharpConstants(alpha=_constant(fam, "alpha")[0].value, beta=_beta(fam).value, p=fam.pf)
 
 
 # ---------------------------------------------------------------------------
-# log-space primitives with error bounds, for the direct (z above switch) route
+# log-space primitives as balls, for the direct (z above switch) route; the
+# four logs are kept with the family, as the claims on one side share a grid.
 
-def _l1(fam: _Family, x: float) -> tuple:
+@_kept
+def _l1(fam: _Family, x: float) -> Evaluation:
     """log(x / sin_p(x)) > 0."""
-    s, s_err, _, _ = _sin_state(fam, x)
-    v = -math.log1p((s - x) / x)
-    return v, (s_err + 2.0 * _EPS * (s + x)) / s
+    return -((_sin_state(fam, x)[0] - x) / x).log1p()
 
 
-def _l4(fam: _Family, x: float) -> tuple:
+@_kept
+def _l4(fam: _Family, x: float) -> Evaluation:
     """-log cos_p(x) > 0."""
-    _, _, om, om_err = _sin_state(fam, x)
-    if om <= 0.0:
+    w = _sin_state(fam, x)[2]
+    if w is None:
         raise PoleError(f"cos_p vanished at x = {x}")
-    v = -math.log(om) / fam.pf
-    return v, om_err / (fam.pf * om) + 2.0 * _EPS * abs(v)
+    return -w / fam.pf
 
 
-def _l2(fam: _Family, x: float) -> tuple:
+@_kept
+def _l2(fam: _Family, x: float) -> Evaluation:
     """log(sinh_p(x) / x) > 0."""
-    sh, sh_err = _sinh_raw(fam, x)
-    v = math.log1p((sh - x) / x)
-    return v, (sh_err + 2.0 * _EPS * (sh + x)) / sh
+    return ((_sinh_raw(fam, x) - x) / x).log1p()
 
 
-def _l3(fam: _Family, x: float) -> tuple:
+@_kept
+def _l3(fam: _Family, x: float) -> Evaluation:
     """log cosh_p(x) > 0."""
-    sh, sh_err = _sinh_raw(fam, x)
-    v = _log_cosh(fam.pf, sh)
-    # d log cosh_p / d sinh_p = sinh^(p-1) / (1 + sinh^p)
-    w = math.exp((fam.pf - 1.0) * math.log(sh) - fam.pf * v)
-    return v, sh_err * w + 4.0 * _EPS * v
+    return _lcosh(fam.pf, _sinh_raw(fam, x))
 
 
-def _dee(fam: _Family, x: float) -> tuple:
+def _dee(fam: _Family, x: float) -> Evaluation:
     """(sin_p - x cos_p) / sin_p = 1 - x cos_p/sin_p, positive on the domain."""
-    l1v, l1e = _l1(fam, x)
-    l4v, l4e = _l4(fam, x)
-    g = l1v - l4v
-    return -math.expm1(g), math.exp(g) * (l1e + l4e)
+    return -(_l1(fam, x) - _l4(fam, x)).expm1()
 
 
-def _ee(fam: _Family, x: float) -> tuple:
+def _ee(fam: _Family, x: float) -> Evaluation:
     """(x cosh_p - sinh_p) / sinh_p = x/tanh_p - 1, positive for x > 0."""
-    l2v, l2e = _l2(fam, x)
-    l3v, l3e = _l3(fam, x)
-    g = l3v - l2v
-    return math.expm1(g), math.exp(g) * (l2e + l3e)
+    return (_l3(fam, x) - _l2(fam, x)).expm1()
 
 
-def _lem24(fam: _Family, x: float) -> tuple:
+def _lem24(fam: _Family, x: float) -> Evaluation:
     """log cosh_p(x) - (x/p) tanh_p(x)^(p-1) > 0."""
     pf = fam.pf
-    sh, sh_err = _sinh_raw(fam, x)
-    l3v, l3e = _l3(fam, x)
-    t = math.exp((pf - 1.0) * (math.log(sh) - l3v))
-    t_err = t * (pf - 1.0) * (sh_err / sh + l3e)
-    v = l3v - (x / pf) * t
-    return v, l3e + (x / pf) * t_err + 2.0 * _EPS * (l3v + (x / pf) * t)
+    l3 = _l3(fam, x)
+    return l3 - (x / pf) * ((pf - 1.0) * (_sinh_raw(fam, x).log() - l3)).exp()
 
 
 # Direct-route primitive behind each series.SmallZSeries name.
@@ -370,26 +337,26 @@ _DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee, "lem
 
 def _series_z(pf: float, x: float) -> Optional[float]:
     """z = x^p when the series route applies at x, else None."""
-    if x < 1.0:
-        z = x ** pf
-        if z < _Z_SWITCH:
-            return z
-    return None
+    z = x ** pf if x < 1.0 else math.inf
+    return z if z < _Z_SWITCH else None
 
 
-def _primitive(fam: _Family, name: str, x: float, z: Optional[float]) -> tuple:
-    """The primitive named as in series.SmallZSeries at x, with its error:
-    from its z-series and truncation bound when z is given, else by _DIRECT."""
+def _zball(q, z: float, cerr=series.zp()) -> Evaluation:
+    """The z-series q at z, with its truncation bound and cerr, a chain's
+    const-error weights in coefficient space."""
+    return Evaluation(series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(cerr, z))
+
+
+def _primitive(fam: _Family, name: str, x: float, z: Optional[float]) -> Evaluation:
+    """The ball of the primitive named as in series.SmallZSeries at x."""
     if z is None:
         return _DIRECT[name](fam, x)
-    q = getattr(fam.zseries, name)
-    return series.zp_eval(q, z), series.zp_trunc_err(q, z)
+    return _zball(getattr(fam.zseries, name), z)
 
 
 def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
     """The functional of tag at x, from the formula its claim declares; below
-    the z-floor, its limit.  As in core's _served, _ERR_FLOOR is added to
-    every abs_err: lem24_gap underflows to 0 at large p."""
+    the z-floor, its limit."""
     fam = _family(p)
     claim = _CLAIMS[tag]
     if claim.interval == "circular":
@@ -401,15 +368,15 @@ def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
     num, den, limit, scale = claim.formula
     z = _series_z(fam.pf, x)
     if z is not None and z <= _Z_FLOOR:
-        v = _value(fam, limit)
-        return Evaluation(v, 4.0 * _EPS * v + _ERR_FLOOR)
-    n, n_err = _primitive(fam, num, x, z)
+        # limit (1 + t), where |t| <= z: each ratio's z^1 coefficient is
+        # below its z^0 one, and lem24_gap is O(z^2).
+        lim, lim_den = _constant(fam, limit)
+        return lim / lim_den * Evaluation(1.0, z)
+    n = _primitive(fam, num, x, z)
     if den is None:
-        return Evaluation(n, n_err + _ERR_FLOOR)
-    d, d_err = _primitive(fam, den, x, z)
-    v = _value(fam, scale) * (n / d)
-    err = abs(v) * (n_err / abs(n) + d_err / abs(d)) + 2.0 * _EPS * abs(v)
-    return Evaluation(v, err + _ERR_FLOOR)
+        return n
+    scale, scale_den = _constant(fam, scale)
+    return scale * (n / _primitive(fam, den, x, z)) / scale_den
 
 
 def thm1_f(x: float, p: float) -> Evaluation:
@@ -448,32 +415,23 @@ _FUNCTIONALS = {
 # ---------------------------------------------------------------------------
 # chains
 
-def _chain_terms(fam: _Family, tag: FunctionId) -> list:
-    """The chain's terms as (num, den, num_err, prim): log T = num * v / den,
-    where v (with error e) is the primitive prim (None for T = 1) and num_err
-    bounds the error in num; the term's error is |num| e / den + num_err v."""
-    terms = []
-    for sign, const, prim in _CLAIMS[tag].formula:
-        num, den, err = _constant(fam, const)
-        terms.append((sign * num, den, err, prim))
-    return terms
-
-
 @_kept
 def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
-    """Term log-polynomials in z, const-error weights, and zero_coeff'd gaps.
-
-    Returns (polys, cerrs, gap_polys, gap_cerrs) where gap k spans the
-    pair (k, k+1).  Pairs whose leading z coefficient cancels analytically
-    carry the cancellation removed exactly; evaluating that difference
-    polynomial is what keeps margins certifiable down to z ~ 1e-290.
+    """(terms, polys, cerrs, gap_polys, gap_cerrs): term k is (num, den, prim)
+    with log T_k = num * v / den, num a ball and v the primitive prim (None
+    for T = 1); polys and cerrs are the terms' log-polynomials in z and their
+    const-error weights, and gap k spans the pair (k, k+1).  Pairs whose
+    leading z coefficient cancels analytically carry the cancellation removed
+    exactly, which keeps margins certifiable down to z ~ 1e-290.
     """
-    sz = fam.zseries
-    polys, cerrs = [], []
-    for num, den, num_err, prim in _chain_terms(fam, tag):
-        q = series.zp() if prim is None else getattr(sz, prim)
-        polys.append(num * q / den)
-        cerrs.append(num_err * abs(q))
+    terms, polys, cerrs = [], [], []
+    for sign, const, prim in _CLAIMS[tag].formula:
+        num, den = _constant(fam, const)
+        num = sign * num
+        q = series.zp() if prim is None else getattr(fam.zseries, prim)
+        terms.append((num, den, prim))
+        polys.append(num.value * q / den)
+        cerrs.append(num.abs_err * abs(q) / den)
     gap_polys = []
     gap_cerrs = []
     for k in range(len(polys) - 1):
@@ -486,7 +444,7 @@ def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
             gc = gc.replace(1, 0.0)
         gap_polys.append(gp)
         gap_cerrs.append(gc)
-    return tuple(polys), tuple(cerrs), tuple(gap_polys), tuple(gap_cerrs)
+    return tuple(terms), tuple(polys), tuple(cerrs), tuple(gap_polys), tuple(gap_cerrs)
 
 
 def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
@@ -494,42 +452,21 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
 
     Margins are value-space gaps T_(k+1) - T_k computed as T_k expm1(gap_k)
     with gap_k the log-space difference, so a tiny gap between O(1) terms
-    never passes through a float subtraction of the terms themselves.
+    never passes through a float subtraction of the terms themselves.  Each
+    budget is the radius of its margin's ball.
     """
+    terms, polys, cerrs, gap_polys, gap_cerrs = _chain_polys(fam, tag)
     z = _series_z(fam.pf, x)
     if z is not None:
-        polys, cerrs, gap_polys, gap_cerrs = _chain_polys(fam, tag)
-        logs = [
-            (series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(c, z))
-            for q, c in zip(polys, cerrs)
-        ]
-        gaps = [
-            (series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(c, z))
-            for q, c in zip(gap_polys, gap_cerrs)
-        ]
+        logs = [_zball(q, z, c) for q, c in zip(polys, cerrs)]
+        gaps = [_zball(q, z, c) for q, c in zip(gap_polys, gap_cerrs)]
     else:
-        logs = []
-        for num, den, num_err, prim in _chain_terms(fam, tag):
-            v, e = (0.0, 0.0) if prim is None else _DIRECT[prim](fam, x)
-            logs.append((num * v / den, abs(num) * e / den + num_err * v))
-        gaps = [
-            (logs[k + 1][0] - logs[k][0], logs[k][1] + logs[k + 1][1])
-            for k in range(len(logs) - 1)
-        ]
-    values = [math.exp(lv) for lv, _ in logs]
-    margins = []
-    budgets = []
-    for k, (gv, ge) in enumerate(gaps):
-        t, t_err = values[k], values[k] * logs[k][1]
-        m = t * math.expm1(gv)
-        budget = (
-            t * math.exp(min(max(gv, 0.0), 50.0)) * ge
-            + t_err * abs(math.expm1(gv))
-            + 4.0 * _EPS * abs(m)
-        )
-        margins.append(m)
-        budgets.append(budget)
-    return values, margins, budgets
+        logs = [num * (0.0 if prim is None else _DIRECT[prim](fam, x)) / den
+                for num, den, prim in terms]
+        gaps = [b - a for a, b in zip(logs, logs[1:])]
+    values = [lg.exp() for lg in logs]
+    margins = [t * g.expm1() for t, g in zip(values, gaps)]
+    return [t.value for t in values], [m.value for m in margins], [m.abs_err for m in margins]
 
 
 def _decide(margin: float, budget: float) -> Optional[bool]:
@@ -553,9 +490,9 @@ def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
     if claim.route is None:
         return values, margins, budgets
     f = _FUNCTIONALS[claim.route](x, fam.pf)
-    hi, _, hi_err = _constant(fam, claim.formula[0][1])
-    lo, _, lo_err = _constant(fam, claim.formula[2][1])
-    route = [_decide(hi - f.value, f.abs_err + hi_err), _decide(f.value - lo, f.abs_err + lo_err)]
+    hi = _constant(fam, claim.formula[0][1])[0] - f
+    lo = f - _constant(fam, claim.formula[2][1])[0]
+    route = [_decide(hi.value, hi.abs_err), _decide(lo.value, lo.abs_err)]
     for k, (a, b) in enumerate(zip(map(_decide, margins, budgets), route)):
         if a is not None and b is not None and a != b:
             raise EvaluationFailed(
@@ -566,7 +503,7 @@ def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the verifier: one (x, values, margin, budget) record per point
+# the verifier: one (x, values, ball of the margin) record per point
 
 def _interval(tag: FunctionId, fam: _Family) -> tuple:
     return 0.0, fam.half[0] if _CLAIMS[tag].interval == "circular" else _HYP_UPPER
@@ -584,35 +521,27 @@ def _records(claim: str, fam: _Family, xs: list, at) -> list:
 
 
 def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") -> VerificationReport:
-    """passed iff every margin exceeds its budget; min_margin and error_budget
-    are taken at the first weakest point."""
-    passed = True
-    min_margin = math.inf
-    budget_at_min = 0.0
-    for _, _, margin, budget in records:
-        if not margin > budget:
-            passed = False
-        if margin < min_margin:
-            min_margin = margin
-            budget_at_min = budget
+    """passed iff every margin exceeds its budget, the radius of its ball;
+    min_margin and error_budget are taken at the first weakest point."""
+    weakest = min(records, key=lambda record: record[2].value)[2]
     return VerificationReport(
         claim=claim,
         p=pf,
-        points=tuple(GridPoint(x=x, values=tuple(v), margin=m) for x, v, m, _ in records),
-        min_margin=min_margin,
+        points=tuple(GridPoint(x=x, values=tuple(v), margin=b.value) for x, v, b in records),
+        min_margin=weakest.value,
         monotone_verdict=verdict,
-        passed=passed,
-        error_budget=budget_at_min,
+        passed=all(b.value > b.abs_err for _, _, b in records),
+        error_budget=weakest.abs_err,
     )
 
 
 def _claim_id(claim: Union[FunctionId, str]) -> FunctionId:
-    if isinstance(claim, str):
-        try:
-            return FunctionId[claim.upper()]
-        except KeyError:
-            raise ValueError(f"unknown claim {claim!r}") from None
-    return claim
+    if isinstance(claim, FunctionId):
+        return claim
+    try:
+        return FunctionId[claim.upper()]
+    except (AttributeError, KeyError):
+        raise ValueError(f"unknown claim {claim!r}") from None
 
 
 def verify_claim(
@@ -639,24 +568,24 @@ def verify_claim(
             # A chain point's record is its weakest pair: the smallest margin and its budget.
             values, margins, budgets = _chain_at(tag, fam, x)
             m = min(margins)
-            return x, values, m, budgets[margins.index(m)]
+            return x, values, Evaluation(m, budgets[margins.index(m)])
     else:
         fn = _FUNCTIONALS[tag]
 
         def at(x: float) -> tuple:
             ev = fn(x, fam.pf)
-            return x, (ev.value,), ev.value, ev.abs_err
+            return x, (ev.value,), ev
 
     xs = grid_points(grid or GridSpec(), *_interval(tag, fam))
     records = _records(tag.value, fam, xs, at)
     if spec.kind in ("chain", "positive"):
         return _report(tag.value, fam.pf, records)
-    sign = 1.0 if spec.kind == "increasing" else -1.0
+    up = spec.kind == "increasing"
     steps = [
-        (x, values, sign * (nxt - v), err + nxt_err)
-        for (x, values, v, err), (_, _, nxt, nxt_err) in zip(records, records[1:])
+        (x, values, nxt - ev if up else -(nxt - ev))
+        for (x, values, ev), (_, _, nxt) in zip(records, records[1:])
     ]
-    violated = any(margin < -budget for _, _, margin, budget in steps)
+    violated = any(step.value < -step.abs_err for _, _, step in steps)
     return _report(tag.value, fam.pf, steps, "violated" if violated else spec.kind)
 
 

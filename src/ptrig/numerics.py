@@ -1,16 +1,15 @@
 """Error-carrying values, the error classes and the hyperbolic quadrature.
 
 Everything downstream of this module consumes :class:`Evaluation`, a value
-paired with a claimed absolute-error bound.  It is, like the report types of
-:mod:`.inequalities`, an immutable :class:`_Record` type over ``__slots__``,
-which behaves as a frozen dataclass without importing :mod:`dataclasses` and
-:mod:`inspect`.  :func:`integrate` is tanh-sinh (double-exponential)
-quadrature over (0, b), internal to the package: core's arsinh_p is its one
-caller, and passes it core's fixed targets.
-
-Its error bounds are heuristic (refinement differences), not
-directed-rounding interval arithmetic; they are validated against closed
-forms in the test suite.
+paired with a claimed absolute-error bound: a midpoint-radius ball, whose
+operations are the one rule by which errors propagate.  It is, like the
+report types of :mod:`.inequalities`, an immutable :class:`_Record` type over
+``__slots__``, which behaves as a frozen dataclass without importing
+:mod:`dataclasses` and :mod:`inspect`.  :func:`integrate` is tanh-sinh
+(double-exponential) quadrature over (0, b), internal to the package: core's
+arsinh_p is its one caller, and passes it core's fixed targets.  Its error
+bound is heuristic (refinement differences), validated against closed forms
+in the test suite.
 
 numpy is imported only inside the quadrature (:func:`integrate` and its node
 helpers), so a program that never integrates never loads it.
@@ -80,7 +79,19 @@ class _Record:
 
 
 class Evaluation(_Record):
-    """A computed value with a claimed absolute-error bound."""
+    """A value with a claimed absolute-error bound: the ball of radius abs_err
+    about value (Rump, Acta Numerica 2010; Johansson, IEEE TC 2017).
+
+    Balls and floats (exact) combine by + - * / and unary -; ``b.exp()``,
+    ``b.log()``, ``b.log1p()``, ``b.expm1()`` and ``b ** y``, a real power of
+    a ball about a value >= 0 (clipped at 0), map them.  A result's value is
+    the float expression's; its radius covers the operands' errors through
+    the exact ends of their enclosures (exp and expm1 are convex, log and
+    log1p concave), and the value's rounding: half an ulp for + - * /,
+    _LIBM_ULP ulps for the functions (assumed of the platform libm, and
+    checked by the tests), an ulp of 0 at least.  A pole in reach raises
+    ValueError or ZeroDivisionError, a radius past the range OverflowError.
+    """
 
     __slots__ = ("value", "abs_err")
 
@@ -91,9 +102,115 @@ class Evaluation(_Record):
             raise ValueError(f"Evaluation value must be finite, got {value}")
         if not (math.isfinite(abs_err) and abs_err >= 0.0):
             raise ValueError(f"Evaluation abs_err must be finite and >= 0, got {abs_err}")
-        # Built on every evaluation: two plain stores cost half of _set.
         _fill(self, "value", value)
         _fill(self, "abs_err", abs_err)
+
+    def __add__(self, other):
+        n, s = (other.value, other.abs_err) if type(other) is Evaluation else (other, 0.0)
+        v = self.value + n
+        return _ball(v, self.abs_err + s + _HALF_ULP * abs(v) + _ULP0)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return _ball(other, 0.0) - self
+
+    def __neg__(self):
+        return _ball(-self.value, self.abs_err)
+
+    def __mul__(self, other):
+        m, r = self.value, self.abs_err
+        n, s = (other.value, other.abs_err) if type(other) is Evaluation else (other, 0.0)
+        v = m * n
+        return _ball(v, abs(m) * s + abs(n) * r + r * s + _HALF_ULP * abs(v) + _ULP0)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        n, s = (other.value, other.abs_err) if type(other) is Evaluation else (other, 0.0)
+        if not abs(n) > s:
+            raise ZeroDivisionError(f"division by a ball about {n} that reaches 0")
+        v = self.value / n
+        return _ball(v, (self.abs_err + abs(v) * s) / (abs(n) - s) + _HALF_ULP * abs(v) + _ULP0)
+
+    def __rtruediv__(self, other):
+        return _ball(other, 0.0) / self
+
+    def exp(self):
+        v = math.exp(self.value)
+        return _ball(v, _rise(v, self.value, self.abs_err) + _libm(v))
+
+    def expm1(self):
+        v = math.expm1(self.value)
+        return _ball(v, _rise(math.exp(self.value), self.value, self.abs_err) + _libm(v))
+
+    def log(self):
+        v = math.log(self.value)
+        return _ball(v, -math.log1p(-self.abs_err / self.value) + _libm(v))
+
+    def log1p(self):
+        v = math.log1p(self.value)
+        return _ball(v, -math.log1p(-self.abs_err / (1.0 + self.value)) + _libm(v))
+
+    def __pow__(self, y: float):
+        m, r = self.value, self.abs_err
+        if m < 0.0:
+            raise ValueError(f"power of a ball about {m} < 0")
+        v = m ** y
+        if y == 0.0:
+            prop = 0.0
+        elif r < m:
+            # The far end lies above v for y >= 1, below it otherwise.
+            side = math.log1p((r if y >= 1.0 else -r) / m)
+            prop = (v + _LIBM_ULP0) * abs(math.expm1(y * side * _UP))  # _UP: the rounding of y side
+        elif y > 0.0:
+            prop = max(((m + r) * _UP) ** y - v, v + _LIBM_ULP0)  # the enclosure [0, (m + r)^y]
+        else:
+            raise ZeroDivisionError(f"power {y} of a ball that reaches 0")
+        return _ball(v, prop + _libm(v))
+
+
+# The rounding of a result; _UP widens a radius over its own few roundings.
+_ULP0 = math.ulp(0.0)
+_HALF_ULP = 0.5 * _EPS
+_LIBM_ULP = 2.0
+_LIBM_ULP0 = _LIBM_ULP * _ULP0
+_UP = 1.0 + 8.0 * _EPS
+_BIG = sys.float_info.max
+_new = object.__new__
+_put_value = Evaluation.value.__set__
+_put_err = Evaluation.abs_err.__set__
+
+
+def _libm(v: float) -> float:
+    return _LIBM_ULP * _EPS * abs(v) + _LIBM_ULP0
+
+
+def _rise(e: float, m: float, r: float) -> float:
+    """A bound on e^(m + r) - e^m, e = exp(m), that overflows only with it."""
+    if r < 700.0:
+        return (e + _LIBM_ULP0) * math.expm1(r)
+    return math.exp(m + r + 1e-9 * (1.0 + abs(m + r)))
+
+
+def _ball(v: float, err: float) -> Evaluation:
+    """The ball about v of radius err widened by _UP, without the checks of
+    Evaluation(): a non-finite v makes err non-finite, one test for both."""
+    r = err * _UP
+    if not r <= _BIG:
+        raise OverflowError(f"ball about {v} has radius {r}")
+    ev = _new(Evaluation)
+    _put_value(ev, v)
+    _put_err(ev, r)
+    return ev
+
+
+def _centred(b: Evaluation, v: float) -> Evaluation:
+    """A ball about v that encloses b: v is a value's own float expression."""
+    return _ball(v, b.abs_err + abs(v - b.value))
 
 
 # tanh-sinh truncation point.  y(t) = (pi/2)*sinh(t) reaches ~316.8 at t = 6,
@@ -212,7 +329,8 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
         if level >= _LEVEL_MIN and est <= max(abs_tol, rel_tol * abs(value)):
             if not math.isfinite(value):
                 raise NonConvergence("integrand produced a non-finite sum")
-            return Evaluation(float(value), float(est))
+            # An ulp of 0 for each rounding among the subnormals.
+            return Evaluation(float(value), float(est) + 2.0 * _ULP0)
 
     raise NonConvergence(
         f"tanh-sinh estimate {est:.3e} above its target after {_LEVEL_MAX} levels"

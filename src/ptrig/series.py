@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 
-from .numerics import _EPS
+from .numerics import _EPS, _ULP0
 
 __all__ = [
     "direct_coeffs",
@@ -173,7 +173,8 @@ def zp_trunc_err(a: _ZPoly, z: float) -> float:
     rounding = 4.0 * _EPS * (
         abs(a[0]) + abs(a[1]) * z + abs(a[2]) * z * z + abs(a[3]) * z ** 3
     )
-    return tail + rounding
+    # An ulp of 0 for each product that rounds among the subnormals.
+    return tail + rounding + 3.0 * _ULP0
 
 
 def zero_coeff(a: _ZPoly, k: int) -> _ZPoly:

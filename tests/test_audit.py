@@ -283,10 +283,10 @@ def test_arsinh_bounds_enclose_the_integral(p, monkeypatch):
         # The x nearest the enclosure on either side that the bounds decide
         # without a quadrature: the quadrature's value must answer the same.
         x_above = (up + m) / (1.0 - m) * (1.0 + 1e-12)
-        assert core._arsinh_below(fam, s, x_above) and quad(s)[0] < x_above
+        assert core._arsinh_below(fam, s, x_above) and quad(s).value < x_above
         x_below = (lo - m) / (1.0 + m) * (1.0 - 1e-12)
         if x_below > 0.0:
-            assert not core._arsinh_below(fam, s, x_below) and quad(s)[0] >= x_below
+            assert not core._arsinh_below(fam, s, x_below) and quad(s).value >= x_below
 
 
 def _cli_eval(fn, x, p):
@@ -312,7 +312,7 @@ def test_d_tanh_bound_shrinks_with_the_value(x, p, route):
         P = mp.mpf(p)
         s = _mp_sinh(x, P, ptrig.sinh_p(x, p).value)
         assert _ratio(d, 1 / (1 + s ** P)) <= 1.0
-    assert d.abs_err <= 1e-6 * d.value + core._ERR_FLOOR
+    assert d.abs_err <= 1e-6 * d.value + 2.0 * math.ulp(0.0)
 
 
 @pytest.mark.parametrize(
@@ -390,3 +390,54 @@ def test_functionals_lie_within_abs_err(name, p):
         if not r <= 1.0:
             bad.append((x, r))
     assert not bad, bad
+
+
+# The chains' pair margins, which are what a chain's PASS rests on, against
+# the same roots.  Both routes certify the chain with the exact constants, so
+# the reference takes them exactly: alpha = 1/(1+p), lam = log(pi_p/2) and
+# beta from an mpmath cosh_p(pi_p/2), to more digits than any point takes,
+# as a cancelling pair lies that many digits below its terms.
+
+@functools.lru_cache(maxsize=None)
+def _mp_constants(p):
+    with mp.workdps(200):
+        P = mp.mpf(p)
+        half = mp.pi / (P * mp.sin(mp.pi / P))
+        sh = _mp_sinh(half, P, ptrig.sinh_p(float(half), p).value)
+        lam = mp.log(half)
+        beta = lam / (mp.log1p(sh ** P) / P)
+        return {"alpha": 1 / (1 + P), "beta": beta, "lam": lam, "1/p": 1 / P, "p": P, "1": 1, "0": 0}
+
+
+def _mp_chain_margins(tag, x, p):
+    """T_(k+1) - T_k for the chain of tag at (x, p), at _functional_dps(x, p) digits."""
+    P, X = mp.mpf(p), mp.mpf(x)
+    sh, ch = _mp_sinh_cosh(x, p)
+    prims = {"l2": mp.log(sh / X), "l3": mp.log1p(sh ** P) / P, "e": X * ch / sh - 1}
+    if iq._CLAIMS[tag].interval == "circular":
+        s, c = _mp_sin_cos_at(x, p)
+        prims.update(l1=mp.log(X / s), l4=-mp.log(c), d=1 - X * c / s)
+    const = _mp_constants(p)
+    terms = [mp.exp(sign * mp.mpf(const[k]) * (prims[prim] if prim else 0))
+             for sign, k, prim in iq._CLAIMS[tag].formula]
+    return [b - a for a, b in zip(terms, terms[1:])]
+
+
+CHAINS = [tag for tag, claim in iq._CLAIMS.items() if claim.kind == "chain"]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+@pytest.mark.parametrize("tag", CHAINS, ids=str)
+def test_chain_margins_lie_within_their_budgets(tag, p):
+    fam = core._family(p)
+    xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(tag, fam)) + _ulps(iq._Z_SWITCH ** (1 / p))
+    # Both the z-series and the direct route are audited.
+    assert {iq._series_z(p, x) is None for x in xs} == {False, True}
+    worst = 0.0
+    for x in xs:
+        _, margins, budgets = iq._chain_point(tag, fam, x)
+        with mp.workdps(_functional_dps(x, p)):
+            refs = _mp_chain_margins(tag, x, p)
+            for m, b, ref in zip(margins, budgets, refs):
+                worst = max(worst, float(abs(mp.mpf(m) - ref) / b))
+    assert worst <= 1.0, (tag, p, worst)

@@ -386,6 +386,12 @@ class TestDispatchAndFailure:
         with pytest.raises(ValueError):
             iq.verify_claim("thm9_chain", 2.0)
 
+    @pytest.mark.parametrize("claim", [3, None, b"thm1_f", "thm9_chain"])
+    def test_unknown_claims_raise_value_error(self, claim):
+        for entry in (iq.verify_claim, iq.is_exploratory):
+            with pytest.raises(ValueError, match="unknown claim"):
+                entry(claim, 2.0)
+
     def test_every_tag_dispatches(self):
         for tag in F:
             rep = iq.verify_claim(tag, 2.0, iq.GridSpec(n=10))

@@ -1,0 +1,52 @@
+"""Pins of the printed output: the sha256 of ``verify --claim all --format
+json`` at seven p, and of the value column of ``table --n 100 --format csv``
+for every evaluator at three p.
+
+Changes to how errors are bounded move abs_err, never a value, a margin or a
+verdict; these pins hold them to the bytes recorded before such a change.  A
+change that moves these bytes on purpose updates the pin it moves and says
+so, with the reason, in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from ptrig import cli
+
+VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
+TABLE_P = ["1.5", "3", "10"]
+
+VERIFY_SHA256 = "275127d33d1da5a537042c9be819171a35d9c800a5ed9adcb8415f8a9a662a29"
+TABLE_VALUES_SHA256 = "338471746c2b1de3274264a333b3e4971324060a7ccd9108bf1ed45ec2854f20"
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    return out.getvalue()
+
+
+def verify_digest():
+    sha = hashlib.sha256()
+    for p in VERIFY_P:
+        sha.update(_stdout(["verify", "--claim", "all", "--p", p, "--format", "json"]).encode())
+    return sha.hexdigest()
+
+
+def table_values_digest():
+    sha = hashlib.sha256()
+    for p in TABLE_P:
+        for fn in sorted(cli._POINT_FNS):
+            rows = _stdout(["table", "--fn", fn, "--n", "100", "--p", p, "--format", "csv"])
+            sha.update("".join(row.split(",")[1] + "\n" for row in rows.splitlines()).encode())
+    return sha.hexdigest()
+
+
+def test_verify_output_is_pinned():
+    assert verify_digest() == VERIFY_SHA256
+
+
+def test_table_values_are_pinned():
+    assert table_values_digest() == TABLE_VALUES_SHA256
