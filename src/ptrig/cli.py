@@ -16,7 +16,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import core
-from .core import DomainError, PoleError
 from .inequalities import (
     EvaluationFailed,
     FunctionId,
@@ -231,7 +230,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EvaluationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc.cause, NonConvergence) else 2
-    except (DomainError, PoleError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # DomainError and PoleError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,8 @@ downstream can budget against it.  There is one precision: the targets
 of the quadrature and of the two Newton loops are fixed constants below, and
 NonConvergence means the quadrature missed its target or a loop ran out of
 steps.  Every public evaluator takes (x, p), a finite x, and raises
-DomainError outside its domain.
+DomainError outside its domain or past the double range, and PoleError where
+a ball reaches a pole (tan_p, and d_cos_p for p > 2, against pi_p/2).
 
 Each p has one family, which keeps a capped memo of per-point states, and
 each public evaluator keeps its own capped table of the Evaluations it
@@ -60,7 +61,8 @@ import threading
 from functools import cached_property, wraps
 
 from . import series
-from .numerics import _EPS, _ULP0, Evaluation, NonConvergence, _centred, integrate
+from .numerics import _EPS, _ULP0, DomainError, Evaluation, NonConvergence, PoleError
+from .numerics import _centred, integrate
 
 __all__ = [
     "DomainError",
@@ -86,10 +88,6 @@ __all__ = [
 # x - sin_p(x) ~ x z/(p(p+1)) is large enough for the inversion to resolve.
 _SERIES_Z = 1e-3
 
-# Half-width of the guard window around the right endpoint inside which
-# tan_p reports a pole and the p > 2 derivative singularities refuse.
-_POLE_WINDOW = 1e-12
-
 # The quadrature's absolute and relative targets for arsinh_p.
 _QUAD_ABS = 1e-15
 _QUAD_REL = 5e-14
@@ -101,14 +99,6 @@ _NEWTON_STEPS = 80
 # _sinh_raw's bracket test trusts a closed-form enclosure of arsinh_p that
 # clears x by this times 1 + x, some 2e4 times the quadrature's error.
 _BOUNDS_MARGIN = 1e-9
-
-
-class DomainError(ValueError):
-    """Argument outside the function's domain."""
-
-
-class PoleError(DomainError):
-    """Argument too close to a pole to evaluate meaningfully."""
 
 
 def _valid_p(p: float) -> float:
@@ -242,8 +232,9 @@ def _served(domain):
 
     A hit is two dict lookups and nothing else: an int, float or numpy p
     finds its float key.  A miss looks up the family, which validates p,
-    checks x with domain(fam, name, x), which raises DomainError, and stores
-    the result; a call that raised raises again.
+    checks x with domain(fam, name, x), which raises DomainError, as does a
+    result past the double range, and stores the result; a call that raised
+    raises again.
     """
 
     def wrap(body):
@@ -260,7 +251,10 @@ def _served(domain):
             if table is None:
                 table = _filed(results, fam.pf, dict)
             domain(fam, name, x)
-            got = body(fam, x)
+            try:
+                got = body(fam, x)
+            except OverflowError:
+                raise DomainError(f"{name}({x}, p={fam.pf}) exceeds floating-point range") from None
             if len(table) >= _RESULT_CAP:
                 table.clear()
             table[x] = got
@@ -564,7 +558,7 @@ def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
     one_v, one_e = fam.arsinh_one.value, fam.arsinh_one.abs_err
     top = one_v + one_e + math.log(s)
     pad = 4.0 * _EPS * top
-    return top - 2.0 * one_e - 1.0 / fam.pf ** 2 - pad, top + pad
+    return top - 2.0 * one_e - (1.0 / fam.pf) ** 2 - pad, top + pad
 
 
 def _arsinh_below(fam: _Family, s: float, x: float) -> bool:
@@ -624,15 +618,9 @@ def cos_p(fam: _Family, x: float) -> Evaluation:
 
 @_served(_circular)
 def tan_p(fam: _Family, x: float) -> Evaluation:
-    """sin_p/cos_p on [0, pi_p/2); raises PoleError against the right end."""
-    ph_v, _ = fam.half
-    if x > ph_v - _POLE_WINDOW:
-        raise PoleError(f"tan_p pole: x = {x} within {_POLE_WINDOW} of pi_p/2 = {ph_v}")
+    """sin_p/cos_p on [0, pi_p/2); raises PoleError where the ball of cos_p reaches 0."""
     s, om, w = _sin_state(fam, x)
-    c = _cos_from_state(fam.pf, om, w)
-    if c.value <= c.abs_err:
-        raise PoleError(f"tan_p pole: cos_p = {c.value} is not resolved from 0 at x = {x}")
-    return s / c
+    return s / _cos_from_state(fam.pf, om, w)
 
 
 @_served(_half_line)
@@ -688,23 +676,14 @@ def d_sin_p(x: float, p: float) -> Evaluation:
 
 @_served(_circular)
 def d_cos_p(fam: _Family, x: float) -> Evaluation:
-    """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1); singular at pi_p/2 when p > 2."""
-    ph_v, _ = fam.half
+    """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1).  For p > 2 it is singular at
+    pi_p/2, and raises PoleError where the ball of cos_p reaches 0."""
     pf = fam.pf
-    if pf > 2.0 and x > ph_v - _POLE_WINDOW:
-        raise DomainError(
-            f"d_cos_p is singular at pi_p/2 for p > 2 (x = {x}, pi_p/2 = {ph_v})"
-        )
-    if x == 0.0:
-        return Evaluation(0.0, 0.0)
     s, om, w = _sin_state(fam, x)
-    c = _cos_from_state(pf, om, w)
     # Each power is taken on its own, within an ulp of its exact value; one
     # exp of the summed logs would carry a rounding error of about
-    # |(p - 1) log s| ulp.
-    d = c ** (2.0 - pf) * s ** (pf - 1.0)
-    # cos_p = 0 only for p <= 2, where adding 0 keeps the value of p < 2 unsigned.
-    return -d + 0.0 if c.value == 0.0 else -d
+    # |(p - 1) log s| ulp.  Adding 0 leaves a value that underflows unsigned.
+    return -(_cos_from_state(pf, om, w) ** (2.0 - pf) * s ** (pf - 1.0)) + 0.0
 
 
 def d_sinh_p(x: float, p: float) -> Evaluation:

@@ -35,8 +35,6 @@ from typing import NamedTuple, Optional, Union
 
 from . import series
 from .core import (
-    DomainError,
-    PoleError,
     _Family,
     _family,
     _kept,
@@ -46,7 +44,7 @@ from .core import (
     _sinh_raw,
     cosh_p,
 )
-from .numerics import Evaluation, NonConvergence, _Record
+from .numerics import DomainError, Evaluation, NonConvergence, PoleError, _Record
 
 __all__ = [
     "FunctionId",
@@ -170,7 +168,7 @@ class EvaluationFailed(RuntimeError):
         self.cause = cause
 
 
-_CORE_ERRORS = (DomainError, PoleError, NonConvergence, OverflowError)
+_CORE_ERRORS = (DomainError, NonConvergence, OverflowError)  # PoleError is a DomainError
 
 
 class GridSpec(_Record):
@@ -279,8 +277,12 @@ def _beta(fam: _Family) -> Evaluation:
 
 
 def sharp_constants(p: float) -> SharpConstants:
+    """From p = 2 on, DomainError where beta's ball does not clear alpha's."""
     fam = _family(p)
-    return SharpConstants(alpha=_constant(fam, "alpha")[0].value, beta=_beta(fam).value, p=fam.pf)
+    alpha, beta = _constant(fam, "alpha")[0], _beta(fam)
+    if fam.pf >= 2.0 and not (gap := beta - alpha).value > gap.abs_err:
+        raise DomainError(f"beta = {beta.value} is not resolved above alpha at p = {fam.pf}")
+    return SharpConstants(alpha=alpha.value, beta=beta.value, p=fam.pf)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +291,9 @@ def sharp_constants(p: float) -> SharpConstants:
 
 @_kept
 def _l1(fam: _Family, x: float) -> Evaluation:
-    """log(x / sin_p(x)) > 0."""
-    return -((_sin_state(fam, x)[0] - x) / x).log1p()
+    """log(x / sin_p(x)) > 0, an unsigned 0 where sin_p(x) rounds to x."""
+    l1 = -((_sin_state(fam, x)[0] - x) / x).log1p()
+    return Evaluation(l1.value + 0.0, l1.abs_err)
 
 
 @_kept
@@ -367,16 +370,20 @@ def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
         raise DomainError(f"x must be positive, got {x}")
     num, den, limit, scale = claim.formula
     z = _series_z(fam.pf, x)
-    if z is not None and z <= _Z_FLOOR:
-        # limit (1 + t), where |t| <= z: each ratio's z^1 coefficient is
-        # below its z^0 one, and lem24_gap is O(z^2).
-        lim, lim_den = _constant(fam, limit)
-        return lim / lim_den * Evaluation(1.0, z)
-    n = _primitive(fam, num, x, z)
-    if den is None:
-        return n
-    scale, scale_den = _constant(fam, scale)
-    return scale * (n / _primitive(fam, den, x, z)) / scale_den
+    try:
+        if z is not None and z <= _Z_FLOOR:
+            # limit (1 + t), where |t| <= z: each ratio's z^1 coefficient is
+            # below its z^0 one, and lem24_gap is O(z^2).
+            lim, lim_den = _constant(fam, limit)
+            return lim / lim_den * Evaluation(1.0, z)
+        n = _primitive(fam, num, x, z)
+        if den is None:
+            return n
+        scale, scale_den = _constant(fam, scale)
+        return scale * (n / _primitive(fam, den, x, z)) / scale_den
+    except OverflowError:  # refused as core's evaluators refuse it
+        name = tag.value.lower()
+        raise DomainError(f"{name}({x}, p={fam.pf}) exceeds floating-point range") from None
 
 
 def thm1_f(x: float, p: float) -> Evaluation:

@@ -1,15 +1,15 @@
 """Error-carrying values, the error classes and the hyperbolic quadrature.
 
-Everything downstream of this module consumes :class:`Evaluation`, a value
-paired with a claimed absolute-error bound: a midpoint-radius ball, whose
-operations are the one rule by which errors propagate.  It is, like the
-report types of :mod:`.inequalities`, an immutable :class:`_Record` type over
-``__slots__``, which behaves as a frozen dataclass without importing
-:mod:`dataclasses` and :mod:`inspect`.  :func:`integrate` is tanh-sinh
-(double-exponential) quadrature over (0, b), internal to the package: core's
-arsinh_p is its one caller, and passes it core's fixed targets.  Its error
-bound is heuristic (refinement differences), validated against closed forms
-in the test suite.
+Everything downstream consumes :class:`Evaluation`, a value paired with a
+claimed absolute-error bound: a midpoint-radius ball, whose operations are the
+one rule by which errors propagate and the one judge of poles (they raise
+:class:`PoleError` before math sees one).  It is, like the report types of
+:mod:`.inequalities`, an immutable :class:`_Record` type over ``__slots__``,
+which behaves as a frozen dataclass without importing :mod:`dataclasses` and
+:mod:`inspect`.  :func:`integrate` is tanh-sinh (double-exponential)
+quadrature over (0, b), internal to the package: core's arsinh_p is its one
+caller, and passes it core's fixed targets.  Its error bound is heuristic
+(refinement differences), validated against closed forms in the test suite.
 
 numpy is imported only inside the quadrature (:func:`integrate` and its node
 helpers), so a program that never integrates never loads it.
@@ -37,6 +37,14 @@ class NumericsError(Exception):
 
 class NonConvergence(NumericsError):
     """Refinement or iteration budget exhausted before the target was met."""
+
+
+class DomainError(ValueError):
+    """Argument outside the function's domain."""
+
+
+class PoleError(DomainError):
+    """Argument too close to a pole to evaluate meaningfully."""
 
 
 _fill = object.__setattr__
@@ -89,8 +97,9 @@ class Evaluation(_Record):
     the exact ends of their enclosures (exp and expm1 are convex, log and
     log1p concave), and the value's rounding: half an ulp for + - * /,
     _LIBM_ULP ulps for the functions (assumed of the platform libm, and
-    checked by the tests), an ulp of 0 at least.  A pole in reach raises
-    ValueError or ZeroDivisionError, a radius past the range OverflowError.
+    checked by the tests), an ulp of 0 at least.  A pole in reach (0 for /,
+    log and ** y < 0, -1 for log1p) raises PoleError, ** of a ball about a
+    value < 0 DomainError, and a result past the range OverflowError.
     """
 
     __slots__ = ("value", "abs_err")
@@ -132,7 +141,7 @@ class Evaluation(_Record):
     def __truediv__(self, other):
         n, s = (other.value, other.abs_err) if type(other) is Evaluation else (other, 0.0)
         if not abs(n) > s:
-            raise ZeroDivisionError(f"division by a ball about {n} that reaches 0")
+            raise PoleError(f"division by a ball about {n} that reaches 0")
         v = self.value / n
         return _ball(v, (self.abs_err + abs(v) * s) / (abs(n) - s) + _HALF_ULP * abs(v) + _ULP0)
 
@@ -148,17 +157,23 @@ class Evaluation(_Record):
         return _ball(v, _rise(math.exp(self.value), self.value, self.abs_err) + _libm(v))
 
     def log(self):
+        if not self.value > self.abs_err:
+            raise PoleError(f"log of a ball about {self.value} that reaches 0")
         v = math.log(self.value)
         return _ball(v, -math.log1p(-self.abs_err / self.value) + _libm(v))
 
     def log1p(self):
+        if not 1.0 + self.value > self.abs_err:
+            raise PoleError(f"log1p of a ball about {self.value} that reaches -1")
         v = math.log1p(self.value)
         return _ball(v, -math.log1p(-self.abs_err / (1.0 + self.value)) + _libm(v))
 
     def __pow__(self, y: float):
         m, r = self.value, self.abs_err
         if m < 0.0:
-            raise ValueError(f"power of a ball about {m} < 0")
+            raise DomainError(f"power of a ball about {m} < 0")
+        if y < 0.0 and not r < m:
+            raise PoleError(f"power {y} of a ball about {m} that reaches 0")
         v = m ** y
         if y == 0.0:
             prop = 0.0
@@ -166,10 +181,8 @@ class Evaluation(_Record):
             # The far end lies above v for y >= 1, below it otherwise.
             side = math.log1p((r if y >= 1.0 else -r) / m)
             prop = (v + _LIBM_ULP0) * abs(math.expm1(y * side * _UP))  # _UP: the rounding of y side
-        elif y > 0.0:
-            prop = max(((m + r) * _UP) ** y - v, v + _LIBM_ULP0)  # the enclosure [0, (m + r)^y]
-        else:
-            raise ZeroDivisionError(f"power {y} of a ball that reaches 0")
+        else:  # y > 0: the enclosure [0, (m + r)^y]
+            prop = max(((m + r) * _UP) ** y - v, v + _LIBM_ULP0)
         return _ball(v, prop + _libm(v))
 
 

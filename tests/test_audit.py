@@ -110,7 +110,10 @@ def _mp_sin_cos(x, p, guess):
 
 
 def _mp_d_cos(s, c, P):
-    """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1) from the reference pair."""
+    """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1) from the reference pair; -inf
+    at the pole, cos_p = 0 with p > 2."""
+    if c == 0 and P > 2:
+        return -mp.inf
     return -(c ** (2 - P)) * s ** (P - 1)
 
 
@@ -121,6 +124,13 @@ def _arguments(p):
     xs = [half * rng.random() for _ in range(6)]
     xs += [half * 10.0 ** rng.uniform(-8, 0) for _ in range(3)]
     xs += [half * (1 - 1e-3), half * (1 - 1e-8), half - 1e-11, half]
+    # Up to the pole of tan_p (and of d_cos_p for p > 2), which the ball of
+    # cos_p alone decides: relative steps, and the last 40 ulps before it.
+    xs += [half - half * 10.0 ** -k for k in range(9, 16)]
+    below = half
+    for _ in range(40):
+        below = math.nextafter(below, 0.0)
+        xs.append(below)
     # Near p = 1, where cos_p ~ exp(-x), far out on the p = 1 limit.
     xs += [10.0, 11.0, 12.0, 20.0, 30.0, 100.0, 700.0]
     # x = 0.05 stays a sample: below it the series once served every z for p < 2.
@@ -167,14 +177,14 @@ def _audit_circular(p):
                 ref_s, ref_c = _mp_sin_cos(x, p, sin.value)
                 check("sin_p", x, sin, ref_s)
                 check("cos_p", x, ptrig.cos_p(x, p), ref_c)
-                if p <= 2.0 or x <= half - core._POLE_WINDOW:
-                    check("d_cos_p", x, ptrig.d_cos_p(x, p), _mp_d_cos(ref_s, ref_c, P))
-                if x < half - core._POLE_WINDOW and ref_c > 0:
+                # PoleError, where the ball of cos_p reaches 0, is the one
+                # refusal; a value at the pole itself audits against inf.
+                for name, fn, ref in (("d_cos_p", ptrig.d_cos_p, _mp_d_cos(ref_s, ref_c, P)),
+                                      ("tan_p", ptrig.tan_p, ref_s / ref_c if ref_c else mp.inf)):
                     try:
-                        tan = ptrig.tan_p(x, p)
-                    except ptrig.PoleError:  # cos_p underflowed: no value to audit
-                        continue
-                    check("tan_p", x, tan, ref_s / ref_c)
+                        check(name, x, fn(x, p), ref)
+                    except ptrig.PoleError:
+                        pass
     return out
 
 

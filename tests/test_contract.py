@@ -1,0 +1,83 @@
+"""The error contract: every call of the public API returns a value or
+refuses with one of the package's own errors.
+
+The 13 evaluators and the five functionals are called at arguments from 0
+through the subnormals to past the end of the hyperbolic range, and up to
+and onto the pole at pi_p/2; pi_p, sharp_constants and verify_claim (on a
+5-point grid) at each p, from one ulp above 1 to 1e300.  A call may return,
+or raise DomainError (PoleError included), NonConvergence or
+EvaluationFailed, never a bare ValueError, ZeroDivisionError or
+OverflowError; and no value it returns, of an Evaluation or a sharp
+constant, may be -0.0.  The command line refuses the same way: exit 2 and
+one ``error:`` line.
+"""
+
+import functools
+import math
+import subprocess
+import sys
+
+import pytest
+
+import ptrig
+from ptrig import inequalities as iq
+
+EVALUATORS = [
+    ptrig.arcsin_p, ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_sin_p, ptrig.d_cos_p,
+    ptrig.arsinh_p, ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p, ptrig.d_sinh_p, ptrig.d_cosh_p,
+    ptrig.d_tanh_p,
+]
+FUNCTIONALS = [ptrig.thm1_f, ptrig.thm2_g, ptrig.lem22_f, ptrig.lem23_g, ptrig.lem24_gap]
+P_CONTRACT = [1.0 + 2.0 ** -52, 1.0001, 1.5, 2.0, 2.5, 3.0, 7.0, 24.0, 300.0,
+              1e4, 1e10, 1e13, 1e16, 1e300]
+X_CONTRACT = [0.0, 5e-324, 1e-320, 1e-300, 1e-30, 1e-3, 0.5, 1.0, 3.0,
+              700.0, 709.0, 710.0, 711.0]
+REFUSALS = (ptrig.DomainError, ptrig.NonConvergence, ptrig.EvaluationFailed)
+
+
+def _arguments(p):
+    """X_CONTRACT, pi_p/2 (1 - 10^-k) for k = 1..16, and pi_p/2 with the last
+    30 doubles below it."""
+    half = ptrig.pi_p(p).value / 2
+    xs = X_CONTRACT + [half * (1.0 - 10.0 ** -k) for k in range(1, 17)] + [half]
+    for _ in range(30):
+        xs.append(math.nextafter(xs[-1], 0.0))
+    return xs
+
+
+def _breach(call):
+    """None if call() refuses with one of REFUSALS or returns no -0.0, else
+    what it did."""
+    try:
+        got = call()
+    except REFUSALS:
+        return None
+    except Exception as exc:
+        return repr(exc)
+    if isinstance(got, ptrig.SharpConstants):
+        values = (got.alpha, got.beta)
+    else:
+        values = (got.value,) if isinstance(got, ptrig.Evaluation) else ()
+    signed = [v for v in values if v == 0.0 and math.copysign(1.0, v) < 0.0]
+    return f"returned {signed[0]!r}" if signed else None
+
+
+@pytest.mark.parametrize("p", P_CONTRACT, ids=repr)
+def test_every_call_returns_or_refuses(p):
+    calls = [("pi_p", None, functools.partial(ptrig.pi_p, p)),
+             ("sharp_constants", None, functools.partial(ptrig.sharp_constants, p))]
+    for x in _arguments(p):
+        calls += [(fn.__name__, x, functools.partial(fn, x, p)) for fn in EVALUATORS + FUNCTIONALS]
+    grid = ptrig.GridSpec(n=5)
+    calls += [(tag.value, None, functools.partial(ptrig.verify_claim, tag, p, grid))
+              for tag in iq.FunctionId]
+    breaches = [(name, x, what) for name, x, call in calls if (what := _breach(call))]
+    assert not breaches, breaches[:20]
+
+
+@pytest.mark.parametrize("argv", [["constants", "--p", "1e12"],
+                                  ["verify", "--claim", "thm2_chain", "--p", "1e12"]])
+def test_cli_refuses_with_one_error_line(argv):
+    proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptrig import numerics
-from ptrig.numerics import Evaluation, NonConvergence, integrate
+from ptrig.numerics import DomainError, Evaluation, NonConvergence, integrate
 from tests.conftest import central_diff
 
 PI_3 = 2.0 * math.pi / (3.0 * math.sin(math.pi / 3.0))  # closed form for the p=3 half-period
@@ -158,9 +158,12 @@ class TestBallRule:
 
     @staticmethod
     def attempt(fn, *args):
+        """fn(*args), or the DomainError (PoleError included) or OverflowError
+        it raised; any other exception, such as a ZeroDivisionError or a math
+        domain error, fails the test."""
         try:
             return fn(*args)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (DomainError, OverflowError) as exc:
             return exc
 
     @staticmethod
