@@ -234,7 +234,7 @@ def _served(domain):
     finds its float key.  A miss looks up the family, which validates p,
     checks x with domain(fam, name, x), which raises DomainError, as does a
     result past the double range, and stores the result; a call that raised
-    raises again.
+    raises again, a PoleError prefixed with the call it refuses.
     """
 
     def wrap(body):
@@ -255,6 +255,8 @@ def _served(domain):
                 got = body(fam, x)
             except OverflowError:
                 raise DomainError(f"{name}({x}, p={fam.pf}) exceeds floating-point range") from None
+            except PoleError as exc:
+                raise PoleError(f"{name}({x}, p={fam.pf}): {exc}") from None
             if len(table) >= _RESULT_CAP:
                 table.clear()
             table[x] = got

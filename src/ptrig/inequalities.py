@@ -14,10 +14,11 @@ with alpha = 1/(1+p) and beta = log(pi_p/2) / log(cosh_p(pi_p/2)).
 
 Every numerator and denominator above vanishes like x^p or x^(p+1), so for
 z = x^p below a switch point the functionals and all inequality margins are
-evaluated from truncated z-series (see :mod:`.series`); adjacent chain
-members whose difference loses its leading z order are differenced in
-coefficient space, never in value space.  Above the switch the evaluators'
-log-space primitives take over.
+evaluated from truncated z-series (see :mod:`.series`): each functional from
+the one series of its quotient, exact until rounded once, so it keeps its
+accuracy down to z = 0; adjacent chain members whose difference loses its
+leading z order are differenced in coefficient space, never in value space.
+Above the switch the evaluators' log-space primitives take over.
 
 Each claim is declared once, in _CLAIMS: its kind, its interval, and the
 formula of its functional or the terms of its chain.  verify_claim samples a
@@ -68,8 +69,6 @@ __all__ = [
 # 4-term truncation bound is ~25 z^3 relative, so the switch sits where that
 # drops under ~1e-6 while direct-route cancellation (~eps/z) stays above 1e-13.
 _Z_SWITCH = 4e-3
-# Below this z even the leading series term denormalizes; return exact limits.
-_Z_FLOOR = 1e-290
 
 # The hyperbolic claims, and the CLI's hyperbolic tables, sample (0, 3).
 _HYP_UPPER = 3.0
@@ -102,13 +101,12 @@ class _Claim(NamedTuple):
     sampled on (0, pi_p/2) and "hyperbolic" for those sampled on
     (0, _HYP_UPPER), whose functionals take any x > 0.
 
-    A functional's formula is (num, den, limit, scale): scale * num/den, or
-    num alone when den is None, for primitives num and den named as in
-    series.SmallZSeries; limit is its value as z -> 0.  A chain's formula is
-    its terms (sign, const, prim) with log T = sign * const * prim, prim
-    named likewise (None for T = 1), and cancelling holds the pairs (k, k+1)
-    whose z^1 term cancels.  limit, scale and const name numbers of
-    _constant.
+    A functional's formula is (num, den, scale): scale * num/den, or num
+    alone when den is None, for primitives num and den named as in
+    series.SmallZSeries.  A chain's formula is its terms (sign, const, prim)
+    with log T = sign * const * prim, prim named likewise (None for T = 1),
+    and cancelling holds the pairs (k, k+1) whose z^1 term cancels.  scale
+    and const name numbers of _constant.
 
     route names the functional f whose bounds c_2 < f < c_0, c_k the const
     of term k, restate a three-term chain; the two are cross-checked at every
@@ -126,11 +124,11 @@ class _Claim(NamedTuple):
 _SIN_RATIO = (-1, "1", "l1")  # sin_p(x)/x
 
 _CLAIMS = {
-    FunctionId.THM1_F: _Claim("increasing", "circular", ("l1", "l2", "1", "1")),
-    FunctionId.THM2_G: _Claim("increasing", "circular", ("l1", "l3", "alpha", "1")),
-    FunctionId.LEM22_F: _Claim("decreasing", "circular", ("l1", "d", "1", "p")),
-    FunctionId.LEM23_G: _Claim("increasing", "hyperbolic", ("l2", "e", "1", "p")),
-    FunctionId.LEM24_GAP: _Claim("positive", "hyperbolic", ("lem24", None, "0", "1"), p_min=1.0),
+    FunctionId.THM1_F: _Claim("increasing", "circular", ("l1", "l2", "1")),
+    FunctionId.THM2_G: _Claim("increasing", "circular", ("l1", "l3", "1")),
+    FunctionId.LEM22_F: _Claim("decreasing", "circular", ("l1", "d", "p")),
+    FunctionId.LEM23_G: _Claim("increasing", "hyperbolic", ("l2", "e", "p")),
+    FunctionId.LEM24_GAP: _Claim("positive", "hyperbolic", ("lem24", None, "1"), p_min=1.0),
     # cos_p^beta < cosh_p^-beta < sin_p/x < cosh_p^-alpha < 1
     FunctionId.COROLLARY_CHAIN: _Claim(
         "chain", "circular",
@@ -350,16 +348,17 @@ def _zball(q, z: float, cerr=series.zp()) -> Evaluation:
     return Evaluation(series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(cerr, z))
 
 
-def _primitive(fam: _Family, name: str, x: float, z: Optional[float]) -> Evaluation:
-    """The ball of the primitive named as in series.SmallZSeries at x."""
-    if z is None:
-        return _DIRECT[name](fam, x)
-    return _zball(getattr(fam.zseries, name), z)
+@_kept
+def _zquotient(fam: _Family, tag: FunctionId) -> series._ZPoly:
+    """The z-series of the num/den of tag's formula, or of num alone."""
+    num, den, _ = _CLAIMS[tag].formula
+    if den is None:
+        return getattr(fam.zseries, num)
+    return fam.zseries.quotient(num, den)
 
 
 def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
-    """The functional of tag at x, from the formula its claim declares; below
-    the z-floor, its limit."""
+    """The functional of tag at x, from the formula its claim declares."""
     fam = _family(p)
     claim = _CLAIMS[tag]
     if claim.interval == "circular":
@@ -368,19 +367,19 @@ def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
             raise DomainError(f"x must lie strictly inside (0, pi_p/2 = {ph_v}), got {x}")
     elif not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    num, den, limit, scale = claim.formula
+    num, den, scale = claim.formula
     z = _series_z(fam.pf, x)
     try:
-        if z is not None and z <= _Z_FLOOR:
-            # limit (1 + t), where |t| <= z: each ratio's z^1 coefficient is
-            # below its z^0 one, and lem24_gap is O(z^2).
-            lim, lim_den = _constant(fam, limit)
-            return lim / lim_den * Evaluation(1.0, z)
-        n = _primitive(fam, num, x, z)
+        if z is not None:
+            f = _zball(_zquotient(fam, tag), z)
+        else:
+            f = _DIRECT[num](fam, x)
+            if den is not None:
+                f = f / _DIRECT[den](fam, x)
         if den is None:
-            return n
+            return f
         scale, scale_den = _constant(fam, scale)
-        return scale * (n / _primitive(fam, den, x, z)) / scale_den
+        return scale * f / scale_den
     except OverflowError:  # refused as core's evaluators refuse it
         name = tag.value.lower()
         raise DomainError(f"{name}({x}, p={fam.pf}) exceeds floating-point range") from None
@@ -529,13 +528,14 @@ def _records(claim: str, fam: _Family, xs: list, at) -> list:
 
 def _report(claim: str, pf: float, records: list, verdict: str = "not_checked") -> VerificationReport:
     """passed iff every margin exceeds its budget, the radius of its ball;
-    min_margin and error_budget are taken at the first weakest point."""
+    min_margin and error_budget are taken at the first weakest point.  A
+    margin is stored plus 0, so one that is 0 prints unsigned."""
     weakest = min(records, key=lambda record: record[2].value)[2]
     return VerificationReport(
         claim=claim,
         p=pf,
-        points=tuple(GridPoint(x=x, values=tuple(v), margin=b.value) for x, v, b in records),
-        min_margin=weakest.value,
+        points=tuple(GridPoint(x=x, values=tuple(v), margin=b.value + 0.0) for x, v, b in records),
+        min_margin=weakest.value + 0.0,
         monotone_verdict=verdict,
         passed=all(b.value > b.abs_err for _, _, b in records),
         error_budget=weakest.abs_err,

@@ -1,24 +1,32 @@
-"""Small-argument series in z = x^p, with runtime polynomial composition.
+"""Small-argument series in z = x^p, computed exactly and rounded once.
 
 Near zero every quantity of interest here is an analytic function of
 z = x^p after factoring out a power of x, e.g.
 
-    sin_p(x)  = x * (1 + A1 z + A2 z^2 + A3 z^3 + O(z^4)),
-    arcsin_p(s) = s * (1 + a1 w + a2 w^2 + a3 w^3 + O(w^4)),  w = s^p.
+    sin_p(x)    = x * (1 + A1 z + A2 z^2 + A3 z^3 + O(z^4)),
+    arcsin_p(s) = s * f(w),  f(w) = sum_k (1/p)_k/k! w^k/(kp + 1),  w = s^p.
 
 Quantities like log(x/sin_p(x)) lose all significant digits to cancellation
 when evaluated from double-precision function values at small x, so this
-module builds their truncated z-series directly: polynomials are composed
-through log1p/expm1/power expansions, and differences whose leading
-coefficients cancel analytically have those coefficients removed exactly
-rather than left as rounding residue.
+module builds their truncated z-series directly.  Every double p is a
+rational and every coefficient is a rational function of p, so the series
+are computed in fractions.Fraction from the exact p, and each coefficient is
+rounded once, to the nearest float.  A coefficient that cancels analytically
+comes out exactly 0.
 
-Polynomials are 4-tuples of floats (c0, c1, c2, c3) meaning
+* With z = w f(w)^p, one Lagrange inversion (Flajolet & Sedgewick, *Analytic
+  Combinatorics*, Thm A.2), [z^n] H(w(z)) = [w^(n-1)] H'(w) f(w)^(-pn) / n,
+  gives sin_p/x - 1 (H = 1/f - 1), log(x/sin_p) (H = log f) and -log cos_p
+  (H = -log(1 - w)/p).
+* The hyperbolic side is the circular side at -z: sinh_p/x - 1, log(sinh_p/x)
+  and log cosh_p are sin_p/x - 1, -log(x/sin_p) and log cos_p there.
+* The rest follows by the first-order recurrences of log, exp, powers and
+  division of series with unit constant term.
+
+The rounded polynomials are 4-tuples of floats (c0, c1, c2, c3) meaning
 c0 + c1 z + c2 z^2 + c3 z^3, truncated at O(z^4), with coefficientwise
-+ and - and scalar * and /.  They are pure Python: this module does not
-load numpy.  All coefficient formulas are validated against high-precision
-quadrature inversion in the test suite before anything downstream relies
-on them.
++ and - and scalar * and /.  This module loads fractions with the first
+series it builds, and never numpy.
 """
 
 from __future__ import annotations
@@ -27,21 +35,7 @@ import operator
 
 from .numerics import _EPS, _ULP0
 
-__all__ = [
-    "direct_coeffs",
-    "inverse_coeffs",
-    "hyper_inverse_coeffs",
-    "zp",
-    "zp_mul",
-    "zp_log1p",
-    "zp_expm1",
-    "zp_pow1p",
-    "zp_shift_z",
-    "zp_eval",
-    "zp_trunc_err",
-    "zero_coeff",
-    "SmallZSeries",
-]
+__all__ = ["zp", "zp_eval", "zp_trunc_err", "zero_coeff", "SmallZSeries"]
 
 _DEG = 4  # coefficients kept per polynomial
 
@@ -51,44 +45,11 @@ _DEG = 4  # coefficients kept per polynomial
 _TRUNC_FACTOR = 25.0
 
 
-def direct_coeffs(p: float) -> tuple[float, float, float]:
-    """a1, a2, a3 of arcsin_p(s)/s in w = s^p.
-
-    From the binomial expansion (1-u)^{-1/p} = 1 + b1 u + b2 u^2 + b3 u^3 +
-    O(u^4) integrated term by term: a_k = b_k / (k p + 1).  The hyperbolic
-    integrand (1+u)^{-1/p} gives the same magnitudes with alternating signs.
-    """
-    b1 = 1.0 / p
-    b2 = b1 * (b1 + 1.0) / 2.0
-    b3 = b2 * (b1 + 2.0) / 3.0
-    return b1 / (p + 1.0), b2 / (2.0 * p + 1.0), b3 / (3.0 * p + 1.0)
-
-
-def inverse_coeffs(p: float) -> tuple[float, float, float]:
-    """A1, A2, A3 of sin_p(x)/x in z = x^p (series reversion of arcsin_p)."""
-    a1, a2, a3 = direct_coeffs(p)
-    A1 = -a1
-    A2 = a1 * a1 * (p + 1.0) - a2
-    A3 = (
-        -0.5 * a1 ** 3 * (p + 1.0) * (3.0 * p + 2.0)
-        + a1 * a2 * (3.0 * p + 2.0)
-        - a3
-    )
-    return A1, A2, A3
-
-
-def hyper_inverse_coeffs(p: float) -> tuple[float, float, float]:
-    """Coefficients of sinh_p(x)/x in z = x^p; signs flip against sin_p."""
-    a1, _, _ = direct_coeffs(p)
-    _, A2, A3 = inverse_coeffs(p)
-    return a1, A2, -A3
-
-
 class _ZPoly(tuple):
     """A truncated z-polynomial: four float coefficients, lowest order first.
 
-    +, -, unary - and abs act coefficientwise between polynomials and
-    * and / scale by a float, so the composition formulas read as written.
+    +, - and abs act coefficientwise between polynomials and * and / scale
+    by a float, so the chain formulas read as written.
     """
 
     __slots__ = ()
@@ -98,9 +59,6 @@ class _ZPoly(tuple):
 
     def __sub__(self, other):
         return _ZPoly(map(operator.sub, self, other))
-
-    def __neg__(self):
-        return _ZPoly(-c for c in self)
 
     def __abs__(self):
         return _ZPoly(abs(c) for c in self)
@@ -122,52 +80,16 @@ def zp(*coeffs: float) -> _ZPoly:
     return _ZPoly(tuple(map(float, coeffs)) + (0.0,) * (_DEG - len(coeffs)))
 
 
-def zp_mul(a: _ZPoly, b: _ZPoly) -> _ZPoly:
-    # Summed from 0.0 in increasing i; bit for bit np.convolve when a(0) = b(0) = 0.
-    out = []
-    for n in range(_DEG):
-        c = 0.0
-        for i in range(n + 1):
-            c += a[i] * b[n - i]
-        out.append(c)
-    return _ZPoly(out)
-
-
-def zp_shift_z(a: _ZPoly) -> _ZPoly:
-    """z * a(z), truncated."""
-    return _ZPoly((0.0, *a[:-1]))
-
-
-def _require_no_constant(a: _ZPoly, what: str) -> None:
-    if a[0] != 0.0:
-        raise ValueError(f"{what} needs a series with zero constant term, got {a[0]}")
-
-
-def zp_log1p(a: _ZPoly) -> _ZPoly:
-    """log(1 + a(z)) for a with a(0) = 0."""
-    _require_no_constant(a, "zp_log1p")
-    a2 = zp_mul(a, a)
-    return a - 0.5 * a2 + zp_mul(a2, a) / 3.0
-
-
-def zp_expm1(a: _ZPoly) -> _ZPoly:
-    """exp(a(z)) - 1 for a with a(0) = 0."""
-    _require_no_constant(a, "zp_expm1")
-    a2 = zp_mul(a, a)
-    return a + 0.5 * a2 + zp_mul(a2, a) / 6.0
-
-
-def zp_pow1p(a: _ZPoly, r: float) -> _ZPoly:
-    """(1 + a(z))^r as a full polynomial (constant term 1)."""
-    return zp_expm1(r * zp_log1p(a)).replace(0, 1.0)
-
-
 def zp_eval(a: _ZPoly, z: float) -> float:
     return a[0] + z * (a[1] + z * (a[2] + z * a[3]))
 
 
 def zp_trunc_err(a: _ZPoly, z: float) -> float:
-    """Error bound for zp_eval: dropped-tail estimate plus rounding."""
+    """Error bound for zp_eval: dropped-tail estimate plus rounding.
+
+    The rounding allows 4 eps per term: half an ulp for the rounding of the
+    exact coefficient to its float, the rest for Horner's products and sums.
+    """
     scale = max(map(abs, a))
     tail = _TRUNC_FACTOR * scale * z ** 4
     rounding = 4.0 * _EPS * (
@@ -191,13 +113,96 @@ def zero_coeff(a: _ZPoly, k: int) -> _ZPoly:
     return a.replace(k, 0.0)
 
 
+# ---------------------------------------------------------------------------
+# Exact series: lists of _DEG + 1 rationals, one order more than is rounded,
+# so that a quotient of two series that vanish at 0 keeps _DEG coefficients.
+
+def _pow(a: list, r) -> list:
+    """a^r for a[0] = 1, by a (a^r)' = r a' a^r."""
+    out = [1]
+    for k in range(1, len(a)):
+        out.append(sum(((r + 1) * j - k) * a[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return out
+
+
+def _log(a: list) -> list:
+    """log a for a[0] = 1, by a (log a)' = a'."""
+    out = [0]
+    for k in range(1, len(a)):
+        out.append((k * a[k] - sum(j * out[j] * a[k - j] for j in range(1, k))) / k)
+    return out
+
+
+def _expm1(h: list) -> list:
+    """exp(h) - 1 for h[0] = 0, by exp(h)' = h' exp(h)."""
+    out = [1]
+    for k in range(1, len(h)):
+        out.append(sum(j * h[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return [0] + out[1:]
+
+
+def _div(a: list, b: list) -> list:
+    """a/b for b[0] != 0."""
+    out = []
+    for k in range(len(a)):
+        out.append((a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))) / b[0])
+    return out
+
+
+def _at_minus_z(a: list) -> list:
+    return [c if k % 2 == 0 else -c for k, c in enumerate(a)]
+
+
+def _exact(p: float) -> dict:
+    """Every series SmallZSeries rounds, exactly, by name."""
+    from fractions import Fraction
+
+    P = Fraction(p)
+    n = _DEG + 1
+    f, b = [Fraction(1)], Fraction(1)  # b = (1/p)_k / k!
+    for k in range(1, n):
+        b = b * (1 / P + k - 1) / k
+        f.append(b / (k * P + 1))
+
+    # H(w) for each circular series, then [z^m] H(w(z)) for m = 1 .. n-1.
+    out = {
+        "sin_ratio": [0] + _pow(f, -1)[1:],
+        "l1": _log(f),
+        "l4": [0] + [1 / (k * P) for k in range(1, n)],
+    }
+    powers = [_pow(f[:m], -P * m) for m in range(1, n)]
+    for name, h in out.items():
+        dh = [(j + 1) * h[j + 1] for j in range(n - 1)]  # H'
+        out[name] = [0] + [
+            sum(dh[j] * g[m - 1 - j] for j in range(m)) / m for m, g in enumerate(powers, 1)
+        ]
+    out["sinh_ratio"] = _at_minus_z(out["sin_ratio"])
+    out["l2"] = [-c for c in _at_minus_z(out["l1"])]
+    out["l3"] = [-c for c in _at_minus_z(out["l4"])]
+    out["d"] = [-c for c in _expm1([a - b for a, b in zip(out["l1"], out["l4"])])]
+    out["e"] = [-c for c in _at_minus_z(out["d"])]
+    # (x/p) tanh_p^(p-1) = (z/p) exp((p - 1)(l2 - l3)); its gap against l3
+    # loses the z^1 term exactly.
+    growth = _expm1([(P - 1) * (a - b) for a, b in zip(out["l2"], out["l3"])])
+    growth[0] = 1
+    out["lem24"] = [0] + [c - g / P for c, g in zip(out["l3"][1:], growth)]
+    if out["lem24"][1] != 0:
+        raise AssertionError(f"lem24's z^1 coefficient is {out['lem24'][1]}, not 0")
+    return out
+
+
+def _rounded(a: list) -> _ZPoly:
+    return _ZPoly(map(float, a[:_DEG]))
+
+
 class SmallZSeries:
     """The z-series primitives for one parameter p.
 
     Nothing here is cached: callers keep one per parameter with the rest of
     what depends on p (see core._Family), so the count stays bounded.
 
-    Attributes are 4-coefficient polynomials in z = x^p:
+    Attributes are 4-coefficient polynomials in z = x^p, each coefficient
+    the float nearest the exact one:
 
     * ``sin_ratio``  : sin_p(x)/x - 1
     * ``sinh_ratio`` : sinh_p(x)/x - 1
@@ -210,37 +215,16 @@ class SmallZSeries:
     * ``lem24`` : log(cosh_p(x)) - (x/p) tanh_p(x)^{p-1}
     """
 
-    __slots__ = (
-        "p",
-        "sin_ratio",
-        "sinh_ratio",
-        "l1",
-        "l2",
-        "l3",
-        "l4",
-        "d",
-        "e",
-        "lem24",
-    )
+    __slots__ = ("p", "_exact", "sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e",
+                 "lem24")
 
     def __init__(self, p: float) -> None:
         self.p = p
-        self.sin_ratio = zp(0.0, *inverse_coeffs(p))
-        self.sinh_ratio = zp(0.0, *hyper_inverse_coeffs(p))
+        self._exact = _exact(p)
+        for name, a in self._exact.items():
+            setattr(self, name, _rounded(a))
 
-        self.l1 = -zp_log1p(self.sin_ratio)
-        self.l2 = zp_log1p(self.sinh_ratio)
-
-        # sin_p^p = z * (sin_p/x)^p and cosh_p^p = 1 + z * (sinh_p/x)^p.
-        sin_pow = zp_shift_z(zp_pow1p(self.sin_ratio, p))
-        sinh_pow = zp_shift_z(zp_pow1p(self.sinh_ratio, p))
-        self.l3 = zp_log1p(sinh_pow) / p
-        self.l4 = -zp_log1p(-sin_pow) / p
-
-        self.d = -zp_expm1(self.l1 - self.l4)
-        self.e = zp_expm1(self.l3 - self.l2)
-
-        # (x/p) tanh_p^{p-1} = (z/p) exp((p-1)(l2 - l3)); the gap against l3
-        # loses its z^1 term exactly.
-        growth = zp_expm1((p - 1.0) * (self.l2 - self.l3)).replace(0, 1.0)
-        self.lem24 = zero_coeff(self.l3 - zp_shift_z(growth) / p, 1)
+    def quotient(self, num: str, den: str) -> _ZPoly:
+        """The series of num/den, exact until rounded once, for two of the
+        attributes above that vanish like z."""
+        return _rounded(_div(self._exact[num][1:], self._exact[den][1:]))

@@ -28,7 +28,9 @@ arguments out to x = 700, near the end of the double range; and subnormal
 arguments on both sides, where a value rounds in absolute terms.  The
 functionals are audited on each claim's verification grid and at their
 own switch between the z-series and the direct route, at p from 1.1 to 100,
-where the grid's first points fall below the z-floor.  The closed-form
+where the grid's first z = x^p underflow, and the hyperbolic ones from one
+ulp above p = 1, where the float composition of the z-series lost
+lem24_gap's z^2 term to cancellation.  The closed-form
 enclosure of arsinh_p that decides the growth of sinh_p's bracket is checked
 against the same arsinh_p reference, and against the quadrature's answer
 wherever it decides.
@@ -387,8 +389,17 @@ def _functional_arguments(name, p):
     return xs + _ulps(iq._Z_SWITCH ** (1 / p))
 
 
-@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 24.0, 50.0, 100.0])
-@pytest.mark.parametrize("name", ["thm1_f", "thm2_g", "lem22_f", "lem23_g", "lem24_gap"])
+FUNCTIONALS = ["thm1_f", "thm2_g", "lem22_f", "lem23_g", "lem24_gap"]
+# LEM24_GAP holds for every p > 1, and its neighbour on the hyperbolic side is
+# audited with it down to one ulp above 1.
+P_NEAR_ONE = [math.nextafter(1.0, 2.0), 1.0 + 1e-14, 1.0 + 1e-9, 1.001]
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [(name, p) for p in [1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 24.0, 50.0, 100.0] for name in FUNCTIONALS]
+    + [(name, p) for p in P_NEAR_ONE for name in ("lem23_g", "lem24_gap")],
+)
 def test_functionals_lie_within_abs_err(name, p):
     xs = _functional_arguments(name, p)
     # Both the z-series and the direct route are audited.

@@ -256,9 +256,10 @@ class TestEntryPoint:
         assert "pi_p=3.141592653589793" in proc.stdout
 
     def test_numpy_loads_only_for_the_hyperbolic_quadrature(self):
-        # A fresh interpreter: the circular side and the CLI front end run
-        # without numpy or fractions; the first sinh_p call integrates and
-        # loads numpy, and integer-p cosh_p snaps with fractions.
+        # A fresh interpreter: the CLI front end runs without numpy or
+        # fractions, and sin_p above the series switch without either; the
+        # first z-series loads fractions, the circular side never numpy; the
+        # first sinh_p call integrates and loads numpy.
         script = """
 import sys
 import ptrig.cli
@@ -267,6 +268,8 @@ def clean(what):
     assert "numpy" not in sys.modules, what
     assert "fractions" not in sys.modules, what
 clean("import ptrig.cli")
+assert ptrig.cli.main(["eval", "--fn", "sin_p", "--p", "3", "--x", "0.5"]) == 0
+clean("ptrig eval --fn sin_p")
 for p in (1.5, 2.0, 3.7, 12.0):
     core.pi_p(p)
     half = core.pi_p(p).value / 2.0
@@ -275,13 +278,10 @@ for p in (1.5, 2.0, 3.7, 12.0):
             fn(x, p)
     for s in (1e-3, 0.5, 0.999):
         core.arcsin_p(s, p)
-clean("circular evaluators")
-assert ptrig.cli.main(["eval", "--fn", "sin_p", "--p", "3", "--x", "0.5"]) == 0
-clean("ptrig eval --fn sin_p")
+assert "numpy" not in sys.modules, "circular evaluators"
+assert "fractions" in sys.modules, "the first z-series should load fractions"
 core.sinh_p(0.5, 3.0)
 assert "numpy" in sys.modules, "sinh_p should integrate with numpy"
-core.cosh_p(0.5, 3.0)
-assert "fractions" in sys.modules, "integer-p cosh_p should snap with fractions"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -9,17 +9,22 @@ or raise DomainError (PoleError included), NonConvergence or
 EvaluationFailed, never a bare ValueError, ZeroDivisionError or
 OverflowError; and no value it returns, of an Evaluation or a sharp
 constant, may be -0.0.  The command line refuses the same way: exit 2 and
-one ``error:`` line.
+one ``error:`` line, and a PoleError's line names the call it refuses.
+Nor does ``verify`` print a -0.0.
 """
 
+import contextlib
 import functools
+import io
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
 import ptrig
+from ptrig import cli
 from ptrig import inequalities as iq
 
 EVALUATORS = [
@@ -81,3 +86,18 @@ def test_cli_refuses_with_one_error_line(argv):
     proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_cli_pole_error_names_the_call():
+    argv = ["eval", "--fn", "cosh_p", "--x", "1", "--p", "1e13"]
+    proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cosh_p(1.0, p="), proc.stderr
+
+
+@pytest.mark.parametrize("p", ["5", "10", "50"])
+def test_verify_prints_no_negative_zero(p):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--claim", "all", "--p", p, "--format", "json"])
+    assert not re.findall(r"-0\.0\b", out.getvalue())

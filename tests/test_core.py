@@ -716,8 +716,7 @@ class TestFamilyRegistry:
             iq.sharp_constants(p)
             iq._chain_point(iq.FunctionId.THM2_CHAIN, core._family(p), 1e-3)
         assert len(core._FAMILIES) == core._FAMILY_CAP
-        for fn in (series.direct_coeffs, series.inverse_coeffs,
-                   series.hyper_inverse_coeffs, iq._beta, iq._chain_polys):
+        for fn in (iq._beta, iq._chain_polys):
             assert not hasattr(fn, "cache_info"), fn
         gc.collect()
         live = sum(isinstance(o, series.SmallZSeries) for o in gc.get_objects())

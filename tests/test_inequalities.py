@@ -437,7 +437,7 @@ class TestReports:
 
     @pytest.mark.parametrize("claim", [F.COROLLARY_CHAIN, F.THM2_G, F.LEM24_GAP])
     def test_min_margin_is_min(self, claim):
-        # At p = 50 points below the z-floor leave margins of 0 or less.
+        # At p = 50 the first points, where z = x^p underflows, leave margins of 0.
         for p in (2.0, 50.0):
             rep = iq.verify_claim(claim, p, iq.GridSpec(n=50))
             assert rep.min_margin == min(pt.margin for pt in rep.points)

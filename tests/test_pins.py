@@ -5,7 +5,8 @@ for every evaluator at three p.
 Changes to how errors are bounded move abs_err, never a value, a margin or a
 verdict; these pins hold them to the bytes recorded before such a change.  A
 change that moves these bytes on purpose updates the pin it moves and says
-so, with the reason, in CHANGES.md.
+so, with the reason, in CHANGES.md; ``PYTHONPATH=src python
+tests/test_pins.py`` prints both digests.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from ptrig import cli
 VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
-VERIFY_SHA256 = "275127d33d1da5a537042c9be819171a35d9c800a5ed9adcb8415f8a9a662a29"
+VERIFY_SHA256 = "4a9ba8aa4c7791ec0d6c5289ad96370448a1c73b2aacad21a61c13704fcabc70"
 TABLE_VALUES_SHA256 = "338471746c2b1de3274264a333b3e4971324060a7ccd9108bf1ed45ec2854f20"
 
 
@@ -50,3 +51,8 @@ def test_verify_output_is_pinned():
 
 def test_table_values_are_pinned():
     assert table_values_digest() == TABLE_VALUES_SHA256
+
+
+if __name__ == "__main__":  # the digests to pin
+    print("VERIFY_SHA256 =", repr(verify_digest()))
+    print("TABLE_VALUES_SHA256 =", repr(table_values_digest()))

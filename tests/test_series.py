@@ -1,48 +1,161 @@
-"""Series coefficients and polynomial composition against mpmath references."""
+"""Series coefficients, exact and rounded once, against mpmath references."""
 
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 import pytest
 
-from ptrig.series import (
-    SmallZSeries,
-    direct_coeffs,
-    hyper_inverse_coeffs,
-    inverse_coeffs,
-    zero_coeff,
-    zp,
-    zp_eval,
-    zp_expm1,
-    zp_log1p,
-    zp_mul,
-    zp_pow1p,
-    zp_shift_z,
-    zp_trunc_err,
-)
+from ptrig import inequalities as iq
+from ptrig import series
+from ptrig.series import SmallZSeries, zero_coeff, zp, zp_eval, zp_trunc_err
 
 from conftest import mp_primitives, mp_sin_p, mp_sinh_p
 
+# Attributes of SmallZSeries, and the quotients the functionals take.
+ATTRIBUTES = ["sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem24"]
+QUOTIENTS = [claim.formula[:2] for claim in iq._CLAIMS.values()
+             if claim.kind != "chain" and claim.formula[1] is not None]
+P_EXACT = [1.0 + 2.0 ** -52, 1.5, 2.0, 3.7, 10.0, 300.0]
+
+
+# An independent reference: series in z with mpmath coefficients, 50 digits,
+# orders 0 .. _N - 1, composed by the binomial, log and exp expansions, with
+# sin_p(x)/x = g(z) found by fixed-point reversion g = 1/f(z g^p), where
+# arcsin_p(s) = s f(s^p), and likewise sinh_p(x)/x from the arsinh_p integral.
+_N = 6
+
+
+def _mul(a, b):
+    return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(_N)]
+
+
+def _compose(coeffs, u):
+    """sum_k coeffs[k] u^k, for u[0] = 0."""
+    out = [mp.mpf(0)] * _N
+    for c in reversed(coeffs):
+        out = _mul(out, u)
+        out[0] += c
+    return out
+
+
+def _unit(a):
+    return a[0], [mp.mpf(0)] + [c / a[0] for c in a[1:]]
+
+
+def _power(a, r):
+    a0, u = _unit(a)
+    binomial = [mp.binomial(r, k) for k in range(_N)]
+    return [a0 ** r * c for c in _compose(binomial, u)]
+
+
+def _log(a):
+    a0, u = _unit(a)
+    out = _compose([0] + [(-1) ** (k + 1) / mp.mpf(k) for k in range(1, _N)], u)
+    return [out[0] + mp.log(a0)] + out[1:]
+
+
+def _shifted(a):
+    return [mp.mpf(0)] + a[:-1]
+
+
+def _reverted(P, sign):
+    """x/s as a series in z = x^p, for s = sin_p(x) (sign -1) or sinh_p(x) (+1)."""
+    f = [mp.binomial(-1 / P, k) * sign ** k / (k * P + 1) for k in range(_N)]
+    g = [mp.mpf(1)] + [mp.mpf(0)] * (_N - 1)
+    for _ in range(_N + 1):
+        g = _power(_compose(f, _shifted(_power(g, P))), -1)
+    return _power(g, -1)
+
+
+def _mp_series(p):
+    """Every SmallZSeries attribute, and the quotients, from 50-digit mpmath."""
+    with mp.workdps(50):
+        P = mp.mpf(p)
+        one = [mp.mpf(1)] + [mp.mpf(0)] * (_N - 1)
+        g, h = _power(_reverted(P, -1), -1), _power(_reverted(P, 1), -1)
+        sin_pow, sinh_pow = _shifted(_power(g, P)), _shifted(_power(h, P))
+        cos_pow = [a - b for a, b in zip(one, sin_pow)]  # cos_p^p = 1 - sin_p^p
+        cosh_pow = [a + b for a, b in zip(one, sinh_pow)]
+        ref = {
+            "sin_ratio": [g[0] - 1] + g[1:],
+            "sinh_ratio": [h[0] - 1] + h[1:],
+            "l1": [-c for c in _log(g)],
+            "l2": _log(h),
+            "l3": [c / P for c in _log(cosh_pow)],
+            "l4": [-c / P for c in _log(cos_pow)],
+            "d": [a - b for a, b in zip(one, _mul(_power(cos_pow, 1 / P), _power(g, -1)))],
+            "e": [a - b for a, b in zip(_mul(_power(cosh_pow, 1 / P), _power(h, -1)), one)],
+        }
+        # (x/p) tanh_p^(p-1) = (z/p) (sinh_p/x)^(p-1) cosh_p^(1-p)
+        growth = _mul(_power(h, P - 1), _power(cosh_pow, (1 - P) / P))
+        ref["lem24"] = [a - b / P for a, b in zip(ref["l3"], _shifted(growth))]
+        for num, den in QUOTIENTS:
+            a, b = ref[num][1:] + [0], ref[den][1:] + [0]
+            q = _mul(a, _power(b, -1))
+            ref[num, den] = q[:_N - 1]
+        return ref
+
+
+def _rounded_is_nearest(got, ref):
+    """got[k] is the double nearest ref[k]; a reference coefficient at the
+    50-digit noise floor of its series stands for an exact 0."""
+    scale = max(abs(c) for c in ref[:4])
+    want = [0.0 if abs(c) <= mp.mpf(10) ** -40 * scale else float(c) for c in ref[:4]]
+    return list(got) == want and all(type(c) is float for c in got)
+
 
 class TestCoefficients:
-    def test_classical_direct(self):
-        # arcsin(s) = s + s^3/6 + 3 s^5/40 + 15 s^7/336 + ...
-        a1, a2, a3 = direct_coeffs(2.0)
-        assert a1 == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert a2 == pytest.approx(3.0 / 40.0, rel=1e-15)
-        assert a3 == pytest.approx(15.0 / 336.0, rel=1e-15)
-
     def test_classical_inverse(self):
-        # sin(x) = x - x^3/6 + x^5/120 - x^7/5040 + ...
-        A1, A2, A3 = inverse_coeffs(2.0)
-        assert A1 == pytest.approx(-1.0 / 6.0, rel=1e-15)
-        assert A2 == pytest.approx(1.0 / 120.0, rel=1e-14)
-        assert A3 == pytest.approx(-1.0 / 5040.0, rel=1e-12)
+        # sin(x) = x - x^3/6 + x^5/120 - x^7/5040 + ...; log(x/sin x) = x^2/6 +
+        # x^4/180 + x^6/2835 + ...; log cosh - (x/2) tanh = x^4/12 + ...
+        s = SmallZSeries(2.0)
+        assert s.sin_ratio == zp(0.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
+        assert s.l1 == zp(0.0, 1.0 / 6.0, 1.0 / 180.0, 1.0 / 2835.0)
+        assert s.lem24[2] == 1.0 / 12.0
 
     def test_classical_hyperbolic(self):
         # sinh(x) = x + x^3/6 + x^5/120 + x^7/5040 + ...
-        h1, h2, h3 = hyper_inverse_coeffs(2.0)
-        assert h1 == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert h2 == pytest.approx(1.0 / 120.0, rel=1e-14)
-        assert h3 == pytest.approx(1.0 / 5040.0, rel=1e-12)
+        s = SmallZSeries(2.0)
+        assert s.sinh_ratio == zp(0.0, 1.0 / 6.0, 1.0 / 120.0, 1.0 / 5040.0)
+        assert s.l2 == zp(0.0, 1.0 / 6.0, -1.0 / 180.0, 1.0 / 2835.0)
+
+    @pytest.mark.parametrize("p", P_EXACT, ids=repr)
+    def test_every_coefficient_is_the_nearest_double(self, p):
+        s = SmallZSeries(p)
+        ref = _mp_series(p)
+        wrong = [name for name in ATTRIBUTES if not _rounded_is_nearest(getattr(s, name), ref[name])]
+        wrong += [key for key in QUOTIENTS if not _rounded_is_nearest(s.quotient(*key), ref[key])]
+        assert not wrong, wrong
+
+    @pytest.mark.parametrize("p", P_EXACT, ids=repr)
+    def test_the_dropped_coefficient_is_within_the_truncation_factor(self, p):
+        # zp_trunc_err's tail term assumes |c4| <= _TRUNC_FACTOR max |c0 .. c3|.
+        ref = _mp_series(p)
+        for key in ATTRIBUTES + QUOTIENTS:
+            c = ref[key]
+            assert abs(c[4]) <= series._TRUNC_FACTOR * max(map(abs, c[:4])), (key, p)
+
+    @pytest.mark.parametrize("p", [1.0 + 2.0 ** -52, 1.0001, 2.5, 24.0, 300.0, 1e10, 1e300],
+                             ids=repr)
+    def test_declared_cancellations_are_exact(self, p):
+        # Each pair a claim declares cancelling loses its z^1 term for the
+        # exact constants; beta and lam are no rationals, so a pair that
+        # names one names it on both sides.
+        P = Fraction(p)
+        exact = SmallZSeries(p)._exact
+        rational = {"alpha": 1 / (1 + P), "1/p": 1 / P, "p": P, "1": 1, "0": 0}
+
+        def z1(term):
+            sign, const, prim = term
+            return 0 if prim is None else sign * rational.get(const, 1) * exact[prim][1]
+
+        for tag, claim in iq._CLAIMS.items():
+            for k in claim.cancelling:
+                a, b = claim.formula[k], claim.formula[k + 1]
+                assert (a[1] in rational and b[1] in rational) or a[1] == b[1], tag
+                assert z1(b) - z1(a) == 0, (tag, k)
+        assert exact["lem24"][1] == 0
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 10.0])
     @pytest.mark.parametrize("x", [0.01, 0.05])
@@ -50,44 +163,43 @@ class TestCoefficients:
         # The pre-use check for the sin_p series: high-accuracy root of the
         # defining integral vs the truncated reversion.
         z = x ** p
-        series = x * (1.0 + sum(c * z ** (k + 1) for k, c in enumerate(inverse_coeffs(p))))
+        ratio = SmallZSeries(p).sin_ratio
         ref = float(mp_sin_p(p, x, dps=50))
-        assert abs(series - ref) <= 25.0 * abs(inverse_coeffs(p)[0]) * z ** 4 * x + 1e-16 * x
+        assert abs(x * (1.0 + zp_eval(ratio, z)) - ref) <= 25.0 * abs(ratio[1]) * z ** 4 * x + 1e-16 * x
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
     @pytest.mark.parametrize("x", [0.01, 0.05])
     def test_hyperbolic_series_against_quadrature_inversion(self, p, x):
         z = x ** p
-        series = x * (1.0 + sum(c * z ** (k + 1) for k, c in enumerate(hyper_inverse_coeffs(p))))
+        ratio = SmallZSeries(p).sinh_ratio
         ref = float(mp_sinh_p(p, x, dps=50))
-        assert abs(series - ref) <= 25.0 * abs(hyper_inverse_coeffs(p)[0]) * z ** 4 * x + 1e-16 * x
+        assert abs(x * (1.0 + zp_eval(ratio, z)) - ref) <= 25.0 * abs(ratio[1]) * z ** 4 * x + 1e-16 * x
 
 
 class TestPolynomialOps:
-    def test_mul_truncates(self):
-        a = zp(0.0, 1.0, 1.0, 1.0)
-        b = zp(0.0, 2.0, 0.0, 0.0)
-        assert np.array_equal(zp_mul(a, b), zp(0.0, 0.0, 2.0, 2.0))
+    """The rational recurrences the series are built with, on series whose
+    expansions are known in closed form, and zero_coeff."""
+
+    @staticmethod
+    def q(*coeffs):
+        return [Fraction(c) for c in coeffs]
 
     def test_log1p_of_z(self):
-        assert np.allclose(zp_log1p(zp(0.0, 1.0)), zp(0.0, 1.0, -0.5, 1.0 / 3.0))
+        assert series._log(self.q(1, 1, 0, 0, 0)) == self.q(0, 1, "-1/2", "1/3", "-1/4")
 
     def test_expm1_of_z(self):
-        assert np.allclose(zp_expm1(zp(0.0, 1.0)), zp(0.0, 1.0, 0.5, 1.0 / 6.0))
+        assert series._expm1(self.q(0, 1, 0, 0, 0)) == self.q(0, 1, "1/2", "1/6", "1/24")
 
     def test_pow1p_square(self):
-        assert np.allclose(zp_pow1p(zp(0.0, 1.0), 2.0), zp(1.0, 2.0, 1.0, 0.0), atol=1e-15)
+        assert series._pow(self.q(1, 1, 0, 0, 0), 2) == self.q(1, 2, 1, 0, 0)
+        assert series._pow(self.q(1, 1, 0, 0, 0), Fraction(1, 2)) == self.q(
+            1, "1/2", "-1/8", "1/16", "-5/128")
 
     def test_expm1_log1p_roundtrip(self):
-        a = zp(0.0, 0.3, -0.1, 0.02)
-        assert np.allclose(zp_expm1(zp_log1p(a)), a, atol=1e-16)
-
-    def test_shift(self):
-        assert np.array_equal(zp_shift_z(zp(1.0, 2.0, 3.0, 4.0)), zp(0.0, 1.0, 2.0, 3.0))
-
-    def test_rejects_constant_term(self):
-        with pytest.raises(ValueError):
-            zp_log1p(zp(1.0, 1.0))
+        a = self.q(0, "3/10", "-1/10", "1/50", "7/3")
+        one_plus_a = self.q(1, *a[1:])
+        assert series._expm1(series._log(one_plus_a)) == a
+        assert series._div(series._pow(one_plus_a, 3), one_plus_a) == series._pow(one_plus_a, 2)
 
     def test_zero_coeff_accepts_rounding_residue(self):
         a = zp(0.0, 1e-18, 0.5, 0.1)
@@ -99,64 +211,16 @@ class TestPolynomialOps:
             zero_coeff(zp(0.0, 0.01, 0.5, 0.1), 1)
 
 
-# numpy reference for the polynomial kernels: the formulas on float arrays,
-# with np.convolve for the product.  s = -1 is log1p, s = +1 gives the same
-# expansion on |a| with every term added, which bounds each coefficient's
-# rounding scale.
-def _np_mul(a, b):
-    return np.convolve(a, b)[:4]
-
-
-def _np_log1p(a, s=-1.0):
-    a2 = _np_mul(a, a)
-    return a + s * 0.5 * a2 + _np_mul(a2, a) / 3.0
-
-
-def _np_expm1(a):
-    a2 = _np_mul(a, a)
-    return a + 0.5 * a2 + _np_mul(a2, a) / 6.0
-
-
-def _np_pow1p(a, r, s=-1.0):
-    out = _np_expm1(r * _np_log1p(a, s))
-    out[0] = 1.0
-    return out
-
-
-def _random_polys(seed, count=300, constant=False):
+def _random_polys(seed, count=300):
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        c = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3.0, 1.0, 4)
-        if not constant:
-            c[0] = 0.0
-        yield c
-
-
-def _close(got, ref, scale, ulps=4.0):
-    assert len(got) == 4 and all(type(c) is float for c in got)
-    assert np.all(np.abs(np.array(got) - ref) <= ulps * np.finfo(float).eps * scale), (got, ref)
+        yield rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3.0, 1.0, 4)
 
 
 class TestKernelsAgainstNumpy:
-    def test_mul(self):
-        for a, b in zip(_random_polys(1, constant=True), _random_polys(2, constant=True)):
-            _close(zp_mul(zp(*a), zp(*b)), _np_mul(a, b), _np_mul(np.abs(a), np.abs(b)))
-
-    def test_log1p_expm1(self):
-        for a in _random_polys(3):
-            _close(zp_log1p(zp(*a)), _np_log1p(a), _np_log1p(np.abs(a), 1.0))
-            _close(zp_expm1(zp(*a)), _np_expm1(a), _np_expm1(np.abs(a)))
-
-    def test_pow1p(self):
-        rng = np.random.default_rng(4)
-        for a in _random_polys(5):
-            r = rng.uniform(-3.0, 3.0)
-            scale = _np_pow1p(np.abs(a), abs(r), 1.0)
-            _close(zp_pow1p(zp(*a), r), _np_pow1p(a, r), scale, ulps=16.0)
-
     def test_eval_and_trunc_err(self):
         rng = np.random.default_rng(6)
-        for a in _random_polys(7, constant=True):
+        for a in _random_polys(7):
             z = 10.0 ** rng.uniform(-6.0, -1.0)
             q = zp(*a)
             assert zp_eval(q, z) == a[0] + z * (a[1] + z * (a[2] + z * a[3]))
@@ -167,7 +231,7 @@ class TestKernelsAgainstNumpy:
 
     def test_zero_coeff(self):
         rng = np.random.default_rng(8)
-        for a in _random_polys(9, constant=True):
+        for a in _random_polys(9):
             k = int(rng.integers(0, 4))
             a[k] = rng.uniform(-1e-11, 1e-11) * np.max(np.abs(np.delete(a, k)))
             ref = a.copy()
