@@ -16,9 +16,12 @@ Every numerator and denominator above vanishes like x^p or x^(p+1), so for
 z = x^p below a switch point the functionals and all inequality margins are
 evaluated from truncated z-series (see :mod:`.series`): each functional from
 the one series of its quotient, exact until rounded once, so it keeps its
-accuracy down to z = 0; adjacent chain members whose difference loses its
-leading z order are differenced in coefficient space, never in value space.
-Above the switch the evaluators' log-space primitives take over.
+accuracy down to z = 0.  A chain's log-terms are balls on both routes, from
+the series below the switch and from the evaluators' log-space primitives
+above it; below it, each pair of adjacent members whose constants the exact
+engine can carry takes its gap from one series formed exactly and rounded
+once, so a leading z order that cancels is exactly 0, never a difference of
+values.
 
 Each claim is declared once, in _CLAIMS: its kind, its interval, and the
 formula of its functional or the terms of its chain.  verify_claim samples a
@@ -65,9 +68,14 @@ __all__ = [
     "is_exploratory",
 ]
 
-# Below z = x^p of this size, series evaluation; above, log primitives.  The
-# 4-term truncation bound is ~25 z^3 relative, so the switch sits where that
-# drops under ~1e-6 while direct-route cancellation (~eps/z) stays above 1e-13.
+# Below z = x^p of this size, series evaluation; above, log primitives.  Every
+# series and quotient keeps four coefficients, and series.zp_trunc_err charges
+# the dropped tail 25 max|c| z^4, about 6.4e-9 max|c| at the switch; above it
+# the direct route loses ~eps/z, under 1e-13, to cancellation.  It stays apart
+# from core._SERIES_Z (1e-3): at 1e-3 a cold verify --claim all takes 1,854 /
+# 1,819 / 1,571 quadratures at p = 2 / 3 / 10 against 1,798 / 1,740 / 1,493,
+# past the work-counter gate of the tests, as the direct route then serves
+# the points between the two.
 _Z_SWITCH = 4e-3
 
 # The hyperbolic claims, and the CLI's hyperbolic tables, sample (0, 3).
@@ -104,9 +112,8 @@ class _Claim(NamedTuple):
     A functional's formula is (num, den, scale): scale * num/den, or num
     alone when den is None, for primitives num and den named as in
     series.SmallZSeries.  A chain's formula is its terms (sign, const, prim)
-    with log T = sign * const * prim, prim named likewise (None for T = 1),
-    and cancelling holds the pairs (k, k+1) whose z^1 term cancels.  scale
-    and const name numbers of _constant.
+    with log T = sign * const * prim, prim named likewise (None for T = 1).
+    scale and const name numbers of _constant.
 
     route names the functional f whose bounds c_2 < f < c_0, c_k the const
     of term k, restate a three-term chain; the two are cross-checked at every
@@ -116,7 +123,6 @@ class _Claim(NamedTuple):
     kind: str
     interval: str
     formula: tuple
-    cancelling: tuple = ()
     route: Optional[FunctionId] = None
     p_min: float = 2.0
 
@@ -130,28 +136,21 @@ _CLAIMS = {
     FunctionId.LEM23_G: _Claim("increasing", "hyperbolic", ("l2", "e", "p")),
     FunctionId.LEM24_GAP: _Claim("positive", "hyperbolic", ("lem24", None, "1"), p_min=1.0),
     # cos_p^beta < cosh_p^-beta < sin_p/x < cosh_p^-alpha < 1
-    FunctionId.COROLLARY_CHAIN: _Claim(
-        "chain", "circular",
-        ((-1, "beta", "l4"), (-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3"), (1, "0", None)),
-        cancelling=(0, 2),
-    ),
+    FunctionId.COROLLARY_CHAIN: _Claim("chain", "circular", (
+        (-1, "beta", "l4"), (-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3"), (1, "0", None))),
     # (x/sinh_p)^p < sin_p/x < x/sinh_p
     FunctionId.THM1_CHAIN: _Claim(
-        "chain", "circular", ((-1, "p", "l2"), _SIN_RATIO, (-1, "1", "l2")), cancelling=(1,)
-    ),
+        "chain", "circular", ((-1, "p", "l2"), _SIN_RATIO, (-1, "1", "l2"))),
     # cosh_p^-beta < sin_p/x < cosh_p^-alpha
     FunctionId.THM2_CHAIN: _Claim(
         "chain", "circular", ((-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3")),
-        cancelling=(1,), route=FunctionId.THM2_G,
-    ),
+        route=FunctionId.THM2_G),
     # exp(-D/p) < sin_p/x < exp(-lam D), D = 1 - x cos_p/sin_p
     FunctionId.LEM22_CHAIN: _Claim(
-        "chain", "circular", ((-1, "1/p", "d"), _SIN_RATIO, (-1, "lam", "d")), cancelling=(0,)
-    ),
+        "chain", "circular", ((-1, "1/p", "d"), _SIN_RATIO, (-1, "lam", "d"))),
     # exp(E/p) < sinh_p/x < exp(E), E = x cosh_p/sinh_p - 1
     FunctionId.LEM23_CHAIN: _Claim(
-        "chain", "hyperbolic", ((1, "1/p", "e"), (1, "1", "l2"), (1, "1", "e")), cancelling=(0,)
-    ),
+        "chain", "hyperbolic", ((1, "1/p", "e"), (1, "1", "l2"), (1, "1", "e"))),
 }
 
 
@@ -342,10 +341,9 @@ def _series_z(pf: float, x: float) -> Optional[float]:
     return z if z < _Z_SWITCH else None
 
 
-def _zball(q, z: float, cerr=series.zp()) -> Evaluation:
-    """The z-series q at z, with its truncation bound and cerr, a chain's
-    const-error weights in coefficient space."""
-    return Evaluation(series.zp_eval(q, z), series.zp_trunc_err(q, z) + series.zp_eval(cerr, z))
+def _zball(q, z: float) -> Evaluation:
+    """The z-series q at z, with its truncation bound."""
+    return Evaluation(series.zp_eval(q, z), series.zp_trunc_err(q, z))
 
 
 @_kept
@@ -421,55 +419,57 @@ _FUNCTIONALS = {
 # ---------------------------------------------------------------------------
 # chains
 
+# The constants of _CLAIMS that are rational in p, as functions of the exact p.
+_RATIONAL = {"0": lambda P: 0, "1": lambda P: 1, "p": lambda P: P, "1/p": lambda P: 1 / P,
+             "alpha": lambda P: 1 / (1 + P)}
+
+
 @_kept
-def _chain_polys(fam: _Family, tag: FunctionId) -> tuple:
-    """(terms, polys, cerrs, gap_polys, gap_cerrs): term k is (num, den, prim)
-    with log T_k = num * v / den, num a ball and v the primitive prim (None
-    for T = 1); polys and cerrs are the terms' log-polynomials in z and their
-    const-error weights, and gap k spans the pair (k, k+1).  Pairs whose
-    leading z coefficient cancels analytically carry the cancellation removed
-    exactly, which keeps margins certifiable down to z ~ 1e-290.
+def _exact_gaps(fam: _Family, tag: FunctionId) -> tuple:
+    """Per pair (k, k+1) of tag's chain, (gap, scale) with log T_(k+1) - log T_k
+    = scale * gap(z): gap a z-series formed exactly and rounded once, scale a
+    name of _constant, "1" where the two constants are rational in p and
+    their one constant where they are the same; None where neither holds.
+    A z order that cancels analytically, as z^1 does between the paper's
+    sharp neighbours, comes out exactly 0.
     """
-    terms, polys, cerrs = [], [], []
-    for sign, const, prim in _CLAIMS[tag].formula:
-        num, den = _constant(fam, const)
-        num = sign * num
-        q = series.zp() if prim is None else getattr(fam.zseries, prim)
-        terms.append((num, den, prim))
-        polys.append(num.value * q / den)
-        cerrs.append(num.abs_err * abs(q) / den)
-    gap_polys = []
-    gap_cerrs = []
-    for k in range(len(polys) - 1):
-        gp = polys[k + 1] - polys[k]
-        gc = cerrs[k] + cerrs[k + 1]
-        if k in _CLAIMS[tag].cancelling:
-            gp = series.zero_coeff(gp, 1)
-            # The z^1 coefficient cancels for the exact constants, so their
-            # representation error carries no z^1 term either.
-            gc = gc.replace(1, 0.0)
-        gap_polys.append(gp)
-        gap_cerrs.append(gc)
-    return tuple(terms), tuple(polys), tuple(cerrs), tuple(gap_polys), tuple(gap_cerrs)
+    terms = _CLAIMS[tag].formula
+    out = []
+    for lo, hi in zip(terms, terms[1:]):
+        consts = {lo[1], hi[1]}
+        scale = "1" if consts <= _RATIONAL.keys() else lo[1] if len(consts) == 1 else None
+        weights = [(sign, _RATIONAL[const if scale == "1" else "1"], prim)
+                   for sign, const, prim in ((-lo[0], lo[1], lo[2]), hi) if prim is not None]
+        out.append(None if scale is None else (fam.zseries.combination(weights), scale))
+    return tuple(out)
 
 
 def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
     """(term values, pair margins, pair budgets) at one grid point.
 
-    Margins are value-space gaps T_(k+1) - T_k computed as T_k expm1(gap_k)
-    with gap_k the log-space difference, so a tiny gap between O(1) terms
-    never passes through a float subtraction of the terms themselves.  Each
-    budget is the radius of its margin's ball.
+    Each log-term is the ball sign * num * prim / den of its constant
+    num/den, prim its z-series below the switch and its direct primitive
+    above; the sign rides on the float den, where it is exact.  A pair's
+    log-space gap is its exact gap below the switch where _exact_gaps has
+    one, else the difference of its two terms.  Margins are value-space gaps
+    T_(k+1) - T_k computed as T_k expm1(gap), so a tiny gap between O(1)
+    terms never passes through a float subtraction of the terms themselves.
+    Each budget is the radius of its margin's ball.
     """
-    terms, polys, cerrs, gap_polys, gap_cerrs = _chain_polys(fam, tag)
     z = _series_z(fam.pf, x)
-    if z is not None:
-        logs = [_zball(q, z, c) for q, c in zip(polys, cerrs)]
-        gaps = [_zball(q, z, c) for q, c in zip(gap_polys, gap_cerrs)]
-    else:
-        logs = [num * (0.0 if prim is None else _DIRECT[prim](fam, x)) / den
-                for num, den, prim in terms]
-        gaps = [b - a for a, b in zip(logs, logs[1:])]
+    logs = []
+    for sign, const, prim in _CLAIMS[tag].formula:
+        num, den = _constant(fam, const)
+        if prim is None:
+            v = 0.0
+        elif z is None:
+            v = _DIRECT[prim](fam, x)
+        else:
+            v = _zball(getattr(fam.zseries, prim), z)
+        logs.append(num * v / (sign * den))
+    exact = (None,) * len(logs) if z is None else _exact_gaps(fam, tag)
+    gaps = [b - a if e is None else _constant(fam, e[1])[0] * _zball(e[0], z)
+            for a, b, e in zip(logs, logs[1:], exact)]
     values = [lg.exp() for lg in logs]
     margins = [t * g.expm1() for t, g in zip(values, gaps)]
     return [t.value for t in values], [m.value for m in margins], [m.abs_err for m in margins]

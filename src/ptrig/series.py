@@ -24,18 +24,18 @@ comes out exactly 0.
   division of series with unit constant term.
 
 The rounded polynomials are 4-tuples of floats (c0, c1, c2, c3) meaning
-c0 + c1 z + c2 z^2 + c3 z^3, truncated at O(z^4), with coefficientwise
-+ and - and scalar * and /.  This module loads fractions with the first
-series it builds, and never numpy.
+c0 + c1 z + c2 z^2 + c3 z^3, truncated at O(z^4).  They carry no
+arithmetic: a sum, difference or quotient of series is formed exactly and
+rounded once (SmallZSeries.quotient and .combination), so a coefficient
+that cancels analytically comes out exactly 0 there too.  This module loads
+fractions with the first series it builds, and never numpy.
 """
 
 from __future__ import annotations
 
-import operator
-
 from .numerics import _EPS, _ULP0
 
-__all__ = ["zp", "zp_eval", "zp_trunc_err", "zero_coeff", "SmallZSeries"]
+__all__ = ["zp_eval", "zp_trunc_err", "SmallZSeries"]
 
 _DEG = 4  # coefficients kept per polynomial
 
@@ -46,38 +46,13 @@ _TRUNC_FACTOR = 25.0
 
 
 class _ZPoly(tuple):
-    """A truncated z-polynomial: four float coefficients, lowest order first.
-
-    +, - and abs act coefficientwise between polynomials and * and / scale
-    by a float, so the chain formulas read as written.
-    """
+    """A truncated z-polynomial: four float coefficients, lowest order first."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return _ZPoly(map(operator.add, self, other))
-
-    def __sub__(self, other):
-        return _ZPoly(map(operator.sub, self, other))
-
-    def __abs__(self):
-        return _ZPoly(abs(c) for c in self)
-
-    def __mul__(self, s: float):
-        return _ZPoly(s * c for c in self)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, s: float):
-        return _ZPoly(c / s for c in self)
 
     def replace(self, k: int, c: float) -> "_ZPoly":
         """A copy with coefficient k set to c."""
         return _ZPoly(c if i == k else v for i, v in enumerate(self))
-
-
-def zp(*coeffs: float) -> _ZPoly:
-    return _ZPoly(tuple(map(float, coeffs)) + (0.0,) * (_DEG - len(coeffs)))
 
 
 def zp_eval(a: _ZPoly, z: float) -> float:
@@ -97,20 +72,6 @@ def zp_trunc_err(a: _ZPoly, z: float) -> float:
     )
     # An ulp of 0 for each product that rounds among the subnormals.
     return tail + rounding + 3.0 * _ULP0
-
-
-def zero_coeff(a: _ZPoly, k: int) -> _ZPoly:
-    """Remove a coefficient that cancels analytically.
-
-    The residue must be rounding-level relative to the polynomial's scale;
-    anything larger means the claimed cancellation is false.
-    """
-    scale = max(*map(abs, a), 1e-300)
-    if abs(a[k]) > 1e-10 * scale:
-        raise AssertionError(
-            f"coefficient z^{k} = {a[k]:.3e} is not negligible against scale {scale:.3e}"
-        )
-    return a.replace(k, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +174,9 @@ class SmallZSeries:
     * ``d``  : (sin_p(x) - x cos_p(x)) / sin_p(x)
     * ``e``  : (x cosh_p(x) - sinh_p(x)) / sinh_p(x)
     * ``lem24`` : log(cosh_p(x)) - (x/p) tanh_p(x)^{p-1}
+
+    quotient and combination form a quotient and a weighted sum of these
+    exactly, and round it once.
     """
 
     __slots__ = ("p", "_exact", "sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e",
@@ -228,3 +192,13 @@ class SmallZSeries:
         """The series of num/den, exact until rounded once, for two of the
         attributes above that vanish like z."""
         return _rounded(_div(self._exact[num][1:], self._exact[den][1:]))
+
+    def combination(self, terms) -> _ZPoly:
+        """The series of the sum of sign * w(p) * a over the terms (sign, w, a),
+        exact until rounded once, for w a function from the exact p to a
+        rational and a one of the attributes above."""
+        from fractions import Fraction
+
+        P = Fraction(self.p)
+        return _rounded([sum(sign * w(P) * self._exact[a][k] for sign, w, a in terms)
+                         for k in range(_DEG)])

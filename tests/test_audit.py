@@ -447,7 +447,7 @@ def _mp_chain_margins(tag, x, p):
 CHAINS = [tag for tag, claim in iq._CLAIMS.items() if claim.kind == "chain"]
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0, 10.0, 24.0, 50.0, 100.0, 300.0])
 @pytest.mark.parametrize("tag", CHAINS, ids=str)
 def test_chain_margins_lie_within_their_budgets(tag, p):
     fam = core._family(p)

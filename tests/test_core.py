@@ -706,8 +706,8 @@ class TestFamilyRegistry:
         assert len(snaps) == 1
 
     def test_p_keyed_caches_stay_bounded(self):
-        """Series primitives, coefficients, sharp constants and chain
-        polynomials live in the families: many distinct p leave at most
+        """Series primitives, coefficients, sharp constants and exact chain
+        gaps live in the families: many distinct p leave at most
         _FAMILY_CAP of each behind."""
         for k in range(5000):
             iq.thm1_f(1e-3, 1.1 + k / 101.0)
@@ -716,12 +716,12 @@ class TestFamilyRegistry:
             iq.sharp_constants(p)
             iq._chain_point(iq.FunctionId.THM2_CHAIN, core._family(p), 1e-3)
         assert len(core._FAMILIES) == core._FAMILY_CAP
-        for fn in (iq._beta, iq._chain_polys):
+        for fn in (iq._beta, iq._exact_gaps):
             assert not hasattr(fn, "cache_info"), fn
         gc.collect()
         live = sum(isinstance(o, series.SmallZSeries) for o in gc.get_objects())
         assert live <= core._FAMILY_CAP
-        derived = (iq._beta, iq._chain_polys)
+        derived = (iq._beta, iq._exact_gaps)
         for fam in core._FAMILIES.values():
             assert sum(len(self.kept(fam, fn)) for fn in derived) <= 2
 

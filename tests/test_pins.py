@@ -6,7 +6,8 @@ Changes to how errors are bounded move abs_err, never a value, a margin or a
 verdict; these pins hold them to the bytes recorded before such a change.  A
 change that moves these bytes on purpose updates the pin it moves and says
 so, with the reason, in CHANGES.md; ``PYTHONPATH=src python
-tests/test_pins.py`` prints both digests.
+tests/test_pins.py`` prints both digests, and the sha256 of each p's verify
+output, which names the p whose bytes moved.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from ptrig import cli
 VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
-VERIFY_SHA256 = "4a9ba8aa4c7791ec0d6c5289ad96370448a1c73b2aacad21a61c13704fcabc70"
+VERIFY_SHA256 = "3668c8d53bf2c667fe99b2908d5488db5213176fb93a1cc678caaaef59e810a8"
 TABLE_VALUES_SHA256 = "338471746c2b1de3274264a333b3e4971324060a7ccd9108bf1ed45ec2854f20"
 
 
@@ -29,10 +30,14 @@ def _stdout(argv):
     return out.getvalue()
 
 
+def _verify_json(p):
+    return _stdout(["verify", "--claim", "all", "--p", p, "--format", "json"]).encode()
+
+
 def verify_digest():
     sha = hashlib.sha256()
     for p in VERIFY_P:
-        sha.update(_stdout(["verify", "--claim", "all", "--p", p, "--format", "json"]).encode())
+        sha.update(_verify_json(p))
     return sha.hexdigest()
 
 
@@ -56,3 +61,5 @@ def test_table_values_are_pinned():
 if __name__ == "__main__":  # the digests to pin
     print("VERIFY_SHA256 =", repr(verify_digest()))
     print("TABLE_VALUES_SHA256 =", repr(table_values_digest()))
+    for p in VERIFY_P:
+        print(f"verify --p {p}:", hashlib.sha256(_verify_json(p)).hexdigest())

@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from ptrig import core, series
 from ptrig import inequalities as iq
-from ptrig import series
-from ptrig.series import SmallZSeries, zero_coeff, zp, zp_eval, zp_trunc_err
+from ptrig.series import SmallZSeries, zp_eval, zp_trunc_err
 
 from conftest import mp_primitives, mp_sin_p, mp_sinh_p
 
@@ -17,6 +17,10 @@ ATTRIBUTES = ["sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem2
 QUOTIENTS = [claim.formula[:2] for claim in iq._CLAIMS.values()
              if claim.kind != "chain" and claim.formula[1] is not None]
 P_EXACT = [1.0 + 2.0 ** -52, 1.5, 2.0, 3.7, 10.0, 300.0]
+F = iq.FunctionId
+
+# Weights of SmallZSeries.combination, as functions of the exact p.
+ONE, ALPHA, INV_P = (lambda P: 1), (lambda P: 1 / (1 + P)), (lambda P: 1 / P)
 
 
 # An independent reference: series in z with mpmath coefficients, 50 digits,
@@ -110,15 +114,15 @@ class TestCoefficients:
         # sin(x) = x - x^3/6 + x^5/120 - x^7/5040 + ...; log(x/sin x) = x^2/6 +
         # x^4/180 + x^6/2835 + ...; log cosh - (x/2) tanh = x^4/12 + ...
         s = SmallZSeries(2.0)
-        assert s.sin_ratio == zp(0.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
-        assert s.l1 == zp(0.0, 1.0 / 6.0, 1.0 / 180.0, 1.0 / 2835.0)
+        assert s.sin_ratio == (0.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
+        assert s.l1 == (0.0, 1.0 / 6.0, 1.0 / 180.0, 1.0 / 2835.0)
         assert s.lem24[2] == 1.0 / 12.0
 
     def test_classical_hyperbolic(self):
         # sinh(x) = x + x^3/6 + x^5/120 + x^7/5040 + ...
         s = SmallZSeries(2.0)
-        assert s.sinh_ratio == zp(0.0, 1.0 / 6.0, 1.0 / 120.0, 1.0 / 5040.0)
-        assert s.l2 == zp(0.0, 1.0 / 6.0, -1.0 / 180.0, 1.0 / 2835.0)
+        assert s.sinh_ratio == (0.0, 1.0 / 6.0, 1.0 / 120.0, 1.0 / 5040.0)
+        assert s.l2 == (0.0, 1.0 / 6.0, -1.0 / 180.0, 1.0 / 2835.0)
 
     @pytest.mark.parametrize("p", P_EXACT, ids=repr)
     def test_every_coefficient_is_the_nearest_double(self, p):
@@ -136,25 +140,45 @@ class TestCoefficients:
             c = ref[key]
             assert abs(c[4]) <= series._TRUNC_FACTOR * max(map(abs, c[:4])), (key, p)
 
+    # The pairs (k, k+1) whose z^1 terms the paper cancels, and the three
+    # pairs that set beta or lam against another constant, which no exact
+    # gap carries: beta and lam are no rationals in p.
+    CANCELLING = {(F.COROLLARY_CHAIN, 0), (F.COROLLARY_CHAIN, 2), (F.THM1_CHAIN, 1),
+                  (F.THM2_CHAIN, 1), (F.LEM22_CHAIN, 0), (F.LEM23_CHAIN, 0)}
+    MIXED = {(F.THM2_CHAIN, 0), (F.COROLLARY_CHAIN, 1), (F.LEM22_CHAIN, 1)}
+
     @pytest.mark.parametrize("p", [1.0 + 2.0 ** -52, 1.0001, 2.5, 24.0, 300.0, 1e10, 1e300],
                              ids=repr)
     def test_declared_cancellations_are_exact(self, p):
-        # Each pair a claim declares cancelling loses its z^1 term for the
-        # exact constants; beta and lam are no rationals, so a pair that
-        # names one names it on both sides.
+        # Every pair but the three mixed ones gets an exact gap: both constants
+        # rational in p, or one constant on both sides, which then scales the
+        # gap.  Each gap is the float nearest its exact series, so a z^1 term
+        # that cancels is 0 as a Fraction and as a float.
         P = Fraction(p)
         exact = SmallZSeries(p)._exact
         rational = {"alpha": 1 / (1 + P), "1/p": 1 / P, "p": P, "1": 1, "0": 0}
+        fam = core._family(p)
 
-        def z1(term):
+        def series_of(term, k, shared):
             sign, const, prim = term
-            return 0 if prim is None else sign * rational.get(const, 1) * exact[prim][1]
+            return 0 if prim is None else sign * (1 if shared else rational[const]) * exact[prim][k]
 
+        without = set()
         for tag, claim in iq._CLAIMS.items():
-            for k in claim.cancelling:
-                a, b = claim.formula[k], claim.formula[k + 1]
-                assert (a[1] in rational and b[1] in rational) or a[1] == b[1], tag
-                assert z1(b) - z1(a) == 0, (tag, k)
+            if claim.kind != "chain":
+                continue
+            gaps = iq._exact_gaps(fam, tag)
+            for k, (a, b) in enumerate(zip(claim.formula, claim.formula[1:])):
+                if gaps[k] is None:
+                    without.add((tag, k))
+                    continue
+                shared = not (a[1] in rational and b[1] in rational)
+                assert not shared or a[1] == b[1], (tag, k)
+                want = [series_of(b, j, shared) - series_of(a, j, shared) for j in range(4)]
+                assert gaps[k][0] == tuple(map(float, want)), (tag, k)
+                if (tag, k) in self.CANCELLING:
+                    assert want[1] == 0 and gaps[k][0][1] == 0.0, (tag, k)
+        assert without == self.MIXED
         assert exact["lem24"][1] == 0
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 10.0])
@@ -178,7 +202,7 @@ class TestCoefficients:
 
 class TestPolynomialOps:
     """The rational recurrences the series are built with, on series whose
-    expansions are known in closed form, and zero_coeff."""
+    expansions are known in closed form, and the exact combinations."""
 
     @staticmethod
     def q(*coeffs):
@@ -201,14 +225,13 @@ class TestPolynomialOps:
         assert series._expm1(series._log(one_plus_a)) == a
         assert series._div(series._pow(one_plus_a, 3), one_plus_a) == series._pow(one_plus_a, 2)
 
-    def test_zero_coeff_accepts_rounding_residue(self):
-        a = zp(0.0, 1e-18, 0.5, 0.1)
-        out = zero_coeff(a, 1)
-        assert out[1] == 0.0 and out[2] == 0.5
-
-    def test_zero_coeff_rejects_real_coefficient(self):
-        with pytest.raises(AssertionError):
-            zero_coeff(zp(0.0, 0.01, 0.5, 0.1), 1)
+    def test_combination_is_rounded_once(self):
+        # 6 l1/p - l4 at p = 2: 3 (z/6 + z^2/180) - (z/2 + z^2/12) drops z^1.
+        s = SmallZSeries(2.0)
+        got = s.combination([(6, INV_P, "l1"), (-1, ONE, "l4")])
+        exact = [3 * a - b for a, b in zip(s._exact["l1"], s._exact["l4"])]
+        assert got == tuple(map(float, exact[:4]))
+        assert got[1] == 0.0 and exact[2] == Fraction(-1, 15)
 
 
 def _random_polys(seed, count=300):
@@ -222,35 +245,23 @@ class TestKernelsAgainstNumpy:
         rng = np.random.default_rng(6)
         for a in _random_polys(7):
             z = 10.0 ** rng.uniform(-6.0, -1.0)
-            q = zp(*a)
+            q = tuple(map(float, a))
             assert zp_eval(q, z) == a[0] + z * (a[1] + z * (a[2] + z * a[3]))
             ref = 25.0 * np.max(np.abs(a)) * z ** 4 + 4.0 * np.finfo(float).eps * (
                 abs(a[0]) + abs(a[1]) * z + abs(a[2]) * z * z + abs(a[3]) * z ** 3
             )
             assert zp_trunc_err(q, z) == pytest.approx(ref, rel=4.0 * np.finfo(float).eps)
 
-    def test_zero_coeff(self):
-        rng = np.random.default_rng(8)
-        for a in _random_polys(9):
-            k = int(rng.integers(0, 4))
-            a[k] = rng.uniform(-1e-11, 1e-11) * np.max(np.abs(np.delete(a, k)))
-            ref = a.copy()
-            ref[k] = 0.0
-            assert list(zero_coeff(zp(*a), k)) == ref.tolist()
-            a[k] = 1e-9 * np.max(np.abs(np.delete(a, k)))
-            with pytest.raises(AssertionError):
-                zero_coeff(zp(*a), k)
-
 
 # The degenerate inequality margins: differences whose z^1 terms cancel
 # analytically.  Each entry builds the margin polynomial from the primitives
-# the way the verification engine does.
+# the way the verification engine does, as one exact combination.
 _DEGENERATE = {
-    "l1_minus_l2": lambda s: zero_coeff(s.l1 - s.l2, 1),
-    "l1_minus_alpha_l3": lambda s: zero_coeff(s.l1 - s.l3 / (1.0 + s.p), 1),
-    "l4_minus_l3": lambda s: zero_coeff(s.l4 - s.l3, 1),
-    "d_over_p_minus_l1": lambda s: zero_coeff(s.d / s.p - s.l1, 1),
-    "l2_minus_e_over_p": lambda s: zero_coeff(s.l2 - s.e / s.p, 1),
+    "l1_minus_l2": lambda s: s.combination([(1, ONE, "l1"), (-1, ONE, "l2")]),
+    "l1_minus_alpha_l3": lambda s: s.combination([(1, ONE, "l1"), (-1, ALPHA, "l3")]),
+    "l4_minus_l3": lambda s: s.combination([(1, ONE, "l4"), (-1, ONE, "l3")]),
+    "d_over_p_minus_l1": lambda s: s.combination([(1, INV_P, "d"), (-1, ONE, "l1")]),
+    "l2_minus_e_over_p": lambda s: s.combination([(1, ONE, "l2"), (-1, INV_P, "e")]),
     "lem24": lambda s: s.lem24,
 }
 
@@ -301,7 +312,7 @@ class TestPrimitiveSeries:
 
     def test_below_two_the_circular_hyperbolic_margin_flips(self):
         s = SmallZSeries(1.5)
-        assert zero_coeff(s.l1 - s.l2, 1)[2] < 0.0
+        assert _DEGENERATE["l1_minus_l2"](s)[2] < 0.0
         assert s.lem24[2] > 0.0  # the gap claim alone covers all p > 1
 
     def test_lem24_classical_coefficient(self):
