@@ -20,8 +20,8 @@ below w or om, both at most 1/2, so the dropped tail is at most the last
 term kept; with a rounding allowance per term this is the error bound.  The
 hyperbolic integral is still taken by tanh-sinh quadrature.
 
-sin_p and sinh_p invert the integrals by safeguarded Newton loops, and near
-zero by verified reversion series, where inversion would lose the deficit
+sin_p and sinh_p invert the integrals by one safeguarded Newton loop, and
+near zero by verified reversion series, where inversion would lose the deficit
 x - sin_p(x) to cancellation.  sin_p is solved for w = log cos_p^p = log om,
 so that s^p = -expm1(w) and om = e^w keep full relative accuracy up to a
 corner within the uncertainty of pi_p/2 (or with om below the double range),
@@ -37,13 +37,15 @@ circular functions are defined on [0, pi_p/2] only (no periodic extension);
 the hyperbolic ones on x >= 0 up to arsinh_p of the largest double (about
 709.8 to 710.8, growing with p), beyond which they raise DomainError.
 
-The states of sin_p and sinh_p bound their own errors: the inversion
-residual through the local slope, or the series truncation.  Every other
+The states of sin_p and sinh_p are balls over an interval that holds the
+root: one rule turns the bound on the residual at the solve's last iterate,
+its slope and how fast the slope can change into that interval, and below
+the series switch the series truncation bounds them.  Every other
 evaluator is a ball expression of them and of p, so its abs_err follows by
 the one rule of :class:`.numerics.Evaluation`, and margin certification
 downstream can budget against it.  There is one precision: the targets
-of the quadrature and of the two Newton loops are fixed constants below, and
-NonConvergence means the quadrature missed its target or a loop ran out of
+of the quadrature and of the Newton loop are fixed constants below, and
+NonConvergence means the quadrature missed its target or the loop ran out of
 steps.  Every public evaluator takes (x, p), a finite x, and raises
 DomainError outside its domain or past the double range, and PoleError where
 a ball reaches a pole (tan_p, and d_cos_p for p > 2, against pi_p/2).
@@ -91,10 +93,10 @@ _SERIES_Z = 1e-3
 # The quadrature's absolute and relative targets for arsinh_p.
 _QUAD_ABS = 1e-15
 _QUAD_REL = 5e-14
-# The Newton loops stop at a step below this relative size (_sin_state) or a
-# residual below this times 1 + x (_sinh_raw).
+# The Newton loop stops after a step below this relative size, and _sinh_raw's
+# at a residual below this times 1 + x.
 _INV_TOL = 1e-13
-# Step cap of the Newton loops in _sin_state and _sinh_raw.
+# Step cap of the Newton loop of _sin_state and _sinh_raw.
 _NEWTON_STEPS = 80
 # _sinh_raw's bracket test trusts a closed-form enclosure of arsinh_p that
 # clears x by this times 1 + x, some 2e4 times the quadrature's error.
@@ -412,6 +414,40 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
 # Inversion: sin_p and sinh_p
 
 
+def _newton(residual, u: float, lo: float, hi: float, name: str, x: float) -> tuple:
+    """Safeguarded Newton from u for the root of residual, increasing in u,
+    on the bracket (lo, hi).  residual(u) is (r, slope, tol, scale): the
+    loop stops at |r| <= tol, or one residual after a step |r|/slope below
+    _INV_TOL scale, so the caller's bound rests on the stepped u.  A step
+    that leaves the bracket bisects it, halves summed separately so that
+    lo + hi cannot overflow.  Returns (u, r, slope, tol) where it stops."""
+    last = False
+    for _ in range(_NEWTON_STEPS):
+        r, slope, tol, scale = residual(u)
+        if last or abs(r) <= tol:
+            return u, r, slope, tol
+        if r < 0.0:
+            lo = u
+        else:
+            hi = u
+        last = abs(r) <= _INV_TOL * slope * scale
+        step = u - r / slope
+        u = step if lo < step < hi else 0.5 * lo + 0.5 * hi
+    raise NonConvergence(f"{name}({x}): no root in {_NEWTON_STEPS} steps")
+
+
+def _root_interval(R: float, m: float, c: float) -> tuple[float, float]:
+    """(grow, fall): how far the root lies at most from the last iterate, on
+    the side where the slope m > 0 grows and on the side where its log falls
+    at a rate of at most c > 0, given the bound R on the residual there.
+    Within t the residual moves by m t at least on the first side, and by
+    m (1 - e^(-c t))/c on the other, which reaches R at -log1p(-c R/m)/c and
+    never once c R/m >= 1: inf (Moore, Kearfott & Cloud, Introduction to
+    Interval Analysis, 2009, ch. 8)."""
+    d = R / m
+    return d, (-math.log1p(-c * d) / c if c * d < 1.0 else math.inf)
+
+
 @_kept
 def _sin_state(fam: _Family, x: float) -> tuple:
     """The balls (s, om, w) of s = sin_p(x), om = cos_p(x)^p and w = log om
@@ -445,60 +481,38 @@ def _sin_state(fam: _Family, x: float) -> tuple:
         om_ub = math.exp(max(w_top, -745.0) + 1.0)
         return Evaluation(1.0, max(2.0 * _EPS, om_ub / pf)), Evaluation(0.0, om_ub), None
 
+    def residual(w):
+        # x - arcsin_p(s) rises with w at the slope (om/s^p)^q / p.  Its
+        # rounding: the series bound, and for s from w a 2 eps relative
+        # error, which moves x by at most 2 eps x om^(-1/p) <= 8 eps x om
+        # where the series in s^p serves (om >= 1/2).  A step is relative
+        # to both om and s^p (d log s^p = (om/s^p) dw).
+        om, sp = math.exp(w), -math.expm1(w)
+        v, v_err = _arcsin_series(fam, sp ** (1.0 / pf), om)
+        slope = math.exp(q * (w - math.log(sp))) / pf
+        return x - v, slope, v_err + 8.0 * _EPS * om * x, min(1.0, sp / om)
+
     # arcsin_p(s) <= s om^(-1/p) gives s^p >= z/(1 + z), a second ceiling.
     # x(w) decreases and is concave, so Newton started above the root
     # descends onto it; the bracket only guards against rounding.
-    w = min(w_top, -math.log1p(z))
     top = min(w_top + 1.0, -math.log1p(z))
-    lo, hi = -math.inf, top
-    last = False
-    for _ in range(_NEWTON_STEPS):
-        om, sp = math.exp(w), -math.expm1(w)
-        v, v_err = _arcsin_series(fam, sp ** (1.0 / pf), om)
-        r = v - x
-        # The residual's rounding: the series bound, and for s from w a 2 eps
-        # relative error, which moves x by at most 2 eps x om^(-1/p) <= 8 eps x om
-        # where the series in s^p serves (om >= 1/2).
-        band = v_err + 8.0 * _EPS * om * x
-        slope = math.exp(q * (w - math.log(sp))) / pf  # |dx/dw| = (om/s^p)^q / p
-        if last or abs(r) <= band:
-            break
-        if r > 0.0:
-            lo = w
-        else:
-            hi = w
-        # A step below _INV_TOL relative to both om and s^p (d log s^p =
-        # (om/s^p) dw) is the last one; the residual after it is summed once
-        # more, so the band rests on the stepped w.
-        last = abs(r) <= _INV_TOL * slope * min(1.0, sp / om)
-        step = w + r / slope
-        w = step if lo < step < hi else 0.5 * (lo + hi)
-    else:
-        raise NonConvergence(f"sin_p({x}): no root in log cos_p^p in {_NEWTON_STEPS} steps")
-
-    # The band on w from the residual's bound R.  Above w the slope only
-    # grows, so the root lies within d = R/slope, and below the ceilings;
-    # below w the slope falls at most like exp(-c dw), which bounds the
-    # root by 1 - (1 - c d)^(1/c) in om, all of om once c d >= 1.
-    d = (abs(r) + band) / slope
-    c = q * (1.0 + om / sp)
-    up = math.expm1(min(d, top - w))
-    down = 1.0 if c * d >= 1.0 else -math.expm1(math.log1p(-c * d) / c)
-    om_err = om * (max(up, down) + 2.0 * _EPS)
-    s = sp ** (1.0 / pf)
-    rho = om_err / sp
-    s_err = s * ((1.0 if rho >= 1.0 else -math.expm1(math.log1p(-rho) / pf)) + 4.0 * _EPS)
-    # The same band in log om.  Where it leaves no floor under om, pi_p/2 - x
-    # >= tau - tau_err does: T(om) <= om^q (1 - q log(1 - om)) / (p - 1), as
-    # each term of T's series after the first is at most om^k/k of it.
+    w, r, slope, band = _newton(residual, min(w_top, -math.log1p(z)), -math.inf, top, "sin_p", x)
+    om, sp = math.exp(w), -math.expm1(w)
+    # The slope grows with w, by the rate q (1 + om/s^p) at most below it;
+    # above w the ceilings bound the root too.
+    grow, fall = _root_interval(abs(r) + band, slope, q * (1.0 + om / sp))
+    grow = min(grow, top - w)
+    if fall == math.inf:
+        # No floor from the slope: pi_p/2 - x >= tau - tau_err gives one, as
+        # T(om) <= om^q (1 - q log(1 - om)) / (p - 1), each term of T's
+        # series after the first being at most om^k/k of it.
+        wf = math.log((pf - 1.0) * (tau - tau_err) / (1.0 - q * math.log1p(-om * math.exp(grow))))
+        fall = w - (wf - 8.0 * _EPS * (1.0 + abs(wf))) / q
+    # The balls about the values at w, over the root's [w - fall, w + grow].
+    om_err = om * (max(math.expm1(grow), -math.expm1(-fall)) + 2.0 * _EPS)
     lw = math.log(om)
-    if c * d < 1.0:
-        below = -math.log1p(-c * d) / c
-    else:
-        wf = math.log((pf - 1.0) * (tau - tau_err) / (1.0 - q * math.log1p(-om * (1.0 + up))))
-        below = w - (wf - 8.0 * _EPS * (1.0 + abs(wf))) / q
-    w_err = max(min(d, top - w), below) + abs(lw - w) + 4.0 * _EPS * (1.0 + abs(lw))
-    return Evaluation(s, s_err), Evaluation(om, om_err), Evaluation(lw, w_err)
+    return (Evaluation(sp, om_err + 2.0 * _EPS * sp) ** (1.0 / pf), Evaluation(om, om_err),
+            Evaluation(lw, max(grow, fall) + abs(lw - w) + 4.0 * _EPS * (1.0 + abs(lw))))
 
 
 @_kept
@@ -519,26 +533,18 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
         if hi == big:
             raise DomainError(f"sinh_p({x}) exceeds floating-point range")
         hi = min(4.0 * hi, big)
-    # Newton on the concave arsinh_p, bisecting whenever a step leaves the
-    # bracket; halves are summed separately so that lo + hi cannot overflow.
-    lo, s = x, 0.5 * x + 0.5 * hi
-    for _ in range(_NEWTON_STEPS):
-        r = _arsinh_quad(fam, s).value - x
-        if abs(r) <= _INV_TOL * (1.0 + x):
-            break
-        if r < 0.0:
-            lo = s
-        else:
-            hi = s
-        step = s - r / math.exp(-_log_cosh(pf, s))
-        s = step if lo < step < hi else 0.5 * lo + 0.5 * hi
-    else:
-        raise NonConvergence(f"sinh_p({x}): no root in {_NEWTON_STEPS} steps")
-    # The residual band plus the band of the integral itself, through the
-    # slope cosh_p(s)^-1 of arsinh_p.
-    restol = _INV_TOL * (1.0 + x) + 2.0 * _QUAD_REL * x
-    s_err = 2.0 * restol * math.exp(_log_cosh(pf, s)) + 4.0 * _EPS * s
-    return Evaluation(s, s_err)
+
+    def residual(s):
+        # arsinh_p(s) - x rises at the slope 1/cosh_p(s).  Its tolerance
+        # exceeds _INV_TOL s/cosh_p(s): no step is the last before it stops.
+        slope = math.exp(-_lcosh(pf, Evaluation(s, 0.0)).value)
+        return _arsinh_quad(fam, s).value - x, slope, _INV_TOL * (1.0 + x), s
+
+    s, r, slope, _ = _newton(residual, 0.5 * x + 0.5 * hi, x, hi, "sinh_p", x)
+    # The residual bounded by |r| and twice the quadrature's target; the
+    # slope falls above s, its log at the rate s^(p-1)/(1 + s^p) < 1/s.
+    grow, fall = _root_interval(abs(r) + 2.0 * max(_QUAD_ABS, _QUAD_REL * x), slope, 1.0 / s)
+    return Evaluation(s, max(grow, fall) + 4.0 * _EPS * s)
 
 
 def _zseries(ratio: series._ZPoly, x: float, z: float) -> Evaluation:
@@ -576,18 +582,8 @@ def _arsinh_below(fam: _Family, s: float, x: float) -> bool:
     return _arsinh_quad(fam, s).value < x
 
 
-def _log_cosh(pf: float, s: float) -> float:
-    """log cosh_p from the sinh_p value s, safe for huge s^p."""
-    if s <= 0.0:
-        return 0.0
-    ls = math.log(s)
-    if s > 1.0:
-        return ls + math.log1p(math.exp(-pf * ls)) / pf
-    return math.log1p(math.exp(pf * ls)) / pf
-
-
 def _lcosh(pf: float, s: Evaluation) -> Evaluation:
-    """_log_cosh of the ball of sinh_p."""
+    """log cosh_p from the ball of sinh_p, safe for huge s^p."""
     if s.value <= 0.0:
         return s  # 0 = log cosh_p(0)
     ls = s.log()

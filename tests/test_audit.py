@@ -23,7 +23,8 @@ domain, the switches between the evaluation routes (_SERIES_Z between the
 reversion series and the Newton solve in log cos_p^p, the two edges of the
 corner where that solve gives way to a bound on cos_p^p, and x = 1 where the
 arsinh_p quadrature changes variable) and the w = s^p = 1/2 seam of the
-arcsin_p series, each switch also one ulp to either side; hyperbolic
+arcsin_p series, each switch also one ulp to either side, and x^p just
+above _SERIES_Z, where a solve's ball is sharpest; hyperbolic
 arguments out to x = 700, near the end of the double range; and subnormal
 arguments on both sides, where a value rounds in absolute terms.  The
 functionals are audited on each claim's verification grid and at their
@@ -82,6 +83,12 @@ def _ulps(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
+def _above_switch(p):
+    """x just above the series switch, x^p = _SERIES_Z (1 + 10^-k)^p for
+    k = 1..4, where the solves start and their balls are sharpest."""
+    return [core._SERIES_Z ** (1 / p) * (1.0 + 10.0 ** -k) for k in range(1, 5)]
+
+
 def _mp_arcsin(s, p):
     a = 1 / p
     # Near z = 1 mpmath may return a complex value with a rounding-level
@@ -136,7 +143,7 @@ def _arguments(p):
     # Near p = 1, where cos_p ~ exp(-x), far out on the p = 1 limit.
     xs += [10.0, 11.0, 12.0, 20.0, 30.0, 100.0, 700.0]
     # x = 0.05 stays a sample: below it the series once served every z for p < 2.
-    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p))
+    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _above_switch(p)
     xs += SUBNORMAL_X
     # The edges of the corner: x within the uncertainty of pi_p/2, and cos_p^p
     # at the smallest normal double by the solve's ceiling on log cos_p^p.
@@ -243,7 +250,7 @@ def _audit_hyperbolic(p):
     d_tanh_p at x, and for arsinh_p at x as its argument, at p."""
     rng = random.Random(int(p * 1000))
     xs = [3.0 * rng.random() for _ in range(6)]
-    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _ulps(1.0)
+    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _above_switch(p) + _ulps(1.0)
     # Where the residual tolerance 1e-13 (1 + x) of the solve is absolute,
     # up to near the end of the double range.
     xs += [7.0, 40.0, 700.0]
@@ -271,6 +278,37 @@ def _audit_hyperbolic(p):
 def test_hyperbolic_values_lie_within_abs_err(p):
     bad = [(name, x, r) for name, x, r in _audit_hyperbolic(p) if not r <= 1.0]
     assert not bad, bad
+
+
+# Calls near the largest p at which the hyperbolic solve's ball, raised to
+# the p-th power, stays clear of a pole or of the double range: cosh_p near
+# x = 1 and the functions built on it, lem23_g, thm1_f at x = 1, and beta,
+# on which verify_claim's THM2_CHAIN rests, at p = 1e12.  Each must answer,
+# and within its abs_err.
+EDGE_CALLS = [("cosh_p", 1.0, 2.05e12), ("cosh_p", 1.0, 6.5e12), ("tanh_p", 1.0, 6.5e12),
+              ("d_tanh_p", 1.0, 6.5e12), ("d_cosh_p", 1.0, 6.5e12), ("lem24_gap", 1.0, 6.5e12),
+              ("d_cosh_p", 1.05, 3.16e15), ("lem23_g", 1.0, 1e12), ("thm1_f", 1.0, 1.5e6)]
+
+
+def _mp_edge(name, x, p):
+    if name in FUNCTIONALS:
+        return _mp_functional(name, x, p)
+    P = mp.mpf(p)
+    sh, ch = _mp_sinh_cosh(x, p)
+    return {"cosh_p": ch, "tanh_p": sh / ch, "d_tanh_p": 1 / (1 + sh ** P),
+            "d_cosh_p": ch ** (2 - P) * sh ** (P - 1)}[name]
+
+
+@pytest.mark.parametrize("name, x, p", EDGE_CALLS)
+def test_calls_at_the_edge_answer_within_abs_err(name, x, p):
+    with mp.workdps(DPS):
+        assert _ratio(getattr(ptrig, name)(x, p), _mp_edge(name, x, p)) <= 1.0
+
+
+def test_beta_at_the_edge_answers_within_abs_err():
+    p = 1e12
+    assert _ratio(iq._beta(core._family(p)), _mp_constants(p)["beta"]) <= 1.0
+    assert iq.verify_claim(iq.FunctionId.THM2_CHAIN, p, iq.GridSpec(n=5)).p == p
 
 
 # The closed-form enclosure of arsinh_p(s) that settles the steps of

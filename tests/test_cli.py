@@ -21,6 +21,43 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def cold_verify_counts(p):
+    """(quadratures, nodes, series sums) of ``verify --claim all --p p`` from
+    a cold start at p: the calls of core._arsinh_quad, the integrand nodes
+    they evaluate and the calls of core._arcsin_series.  The family and
+    every kept result at p are dropped first."""
+    core._FAMILIES.pop(p, None)
+    for results in core._RESULTS.values():
+        results.pop(p, None)
+    counts = {"_arsinh_quad": 0, "integrate": 0, "_arcsin_series": 0}
+    saved = {name: getattr(core, name) for name in counts}
+
+    def counting(name):
+        def counted(*args):
+            counts[name] += 1
+            return saved[name](*args)
+
+        return counted
+
+    def integrate(f, b, *targets):
+        def counted(t):
+            counts["integrate"] += t.size
+            return f(t)
+
+        return saved["integrate"](counted, b, *targets)
+
+    try:
+        core._arsinh_quad = counting("_arsinh_quad")
+        core._arcsin_series = counting("_arcsin_series")
+        core.integrate = integrate
+        code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
+    finally:
+        for name, fn in saved.items():
+            setattr(core, name, fn)
+    assert code == 0
+    return tuple(counts.values())
+
+
 class TestEval:
     def test_classical_point(self):
         code, out, _ = run("eval", "--p", "2", "--fn", "sin_p", "--x", "0.7853981633974483")
@@ -137,38 +174,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))
     def test_cold_verify_quadrature_count(self, p, monkeypatch):
-        monkeypatch.delitem(core._FAMILIES, p, raising=False)
-        for results in core._RESULTS.values():
+        for results in [core._FAMILIES, *core._RESULTS.values()]:
             monkeypatch.delitem(results, p, raising=False)
-        calls = {"_arsinh_quad": 0, "_arcsin_series": 0}
-
-        def counting(name):
-            orig = getattr(core, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return orig(*args)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(core, name, counting(name))
-        nodes = [0]
-        orig_integrate = core.integrate
-
-        def integrate(f, b, *targets):
-            def counted(t):
-                nodes[0] += t.size
-                return f(t)
-
-            return orig_integrate(counted, b, *targets)
-
-        monkeypatch.setattr(core, "integrate", integrate)
-        code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
-        assert code == 0
-        assert calls["_arsinh_quad"] <= self.QUADRATURES[p]
-        assert nodes[0] <= self.NODES[p]
-        assert calls["_arcsin_series"] <= self.SERIES_SUMS[p]
+        quadratures, nodes, sums = cold_verify_counts(p)
+        assert quadratures <= self.QUADRATURES[p]
+        assert nodes <= self.NODES[p]
+        assert sums <= self.SERIES_SUMS[p]
 
     def test_human_summary_last(self):
         code, out, _ = run("verify", "--claim", "all", "--p", "2", "--n", "20")
@@ -285,3 +296,12 @@ assert "numpy" in sys.modules, "sinh_p should integrate with numpy"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py prints the counts the work
+    # gates of TestVerify hold, for a change to show them equal.
+    for p in sorted(TestVerify.QUADRATURES):
+        quadratures, nodes, sums = cold_verify_counts(p)
+        print(f"p = {p}: {quadratures} arsinh_p quadratures, {nodes} integrand nodes, "
+              f"{sums} arcsin_p series sums")

@@ -80,8 +80,11 @@ def test_every_call_returns_or_refuses(p):
     assert not breaches, breaches[:20]
 
 
+# Both rest on beta = lam / log cosh_p(pi_p/2): sharp_constants refuses from
+# p ~ 3.6e7, where beta's ball no longer clears alpha's, and verify_claim on
+# the chains that use beta from p ~ 2.4e12, where beta's ball reaches a pole.
 @pytest.mark.parametrize("argv", [["constants", "--p", "1e12"],
-                                  ["verify", "--claim", "thm2_chain", "--p", "1e12"]])
+                                  ["verify", "--claim", "thm2_chain", "--p", "1e13"]])
 def test_cli_refuses_with_one_error_line(argv):
     proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr

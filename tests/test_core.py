@@ -406,8 +406,8 @@ class TestDomains:
         assert calls == [1.0]
 
     def test_newton_step_cap_raises(self, monkeypatch):
-        # Each Newton loop raises once it runs out of steps; the point is new
-        # to the process, so nothing is served from the memos.
+        # The Newton loop raises once it runs out of steps, for either family;
+        # the point is new to the process, so nothing is served from the memos.
         monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
         for fn in (ptrig.sin_p, ptrig.sinh_p):
             with pytest.raises(NonConvergence):
