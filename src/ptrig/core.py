@@ -21,14 +21,15 @@ term kept; with a rounding allowance per term this is the error bound.  The
 hyperbolic integral is still taken by tanh-sinh quadrature.
 
 sin_p and sinh_p invert the integrals by one safeguarded Newton loop, and
-near zero by verified reversion series, where inversion would lose the deficit
-x - sin_p(x) to cancellation.  sin_p is solved for w = log cos_p^p = log om,
-so that s^p = -expm1(w) and om = e^w keep full relative accuracy up to a
-corner within the uncertainty of pi_p/2 (or with om below the double range),
-where only a bound on om is reported.  sinh_p is solved for s on a bracket
-grown from x, whose steps closed-form bounds on arsinh_p decide unless they
-come within about 1e-9 (1 + x) of x.  The other functions follow from the
-identities
+near zero by reversion series in z = x^p (see :mod:`.series`), where
+inversion would lose the deficit x - sin_p(x) to cancellation; their tail
+bound rests on a model sampled against high-precision references.  sin_p
+is solved for w = log cos_p^p = log om, so that s^p = -expm1(w) and om = e^w
+keep full relative accuracy up to a corner within the uncertainty of pi_p/2
+(or with om below the double range), where only a bound on om is reported.
+sinh_p is solved for s on a bracket grown from x, whose steps closed-form
+bounds on arsinh_p decide unless they come within about 1e-9 (1 + x) of x.
+The other functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
@@ -84,11 +85,6 @@ __all__ = [
     "d_cosh_p",
     "d_tanh_p",
 ]
-
-# The reversion series in z = x^p serves sin_p and sinh_p below this z, where
-# its truncation bound (~25 z^4 relative) is ~2.5e-11; above it the deficit
-# x - sin_p(x) ~ x z/(p(p+1)) is large enough for the inversion to resolve.
-_SERIES_Z = 1e-3
 
 # The quadrature's absolute and relative targets for arsinh_p.
 _QUAD_ABS = 1e-15
@@ -462,11 +458,11 @@ def _sin_state(fam: _Family, x: float) -> tuple:
     pf, q = fam.pf, fam.q
     if x == 0.0:
         return Evaluation(0.0, 0.0), Evaluation(1.0, 0.0), Evaluation(0.0, 0.0)
-    z = x ** pf
-    if z < _SERIES_Z:
-        s = _zseries(fam.zseries.sin_ratio, x, z)
+    if (z := series.small_z(pf, x)) is not None:
+        s = series.zp_ball(fam.zseries.sin_ratio, z, x)
         om = -(pf * s.log()).expm1()
         return s, om, om.log()
+    z = x ** pf
 
     # pi_p/2 - x = T(om) >= om^q/(p-1), and the true pi_p/2 - x is at most
     # tau + tau_err: a ceiling on w = log om.
@@ -521,8 +517,8 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
     pf = fam.pf
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    if x < 1.0 and x ** pf < _SERIES_Z:
-        return _zseries(fam.zseries.sinh_ratio, x, x ** pf)
+    if (z := series.small_z(pf, x)) is not None:
+        return series.zp_ball(fam.zseries.sinh_ratio, z, x)
 
     # arsinh_p(s) < s puts the root above x.  Grow the bracket up to the
     # largest double, a step integrating only where closed-form bounds
@@ -545,13 +541,6 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
     # slope falls above s, its log at the rate s^(p-1)/(1 + s^p) < 1/s.
     grow, fall = _root_interval(abs(r) + 2.0 * max(_QUAD_ABS, _QUAD_REL * x), slope, 1.0 / s)
     return Evaluation(s, max(grow, fall) + 4.0 * _EPS * s)
-
-
-def _zseries(ratio: series._ZPoly, x: float, z: float) -> Evaluation:
-    """The ball of x (1 + ratio(z)), z = x^p.  At a subnormal x the product
-    is exact and the bound, 0, short by far less than an ulp of 0."""
-    q = ratio.replace(0, 1.0)
-    return Evaluation(x * series.zp_eval(q, z), x * series.zp_trunc_err(q, z))
 
 
 def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:

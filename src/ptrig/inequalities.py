@@ -13,8 +13,9 @@ exponential bounds:
 with alpha = 1/(1+p) and beta = log(pi_p/2) / log(cosh_p(pi_p/2)).
 
 Every numerator and denominator above vanishes like x^p or x^(p+1), so for
-z = x^p below a switch point the functionals and all inequality margins are
-evaluated from truncated z-series (see :mod:`.series`): each functional from
+z = x^p below the series switch (series.small_z, which the states of sin_p
+and sinh_p share) the functionals and all inequality margins are evaluated
+from truncated z-series (see :mod:`.series`): each functional from
 the one series of its quotient, exact until rounded once, so it keeps its
 accuracy down to z = 0.  A chain's log-terms are balls on both routes, from
 the series below the switch and from the evaluators' log-space primitives
@@ -67,16 +68,6 @@ __all__ = [
     "verify_claim",
     "is_exploratory",
 ]
-
-# Below z = x^p of this size, series evaluation; above, log primitives.  Every
-# series and quotient keeps four coefficients, and series.zp_trunc_err charges
-# the dropped tail 25 max|c| z^4, about 6.4e-9 max|c| at the switch; above it
-# the direct route loses ~eps/z, under 1e-13, to cancellation.  It stays apart
-# from core._SERIES_Z (1e-3): at 1e-3 a cold verify --claim all takes 1,854 /
-# 1,819 / 1,571 quadratures at p = 2 / 3 / 10 against 1,798 / 1,740 / 1,493,
-# past the work-counter gate of the tests, as the direct route then serves
-# the points between the two.
-_Z_SWITCH = 4e-3
 
 # The hyperbolic claims, and the CLI's hyperbolic tables, sample (0, 3).
 _HYP_UPPER = 3.0
@@ -335,19 +326,8 @@ def _lem24(fam: _Family, x: float) -> Evaluation:
 _DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee, "lem24": _lem24}
 
 
-def _series_z(pf: float, x: float) -> Optional[float]:
-    """z = x^p when the series route applies at x, else None."""
-    z = x ** pf if x < 1.0 else math.inf
-    return z if z < _Z_SWITCH else None
-
-
-def _zball(q, z: float) -> Evaluation:
-    """The z-series q at z, with its truncation bound."""
-    return Evaluation(series.zp_eval(q, z), series.zp_trunc_err(q, z))
-
-
 @_kept
-def _zquotient(fam: _Family, tag: FunctionId) -> series._ZPoly:
+def _zquotient(fam: _Family, tag: FunctionId) -> tuple:
     """The z-series of the num/den of tag's formula, or of num alone."""
     num, den, _ = _CLAIMS[tag].formula
     if den is None:
@@ -366,10 +346,10 @@ def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
     elif not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     num, den, scale = claim.formula
-    z = _series_z(fam.pf, x)
+    z = series.small_z(fam.pf, x)
     try:
         if z is not None:
-            f = _zball(_zquotient(fam, tag), z)
+            f = series.zp_ball(_zquotient(fam, tag), z)
         else:
             f = _DIRECT[num](fam, x)
             if den is not None:
@@ -456,7 +436,7 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
     terms never passes through a float subtraction of the terms themselves.
     Each budget is the radius of its margin's ball.
     """
-    z = _series_z(fam.pf, x)
+    z = series.small_z(fam.pf, x)
     logs = []
     for sign, const, prim in _CLAIMS[tag].formula:
         num, den = _constant(fam, const)
@@ -465,10 +445,10 @@ def _chain_point(tag: FunctionId, fam: _Family, x: float) -> tuple:
         elif z is None:
             v = _DIRECT[prim](fam, x)
         else:
-            v = _zball(getattr(fam.zseries, prim), z)
+            v = series.zp_ball(getattr(fam.zseries, prim), z)
         logs.append(num * v / (sign * den))
     exact = (None,) * len(logs) if z is None else _exact_gaps(fam, tag)
-    gaps = [b - a if e is None else _constant(fam, e[1])[0] * _zball(e[0], z)
+    gaps = [b - a if e is None else _constant(fam, e[1])[0] * series.zp_ball(e[0], z)
             for a, b, e in zip(logs, logs[1:], exact)]
     values = [lg.exp() for lg in logs]
     margins = [t * g.expm1() for t, g in zip(values, gaps)]

@@ -3,103 +3,117 @@
 Near zero every quantity of interest here is an analytic function of
 z = x^p after factoring out a power of x, e.g.
 
-    sin_p(x)    = x * (1 + A1 z + A2 z^2 + A3 z^3 + O(z^4)),
+    sin_p(x)    = x * (1 + A1 z + A2 z^2 + ... + A6 z^6 + O(z^7)),
     arcsin_p(s) = s * f(w),  f(w) = sum_k (1/p)_k/k! w^k/(kp + 1),  w = s^p.
 
 Quantities like log(x/sin_p(x)) lose all significant digits to cancellation
 when evaluated from double-precision function values at small x, so this
 module builds their truncated z-series directly.  Every double p is a
-rational and every coefficient is a rational function of p, so the series
-are computed in fractions.Fraction from the exact p, and each coefficient is
-rounded once, to the nearest float.  A coefficient that cancels analytically
-comes out exactly 0.
+rational and every coefficient is a rational function of p, so each series
+is computed in fractions.Fraction from the exact p, on first use, and each
+coefficient is rounded once, to the nearest float.  A coefficient that
+cancels analytically comes out exactly 0.
 
 * With z = w f(w)^p, one Lagrange inversion (Flajolet & Sedgewick, *Analytic
   Combinatorics*, Thm A.2), [z^n] H(w(z)) = [w^(n-1)] H'(w) f(w)^(-pn) / n,
-  gives sin_p/x - 1 (H = 1/f - 1), log(x/sin_p) (H = log f) and -log cos_p
-  (H = -log(1 - w)/p).
-* The hyperbolic side is the circular side at -z: sinh_p/x - 1, log(sinh_p/x)
-  and log cosh_p are sin_p/x - 1, -log(x/sin_p) and log cos_p there.
-* The rest follows by the first-order recurrences of log, exp, powers and
-  division of series with unit constant term.
+  gives log(x/sin_p) (H = log f) and -log cos_p (H = -log(1 - w)/p), and
+  sin_p/x = exp(-log(x/sin_p)).
+* The hyperbolic side is the circular side at -z: sinh_p/x, log(sinh_p/x)
+  and log cosh_p are sin_p/x, -log(x/sin_p) and log cos_p there.
+* The rest follows by the first-order recurrences of log and exp, which
+  also give the powers, and by division of series.
 
-The rounded polynomials are 4-tuples of floats (c0, c1, c2, c3) meaning
-c0 + c1 z + c2 z^2 + c3 z^3, truncated at O(z^4).  They carry no
-arithmetic: a sum, difference or quotient of series is formed exactly and
-rounded once (SmallZSeries.quotient and .combination), so a coefficient
-that cancels analytically comes out exactly 0 there too.  This module loads
+The rounded polynomials are tuples of _DEG floats, lowest order first, and
+carry no arithmetic: a sum, difference or quotient of series is formed
+exactly and rounded once (SmallZSeries.quotient and .combination).  They
+serve z below one switch (small_z) for the states of sin_p and sinh_p in
+core and for the functionals and chains in inequalities.  This module loads
 fractions with the first series it builds, and never numpy.
 """
 
 from __future__ import annotations
 
-from .numerics import _EPS, _ULP0
+from .numerics import _EPS, _ULP0, Evaluation
 
-__all__ = ["zp_eval", "zp_trunc_err", "SmallZSeries"]
+__all__ = ["small_z", "zp_ball", "zp_eval", "zp_trunc_err", "SmallZSeries"]
 
-_DEG = 4  # coefficients kept per polynomial
+# Coefficients kept per polynomial: the fewest whose tail bound at the
+# switch, 25 (4e-3)^7 ~ 4e-16 relative, is down at the rounding level.
+_DEG = 7
 
-# Assumed bound on |c4| relative to the largest retained coefficient, used in
-# the truncation model below; validated against high-precision references in
-# the tests for every polynomial this package evaluates.
+# Below z = x^p of this size, and x < 1, the series serve; above it the
+# states solve and the functionals take the evaluators' log primitives,
+# which lose ~eps/z, under 1e-13, to cancellation there.
+_Z_SWITCH = 4e-3
+
+# Assumed bound on |c_DEG| relative to the largest retained coefficient, used
+# in the truncation model below; sampled against high-precision references
+# in the tests for every polynomial this package evaluates, not proved.
 _TRUNC_FACTOR = 25.0
 
 
-class _ZPoly(tuple):
-    """A truncated z-polynomial: four float coefficients, lowest order first."""
-
-    __slots__ = ()
-
-    def replace(self, k: int, c: float) -> "_ZPoly":
-        """A copy with coefficient k set to c."""
-        return _ZPoly(c if i == k else v for i, v in enumerate(self))
-
-
-def zp_eval(a: _ZPoly, z: float) -> float:
-    return a[0] + z * (a[1] + z * (a[2] + z * a[3]))
+def small_z(p: float, x: float) -> float | None:
+    """z = x^p where the series serve (p, x), else None."""
+    if x < 1.0:
+        z = x ** p
+        if z < _Z_SWITCH:
+            return z
+    return None
 
 
-def zp_trunc_err(a: _ZPoly, z: float) -> float:
-    """Error bound for zp_eval: dropped-tail estimate plus rounding.
+def zp_eval(a: tuple, z: float) -> float:
+    """The polynomial a at z, by Horner's rule."""
+    v = 0.0
+    for c in reversed(a):
+        v = c + z * v
+    return v
 
-    The rounding allows 4 eps per term: half an ulp for the rounding of the
-    exact coefficient to its float, the rest for Horner's products and sums.
+
+def zp_trunc_err(a: tuple, z: float) -> float:
+    """Error bound for zp_eval: the tail, charged _TRUNC_FACTOR max|c_k|
+    z^_DEG, plus _DEG eps per term for rounding, which grows with the order
+    as Horner's bound gamma_2n sum |c_k| z^k does (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, §5.1): Horner's rule rounds term
+    k at most 2k + 1 times, k + 1/2 eps, and the coefficient's own rounding
+    adds eps/2.  What is left, (_DEG - 1 - k) eps on term k below the top,
+    covers an ulp or two of error in z and zp_ball's product by x.
     """
-    scale = max(map(abs, a))
-    tail = _TRUNC_FACTOR * scale * z ** 4
-    rounding = 4.0 * _EPS * (
-        abs(a[0]) + abs(a[1]) * z + abs(a[2]) * z * z + abs(a[3]) * z ** 3
-    )
+    magnitude = 0.0  # sum |c_k| z^k
+    for c in reversed(a):
+        magnitude = abs(c) + z * magnitude
+    tail = _TRUNC_FACTOR * max(map(abs, a)) * z ** _DEG
     # An ulp of 0 for each product that rounds among the subnormals.
-    return tail + rounding + 3.0 * _ULP0
+    return tail + _DEG * _EPS * magnitude + (_DEG - 1) * _ULP0
+
+
+def zp_ball(a: tuple, z: float, x: float = 1.0) -> Evaluation:
+    """The ball of x a(z), x > 0, from zp_eval and zp_trunc_err.  For a
+    ratio (c0 = 1) at a subnormal x, a(z) is 1 and the product exact; its
+    bound, 0, is short by far less than an ulp of 0, which keeps the ball
+    of sin_p or sinh_p there clear of 0."""
+    return Evaluation(x * zp_eval(a, z), x * zp_trunc_err(a, z))
 
 
 # ---------------------------------------------------------------------------
 # Exact series: lists of _DEG + 1 rationals, one order more than is rounded,
 # so that a quotient of two series that vanish at 0 keeps _DEG coefficients.
 
-def _pow(a: list, r) -> list:
-    """a^r for a[0] = 1, by a (a^r)' = r a' a^r."""
-    out = [1]
-    for k in range(1, len(a)):
-        out.append(sum(((r + 1) * j - k) * a[j] * out[k - j] for j in range(1, k + 1)) / k)
-    return out
-
-
 def _log(a: list) -> list:
     """log a for a[0] = 1, by a (log a)' = a'."""
-    out = [0]
+    out, dout = [0], [0]  # dout[j] = j out[j]
     for k in range(1, len(a)):
-        out.append((k * a[k] - sum(j * out[j] * a[k - j] for j in range(1, k))) / k)
+        dout.append(k * a[k] - sum(dout[j] * a[k - j] for j in range(1, k)))
+        out.append(dout[k] / k)
     return out
 
 
-def _expm1(h: list) -> list:
-    """exp(h) - 1 for h[0] = 0, by exp(h)' = h' exp(h)."""
+def _exp(h: list) -> list:
+    """exp h for h[0] = 0, by exp(h)' = h' exp(h)."""
+    dh = [j * c for j, c in enumerate(h)]
     out = [1]
     for k in range(1, len(h)):
-        out.append(sum(j * h[j] * out[k - j] for j in range(1, k + 1)) / k)
-    return [0] + out[1:]
+        out.append(sum(dh[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return out
 
 
 def _div(a: list, b: list) -> list:
@@ -114,59 +128,71 @@ def _at_minus_z(a: list) -> list:
     return [c if k % 2 == 0 else -c for k, c in enumerate(a)]
 
 
-def _exact(p: float) -> dict:
-    """Every series SmallZSeries rounds, exactly, by name."""
-    from fractions import Fraction
-
-    P = Fraction(p)
-    n = _DEG + 1
-    f, b = [Fraction(1)], Fraction(1)  # b = (1/p)_k / k!
-    for k in range(1, n):
+def _arcsin_ratio(P) -> list:
+    """f(w) = arcsin_p(s)/s = sum_k (1/p)_k/k! w^k/(kp + 1), w = s^p."""
+    f, b = [1], 1  # b = (1/p)_k / k!
+    for k in range(1, _DEG + 1):
         b = b * (1 / P + k - 1) / k
         f.append(b / (k * P + 1))
+    return f
 
-    # H(w) for each circular series, then [z^m] H(w(z)) for m = 1 .. n-1.
-    out = {
-        "sin_ratio": [0] + _pow(f, -1)[1:],
-        "l1": _log(f),
-        "l4": [0] + [1 / (k * P) for k in range(1, n)],
-    }
-    powers = [_pow(f[:m], -P * m) for m in range(1, n)]
-    for name, h in out.items():
-        dh = [(j + 1) * h[j + 1] for j in range(n - 1)]  # H'
-        out[name] = [0] + [
-            sum(dh[j] * g[m - 1 - j] for j in range(m)) / m for m, g in enumerate(powers, 1)
-        ]
-    out["sinh_ratio"] = _at_minus_z(out["sin_ratio"])
-    out["l2"] = [-c for c in _at_minus_z(out["l1"])]
-    out["l3"] = [-c for c in _at_minus_z(out["l4"])]
-    out["d"] = [-c for c in _expm1([a - b for a, b in zip(out["l1"], out["l4"])])]
-    out["e"] = [-c for c in _at_minus_z(out["d"])]
-    # (x/p) tanh_p^(p-1) = (z/p) exp((p - 1)(l2 - l3)); its gap against l3
+
+def _inverted(e: dict, h: list) -> list:
+    """[z^m] H(w(z)) = [w^(m-1)] H'(w) f(w)^(-pm) / m for m = 1 .. _DEG."""
+    dh = [(j + 1) * h[j + 1] for j in range(_DEG)]
+    return [0] + [sum(dh[j] * g[m - 1 - j] for j in range(m)) / m
+                  for m, g in enumerate(e["powers"], 1)]
+
+
+# Each exact series by name, from the exact p and the series it rests on.
+_RECIPES = {
+    "f": lambda e, P: _arcsin_ratio(P),
+    "log_f": lambda e, P: _log(e["f"]),
+    # f^(-pm) = exp(-pm log f) to the order the inversion takes.
+    "powers": lambda e, P: [_exp([-P * m * c for c in e["log_f"][:m]])
+                            for m in range(1, _DEG + 1)],
+    "l1": lambda e, P: _inverted(e, e["log_f"]),
+    "l4": lambda e, P: _inverted(e, [0] + [1 / (k * P) for k in range(1, _DEG + 1)]),
+    "sin_ratio": lambda e, P: _exp([-c for c in e["l1"]]),
+    "d": lambda e, P: [0] + [-c for c in _exp([a - b for a, b in zip(e["l1"], e["l4"])])[1:]],
+    "sinh_ratio": lambda e, P: _at_minus_z(e["sin_ratio"]),
+    "l2": lambda e, P: [-c for c in _at_minus_z(e["l1"])],
+    "l3": lambda e, P: [-c for c in _at_minus_z(e["l4"])],
+    "e": lambda e, P: [-c for c in _at_minus_z(e["d"])],
+    # (x/p) tanh_p^(p-1) = (z/p) exp((p - 1)(l2 - l3)), whose gap against l3
     # loses the z^1 term exactly.
-    growth = _expm1([(P - 1) * (a - b) for a, b in zip(out["l2"], out["l3"])])
-    growth[0] = 1
-    out["lem24"] = [0] + [c - g / P for c, g in zip(out["l3"][1:], growth)]
-    if out["lem24"][1] != 0:
-        raise AssertionError(f"lem24's z^1 coefficient is {out['lem24'][1]}, not 0")
-    return out
+    "growth": lambda e, P: _exp([(P - 1) * (a - b) for a, b in zip(e["l2"], e["l3"])]),
+    "lem24": lambda e, P: [0] + [c - g / P for c, g in zip(e["l3"][1:], e["growth"])],
+}
 
 
-def _rounded(a: list) -> _ZPoly:
-    return _ZPoly(map(float, a[:_DEG]))
+class _Exact(dict):
+    """The exact series of one p, P, by name, each built on first use."""
+
+    def __missing__(self, name: str) -> list:
+        got = self[name] = _RECIPES[name](self, self["P"])
+        return got
+
+
+def _rounded(a: list) -> tuple:
+    return tuple(map(float, a[:_DEG]))
+
+
+_ATTRIBUTES = ("sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem24")
 
 
 class SmallZSeries:
     """The z-series primitives for one parameter p.
 
-    Nothing here is cached: callers keep one per parameter with the rest of
-    what depends on p (see core._Family), so the count stays bounded.
+    Nothing here is cached across p: callers keep one per parameter with
+    the rest of what depends on p (see core._Family), so the count stays
+    bounded.  Each attribute is built, exactly, on first use.
 
-    Attributes are 4-coefficient polynomials in z = x^p, each coefficient
+    Attributes are _DEG-coefficient polynomials in z = x^p, each coefficient
     the float nearest the exact one:
 
-    * ``sin_ratio``  : sin_p(x)/x - 1
-    * ``sinh_ratio`` : sinh_p(x)/x - 1
+    * ``sin_ratio``  : sin_p(x)/x
+    * ``sinh_ratio`` : sinh_p(x)/x
     * ``l1`` : log(x / sin_p(x))
     * ``l2`` : log(sinh_p(x) / x)
     * ``l3`` : log(cosh_p(x))
@@ -179,26 +205,30 @@ class SmallZSeries:
     exactly, and round it once.
     """
 
-    __slots__ = ("p", "_exact", "sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e",
-                 "lem24")
+    __slots__ = ("_exact",) + _ATTRIBUTES
 
     def __init__(self, p: float) -> None:
-        self.p = p
-        self._exact = _exact(p)
-        for name, a in self._exact.items():
-            setattr(self, name, _rounded(a))
+        from fractions import Fraction
 
-    def quotient(self, num: str, den: str) -> _ZPoly:
+        self._exact = _Exact(P=Fraction(p))
+
+    def __getattr__(self, name: str) -> tuple:
+        """An attribute not rounded yet: built, rounded once and kept."""
+        if name not in _ATTRIBUTES:
+            raise AttributeError(name)
+        got = _rounded(self._exact[name])
+        setattr(self, name, got)
+        return got
+
+    def quotient(self, num: str, den: str) -> tuple:
         """The series of num/den, exact until rounded once, for two of the
         attributes above that vanish like z."""
         return _rounded(_div(self._exact[num][1:], self._exact[den][1:]))
 
-    def combination(self, terms) -> _ZPoly:
+    def combination(self, terms) -> tuple:
         """The series of the sum of sign * w(p) * a over the terms (sign, w, a),
         exact until rounded once, for w a function from the exact p to a
         rational and a one of the attributes above."""
-        from fractions import Fraction
-
-        P = Fraction(self.p)
+        P = self._exact["P"]
         return _rounded([sum(sign * w(P) * self._exact[a][k] for sign, w, a in terms)
                          for k in range(_DEG)])

@@ -19,16 +19,16 @@ exactly, and so do the five functionals of inequalities, each a closed
 expression in sin_p and cos_p or sinh_p and cosh_p.
 
 Points: seeded random arguments, arguments against both ends of the circular
-domain, the switches between the evaluation routes (_SERIES_Z between the
-reversion series and the Newton solve in log cos_p^p, the two edges of the
+domain, the switches between the evaluation routes (series._Z_SWITCH between
+the reversion series and the Newton solve in log cos_p^p, the two edges of the
 corner where that solve gives way to a bound on cos_p^p, and x = 1 where the
 arsinh_p quadrature changes variable) and the w = s^p = 1/2 seam of the
 arcsin_p series, each switch also one ulp to either side, and x^p just
-above _SERIES_Z, where a solve's ball is sharpest; hyperbolic
+above the switch, where a solve's ball is sharpest; hyperbolic
 arguments out to x = 700, near the end of the double range; and subnormal
 arguments on both sides, where a value rounds in absolute terms.  The
-functionals are audited on each claim's verification grid and at their
-own switch between the z-series and the direct route, at p from 1.1 to 100,
+functionals are audited on each claim's verification grid and at the same
+switch between the z-series and the direct route, at p from 1.1 to 100,
 where the grid's first z = x^p underflow, and the hyperbolic ones from one
 ulp above p = 1, where the float composition of the z-series lost
 lem24_gap's z^2 term to cancellation.  The closed-form
@@ -49,7 +49,7 @@ import mpmath as mp
 import pytest
 
 import ptrig
-from ptrig import cli, core
+from ptrig import cli, core, series
 from ptrig import inequalities as iq
 
 # p within 1e-9, 1e-14 and one ulp of 1 as well: there pi_p/2 ~ 1/(p-1)
@@ -84,9 +84,14 @@ def _ulps(x):
 
 
 def _above_switch(p):
-    """x just above the series switch, x^p = _SERIES_Z (1 + 10^-k)^p for
+    """x just above the series switch, x^p = _Z_SWITCH (1 + 10^-k)^p for
     k = 1..4, where the solves start and their balls are sharpest."""
-    return [core._SERIES_Z ** (1 / p) * (1.0 + 10.0 ** -k) for k in range(1, 5)]
+    return [_switch_x(p) * (1.0 + 10.0 ** -k) for k in range(1, 5)]
+
+
+def _switch_x(p):
+    """The x at which z = x^p reaches the one series switch."""
+    return series._Z_SWITCH ** (1 / p)
 
 
 def _mp_arcsin(s, p):
@@ -143,7 +148,7 @@ def _arguments(p):
     # Near p = 1, where cos_p ~ exp(-x), far out on the p = 1 limit.
     xs += [10.0, 11.0, 12.0, 20.0, 30.0, 100.0, 700.0]
     # x = 0.05 stays a sample: below it the series once served every z for p < 2.
-    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _above_switch(p)
+    xs += _ulps(0.05) + _ulps(_switch_x(p)) + _above_switch(p)
     xs += SUBNORMAL_X
     # The edges of the corner: x within the uncertainty of pi_p/2, and cos_p^p
     # at the smallest normal double by the solve's ceiling on log cos_p^p.
@@ -227,6 +232,26 @@ def test_circular_band_rests_on_the_last_step():
     assert sin.abs_err < 1e-14 * sin.value
 
 
+# Below the switch sin_p and sinh_p are the series' balls, whose radii are
+# rounding: at most 16 eps relative, from one ulp above p = 1 up to the switch.
+P_BELOW_SWITCH = [math.nextafter(1.0, 2.0), 1.5, 3.7, 50.0, 300.0]
+Z_BELOW_SWITCH = [1e-12, 1e-6, 1e-3, 0.999 * series._Z_SWITCH]
+
+
+@pytest.mark.parametrize("p", P_BELOW_SWITCH)
+def test_series_balls_are_sharp_below_the_switch(p):
+    for z in Z_BELOW_SWITCH:
+        x = z ** (1 / p)
+        assert series.small_z(p, x) is not None
+        sin, sinh = ptrig.sin_p(x, p), ptrig.sinh_p(x, p)
+        with mp.workdps(_circular_dps(p)):
+            ref_s, _ = _mp_sin_cos(x, p, sin.value)
+            ref_sh = _mp_sinh(x, mp.mpf(p), sinh.value)
+        for ev, ref in ((sin, ref_s), (sinh, ref_sh)):
+            assert _ratio(ev, ref) <= 1.0, (p, z)
+            assert ev.abs_err <= 16 * core._EPS * ev.value, (p, z, ev)
+
+
 P_HYPERBOLIC = [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
 
 
@@ -250,7 +275,7 @@ def _audit_hyperbolic(p):
     d_tanh_p at x, and for arsinh_p at x as its argument, at p."""
     rng = random.Random(int(p * 1000))
     xs = [3.0 * rng.random() for _ in range(6)]
-    xs += _ulps(0.05) + _ulps(core._SERIES_Z ** (1 / p)) + _above_switch(p) + _ulps(1.0)
+    xs += _ulps(0.05) + _ulps(_switch_x(p)) + _above_switch(p) + _ulps(1.0)
     # Where the residual tolerance 1e-13 (1 + x) of the solve is absolute,
     # up to near the end of the double range.
     xs += [7.0, 40.0, 700.0]
@@ -424,7 +449,7 @@ def _functional_arguments(name, p):
     """The claim's 25-point verification grid and z = x^p at the series switch."""
     fam = core._family(p)
     xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(iq.FunctionId[name.upper()], fam))
-    return xs + _ulps(iq._Z_SWITCH ** (1 / p))
+    return xs + _ulps(_switch_x(p))
 
 
 FUNCTIONALS = ["thm1_f", "thm2_g", "lem22_f", "lem23_g", "lem24_gap"]
@@ -441,7 +466,7 @@ P_NEAR_ONE = [math.nextafter(1.0, 2.0), 1.0 + 1e-14, 1.0 + 1e-9, 1.001]
 def test_functionals_lie_within_abs_err(name, p):
     xs = _functional_arguments(name, p)
     # Both the z-series and the direct route are audited.
-    assert {iq._series_z(p, x) is None for x in xs} == {False, True}
+    assert {series.small_z(p, x) is None for x in xs} == {False, True}
     bad = []
     for x in xs:
         with mp.workdps(_functional_dps(x, p)):
@@ -449,6 +474,20 @@ def test_functionals_lie_within_abs_err(name, p):
         if not r <= 1.0:
             bad.append((x, r))
     assert not bad, bad
+
+
+def test_thm1_budget_just_under_the_switch_is_near_its_error():
+    # Seven orders put the truncation bound down at rounding level: the
+    # budget stays within 100 times the true error against 60 digits.
+    p = 3.0
+    x = (0.999 * series._Z_SWITCH) ** (1 / p)
+    f = iq.thm1_f(x, p)
+    with mp.workdps(60):
+        P, X = mp.mpf(p), mp.mpf(x)
+        s, _ = _mp_sin_cos(x, p, ptrig.sin_p(x, p).value)
+        sh = _mp_sinh(x, P, ptrig.sinh_p(x, p).value)
+        err = abs(mp.mpf(f.value) - mp.log(X / s) / mp.log(sh / X))
+    assert err <= f.abs_err <= 100 * err, (f, float(err))
 
 
 # The chains' pair margins, which are what a chain's PASS rests on, against
@@ -489,9 +528,9 @@ CHAINS = [tag for tag, claim in iq._CLAIMS.items() if claim.kind == "chain"]
 @pytest.mark.parametrize("tag", CHAINS, ids=str)
 def test_chain_margins_lie_within_their_budgets(tag, p):
     fam = core._family(p)
-    xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(tag, fam)) + _ulps(iq._Z_SWITCH ** (1 / p))
+    xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(tag, fam)) + _ulps(_switch_x(p))
     # Both the z-series and the direct route are audited.
-    assert {iq._series_z(p, x) is None for x in xs} == {False, True}
+    assert {series.small_z(p, x) is None for x in xs} == {False, True}
     worst = 0.0
     for x in xs:
         _, margins, budgets = iq._chain_point(tag, fam, x)

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from ptrig import cli, core
+from ptrig import cli, core, series
+from ptrig import inequalities as iq
 
 
 def run(*argv):
@@ -180,6 +181,26 @@ class TestVerify:
         assert quadratures <= self.QUADRATURES[p]
         assert nodes <= self.NODES[p]
         assert sums <= self.SERIES_SUMS[p]
+
+    @pytest.mark.parametrize("p", [2.0, 10.0])
+    def test_cold_verify_takes_no_state_below_the_switch(self, p, monkeypatch):
+        # The functionals and chains take the series wherever the states
+        # would, so the states' series route never changes a verify's work.
+        for results in [core._FAMILIES, *core._RESULTS.values()]:
+            monkeypatch.delitem(results, p, raising=False)
+        calls, below = [], []
+        for name in ("_sin_state", "_sinh_raw"):
+            def watched(fam, x, state=getattr(core, name), name=name):
+                calls.append(name)
+                if series.small_z(fam.pf, x) is not None:
+                    below.append((name, x))
+                return state(fam, x)
+
+            monkeypatch.setattr(core, name, watched)
+            monkeypatch.setattr(iq, name, watched)
+        run("verify", "--claim", "all", "--p", repr(p), "--format", "json")
+        assert set(calls) == {"_sin_state", "_sinh_raw"}
+        assert not below, below[:5]
 
     def test_human_summary_last(self):
         code, out, _ = run("verify", "--claim", "all", "--p", "2", "--n", "20")

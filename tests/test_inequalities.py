@@ -10,6 +10,7 @@ import pytest
 
 import ptrig
 from ptrig import inequalities as iq
+from ptrig import series
 from ptrig.inequalities import FunctionId as F
 from ptrig.numerics import NonConvergence
 
@@ -86,7 +87,7 @@ class TestAgainstMpmath:
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 10.0])
     def test_functionals_across_routes(self, p):
-        switch_x = iq._Z_SWITCH ** (1.0 / p)
+        switch_x = series._Z_SWITCH ** (1.0 / p)
         xs = [0.3 * switch_x, 0.97 * switch_x, 1.03 * switch_x, 0.5, 0.9]
         for x in xs:
             o1, o2, o22, o23, o24 = mp_functionals(p, x)
@@ -255,7 +256,7 @@ class TestChains:
             for z in (4.5e-3, 6e-3, 1e-2)
         ]
         direct = [iq._chain_point(tag, fam, x) for tag, x in points]
-        monkeypatch.setattr(iq, "_Z_SWITCH", 1.0)
+        monkeypatch.setattr(series, "_Z_SWITCH", 1.0)
         for (tag, x), (_, d_margins, d_budgets) in zip(points, direct):
             _, s_margins, s_budgets = iq._chain_point(tag, fam, x)
             for k, (dm, sm) in enumerate(zip(d_margins, s_margins)):
@@ -402,6 +403,9 @@ class TestDispatchAndFailure:
         def boom(*args, **kwargs):
             raise NonConvergence("stalled")
 
+        # p = 2's family keeps _l2 and _l3 from earlier runs; a cold one calls boom.
+        for results in [ptrig.core._FAMILIES, *ptrig.core._RESULTS.values()]:
+            monkeypatch.delitem(results, 2.0, raising=False)
         monkeypatch.setattr(iq, "_sinh_raw", boom)
         with pytest.raises(iq.EvaluationFailed) as exc:
             iq.verify_claim(F.LEM23_CHAIN, 2.0, iq.GridSpec(n=5))

@@ -19,8 +19,8 @@ from ptrig import cli
 VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
-VERIFY_SHA256 = "3668c8d53bf2c667fe99b2908d5488db5213176fb93a1cc678caaaef59e810a8"
-TABLE_VALUES_SHA256 = "338471746c2b1de3274264a333b3e4971324060a7ccd9108bf1ed45ec2854f20"
+VERIFY_SHA256 = "8e224e448fd924d95730464f1a925a40a09973b73e29cabf4e1973deb834f3a1"
+TABLE_VALUES_SHA256 = "fcb6dc4829fc4a42f6861b8f21b1fbb2a5687c9323224294ad648edab73fc811"
 
 
 def _stdout(argv):
