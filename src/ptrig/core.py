@@ -27,8 +27,8 @@ bound rests on a model sampled against high-precision references.  sin_p
 is solved for w = log cos_p^p = log om, so that s^p = -expm1(w) and om = e^w
 keep full relative accuracy up to a corner within the uncertainty of pi_p/2
 (or with om below the double range), where only a bound on om is reported.
-sinh_p is solved for s on a bracket grown from x, whose steps closed-form
-bounds on arsinh_p decide unless they come within about 1e-9 (1 + x) of x.
+sinh_p is solved for s on a bracket taken from closed-form bounds on
+arsinh_p, from its floor where x is above arsinh_p(1), so the steps climb.
 The other functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
@@ -94,8 +94,8 @@ _QUAD_REL = 5e-14
 _INV_TOL = 1e-13
 # Step cap of the Newton loop of _sin_state and _sinh_raw.
 _NEWTON_STEPS = 80
-# _sinh_raw's bracket test trusts a closed-form enclosure of arsinh_p that
-# clears x by this times 1 + x, some 2e4 times the quadrature's error.
+# _sinh_bracket widens the closed-form enclosure of the root in log s by this
+# times 1 + x, some 2e4 times the quadrature's error, to hold its root too.
 _BOUNDS_MARGIN = 1e-9
 
 
@@ -520,27 +520,40 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
     if (z := series.small_z(pf, x)) is not None:
         return series.zp_ball(fam.zseries.sinh_ratio, z, x)
 
-    # arsinh_p(s) < s puts the root above x.  Grow the bracket up to the
-    # largest double, a step integrating only where closed-form bounds
-    # cannot settle it; a root beyond it would leave floating-point range.
-    big = sys.float_info.max
-    hi = min(2.0 * x, big)
-    while _arsinh_below(fam, hi, x):
-        if hi == big:
-            raise DomainError(f"sinh_p({x}) exceeds floating-point range")
-        hi = min(4.0 * hi, big)
-
     def residual(s):
         # arsinh_p(s) - x rises at the slope 1/cosh_p(s).  Its tolerance
         # exceeds _INV_TOL s/cosh_p(s): no step is the last before it stops.
         slope = math.exp(-_lcosh(pf, Evaluation(s, 0.0)).value)
         return _arsinh_quad(fam, s).value - x, slope, _INV_TOL * (1.0 + x), s
 
-    s, r, slope, _ = _newton(residual, 0.5 * x + 0.5 * hi, x, hi, "sinh_p", x)
+    s, r, slope, _ = _newton(residual, *_sinh_bracket(fam, x), "sinh_p", x)
     # The residual bounded by |r| and twice the quadrature's target; the
     # slope falls above s, its log at the rate s^(p-1)/(1 + s^p) < 1/s.
     grow, fall = _root_interval(abs(r) + 2.0 * max(_QUAD_ABS, _QUAD_REL * x), slope, 1.0 / s)
     return Evaluation(s, max(grow, fall) + 4.0 * _EPS * s)
+
+
+def _sinh_bracket(fam: _Family, x: float) -> tuple[float, float, float]:
+    """(start, lo, hi) of the solve of arsinh_p(s) = x > 0, a bracket that
+    holds the quadrature's root.  The root lies above x, as arsinh_p(s) < s.
+    Up to the top of arsinh_p(1)'s enclosure it is 1 at most, but for
+    rounding, where arsinh_p(s) > s/2, so below 2x.  Above, log s lies in
+    [x - up, x - lo] for the ends (lo, up) of _arsinh_bounds at s = 1,
+    widened by _BOUNDS_MARGIN (1 + x) and rounding; the solve starts at
+    that floor, and as arsinh_p is concave its steps stay below the root.
+    A floor past the largest double leaves floating-point range; a ceiling
+    past it is clipped there, and one quadrature decides."""
+    a_lo, a_up = _arsinh_bounds(fam, 1.0)
+    if x <= a_up:
+        return 1.5 * x, x, 2.0 * x
+    pad = (_BOUNDS_MARGIN + 4.0 * _EPS) * (1.0 + x)
+    floor, ceil = x - a_up - pad, x - a_lo + pad
+    top = math.log(sys.float_info.max)
+    hi = math.exp(ceil) if ceil < top else sys.float_info.max
+    if floor > top or (ceil >= top and _arsinh_quad(fam, hi).value < x):
+        raise DomainError(f"sinh_p({x}) exceeds floating-point range")
+    lo = math.exp(floor)
+    return lo, lo, hi
 
 
 def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
@@ -550,25 +563,12 @@ def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
     [(1 - t^(-p)/p)/t, 1/t] (Bernoulli), whose integrals over [1, s] differ
     by at most 1/p^2.  The 4 eps pad covers the rounding of the sums.
     """
-    if s <= 1.0:
+    if s < 1.0:
         return 0.5 ** (1.0 / fam.pf) * s, s
     one_v, one_e = fam.arsinh_one.value, fam.arsinh_one.abs_err
     top = one_v + one_e + math.log(s)
     pad = 4.0 * _EPS * top
     return top - 2.0 * one_e - (1.0 / fam.pf) ** 2 - pad, top + pad
-
-
-def _arsinh_below(fam: _Family, s: float, x: float) -> bool:
-    """Whether arsinh_p(s) < x, as the quadrature's value answers it.  Where
-    _arsinh_bounds clear x by _BOUNDS_MARGIN (1 + x), far above the
-    quadrature's error, they answer the same, and no quadrature is run."""
-    lo, up = _arsinh_bounds(fam, s)
-    margin = _BOUNDS_MARGIN * (1.0 + x)
-    if up < x - margin:
-        return True
-    if lo > x + margin:
-        return False
-    return _arsinh_quad(fam, s).value < x
 
 
 def _lcosh(pf: float, s: Evaluation) -> Evaluation:

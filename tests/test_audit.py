@@ -32,9 +32,8 @@ switch between the z-series and the direct route, at p from 1.1 to 100,
 where the grid's first z = x^p underflow, and the hyperbolic ones from one
 ulp above p = 1, where the float composition of the z-series lost
 lem24_gap's z^2 term to cancellation.  The closed-form
-enclosure of arsinh_p that decides the growth of sinh_p's bracket is checked
-against the same arsinh_p reference, and against the quadrature's answer
-wherever it decides.
+enclosure of arsinh_p that sets sinh_p's bracket is checked against the same
+arsinh_p reference, and the bracket against the quadrature's root.
 """
 
 import contextlib
@@ -276,6 +275,10 @@ def _audit_hyperbolic(p):
     rng = random.Random(int(p * 1000))
     xs = [3.0 * rng.random() for _ in range(6)]
     xs += _ulps(0.05) + _ulps(_switch_x(p)) + _above_switch(p) + _ulps(1.0)
+    # Where sinh_p's bracket changes rule, at the top of arsinh_p(1)'s
+    # enclosure.
+    fam = core._family(p)
+    xs += _ulps(fam.arsinh_one.value) + _ulps(core._arsinh_bounds(fam, 1.0)[1])
     # Where the residual tolerance 1e-13 (1 + x) of the solve is absolute,
     # up to near the end of the double range.
     xs += [7.0, 40.0, 700.0]
@@ -336,9 +339,9 @@ def test_beta_at_the_edge_answers_within_abs_err():
     assert iq.verify_claim(iq.FunctionId.THM2_CHAIN, p, iq.GridSpec(n=5)).p == p
 
 
-# The closed-form enclosure of arsinh_p(s) that settles the steps of
-# sinh_p's bracket, from just above the series range to near the largest
-# double, around the change of bound at s = 1.
+# The closed-form enclosure of arsinh_p(s) that sets sinh_p's bracket, from
+# just above the series range to near the largest double, around the change
+# of bound at s = 1.
 P_BOUNDS = [1.0 + 1e-9, 1.001, 1.1, 2.0, 3.0, 10.0, 50.0, 300.0]
 S_BOUNDS = [1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 10.0, 1e3, 1e10, 1e100, 1e300]
 
@@ -349,19 +352,20 @@ def test_arsinh_bounds_enclose_the_integral(p, monkeypatch):
     quad = functools.partial(core._arsinh_quad, fam)
     fam.arsinh_one
     monkeypatch.setattr(core, "_arsinh_quad", lambda *args: pytest.fail(f"quadrature at {args[1:]}"))
-    m = core._BOUNDS_MARGIN
     for s in S_BOUNDS:
         lo, up = core._arsinh_bounds(fam, s)
         with mp.workdps(DPS):
             ref = _mp_arsinh(mp.mpf(s), mp.mpf(p))
         assert lo <= ref <= up, (s, lo, ref, up)
-        # The x nearest the enclosure on either side that the bounds decide
-        # without a quadrature: the quadrature's value must answer the same.
-        x_above = (up + m) / (1.0 - m) * (1.0 + 1e-12)
-        assert core._arsinh_below(fam, s, x_above) and quad(s).value < x_above
-        x_below = (lo - m) / (1.0 + m) * (1.0 - 1e-12)
-        if x_below > 0.0:
-            assert not core._arsinh_below(fam, s, x_below) and quad(s).value >= x_below
+        # sinh_p's bracket for the x whose root the quadrature puts at s
+        # holds that root: the quadrature's residual is below 0 at the
+        # floor, or 0 where the floor is x and arsinh_p(x) rounds to x, and
+        # not below 0 at the ceiling.
+        x = quad(s).value
+        _, floor, ceil = core._sinh_bracket(fam, x)
+        below = quad(floor).value - x
+        assert below < 0.0 or (below == 0.0 and floor == x), (s, floor, below)
+        assert quad(ceil).value - x >= 0.0, (s, ceil)
 
 
 def _cli_eval(fn, x, p):

@@ -169,8 +169,8 @@ class TestVerify:
     # arcsin_p in a cold verify --claim all, at most these inversions'
     # counts; a solve that needs more steps, or a quadrature that evaluates
     # more nodes, fails here.
-    QUADRATURES = {2.0: 1798, 3.0: 1740}
-    NODES = {2.0: 346150, 3.0: 332940}
+    QUADRATURES = {2.0: 1702, 3.0: 1582}
+    NODES = {2.0: 327622, 3.0: 302638}
     SERIES_SUMS = {2.0: 737, 3.0: 688}
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))

@@ -390,12 +390,36 @@ class TestDomains:
 
     @pytest.mark.parametrize("x", [40.0, 100.0, 300.0, 700.0])
     def test_large_sinh_takes_a_few_quadratures(self, x, monkeypatch):
-        # The bracket above x grows without quadrature while the closed-form
-        # bounds of arsinh_p settle each step; the solve then takes a few.
+        # The bracket comes from closed-form bounds of arsinh_p without
+        # quadrature; the solve then takes a few, arsinh_p(1) among them.
         calls = self.count_quadratures(monkeypatch)
         s = core._sinh_raw(core._Family(2.0), x).value
         assert abs(math.asinh(s) - x) <= 1e-12 * x
-        assert len(calls) <= 8
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0])
+    def test_sinh_solve_climbs_from_the_floor(self, p, monkeypatch):
+        # Above arsinh_p(1)'s enclosure the solve starts at the bracket's
+        # floor; arsinh_p is concave, so every iterate is a Newton step
+        # that stays below the root: the iterates rise, and none bisects.
+        fam, steps, newton = core._Family(p), [], core._newton
+
+        def watched(residual, *args):
+            def traced(s):
+                got = residual(s)
+                steps.append((s, *got[:2]))
+                return got
+
+            return newton(traced, *args)
+
+        monkeypatch.setattr(core, "_newton", watched)
+        seam = math.nextafter(core._arsinh_bounds(fam, 1.0)[1], math.inf)
+        for x in (seam, 1.0, 2.9, 7.0, 40.0, 700.0):
+            steps.clear()
+            core._sinh_raw(fam, x)
+            assert len(steps) >= 2, (x, steps)
+            for (s, r, slope), (after, _, _) in zip(steps, steps[1:]):
+                assert r < 0.0 and after == s - r / slope and after > s, (x, steps)
 
     @pytest.mark.parametrize("x", [720.0, 1e280])
     def test_sinh_past_the_range_raises_after_one_quadrature(self, x, monkeypatch):

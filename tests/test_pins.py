@@ -19,8 +19,8 @@ from ptrig import cli
 VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
-VERIFY_SHA256 = "8e224e448fd924d95730464f1a925a40a09973b73e29cabf4e1973deb834f3a1"
-TABLE_VALUES_SHA256 = "fcb6dc4829fc4a42f6861b8f21b1fbb2a5687c9323224294ad648edab73fc811"
+VERIFY_SHA256 = "c92ec858a54f41905ac99c67e8e1fe3515382f9d77607e5777e43e7911cc9bb5"
+TABLE_VALUES_SHA256 = "07c515c6643912d1c6858e101fc3968530b6397d781d3d105c419a9ea6d9bd80"
 
 
 def _stdout(argv):
