@@ -52,8 +52,11 @@ DomainError outside its domain or past the double range, and PoleError where
 a ball reaches a pole (tan_p, and d_cos_p for p > 2, against pi_p/2).
 
 Each p has one family, which keeps a capped memo of per-point states, and
-each public evaluator keeps its own capped table of the Evaluations it
-returned, so a repeated call returns the same object without recomputing it.
+each public evaluator, the functionals of :mod:`.inequalities` among them,
+is served by _served: it validates (x, p), refuses what its domain excludes,
+names the call in a PoleError and keeps its own capped table of the
+Evaluations it returned, so a repeated call returns the same object without
+recomputing it.
 """
 
 from __future__ import annotations
@@ -117,8 +120,9 @@ def _valid_p(p: float) -> float:
 # Families and kept results.  At most _FAMILY_CAP families stay registered, and
 # as many values of p in each evaluator's results (the oldest goes first).  A
 # family's memo is emptied at _MEMO_CAP entries and a table of results at
-# _RESULT_CAP: with the eleven evaluators of _RESULTS, at most 16 * 16,384
-# states and 11 * 16 * 1,024 results are kept.  A miss recomputes exactly what
+# _RESULT_CAP: with the sixteen evaluators of _RESULTS (eleven here, the five
+# functionals of inequalities), at most 16 * 16,384 states and
+# 16 * 16 * 1,024 results are kept.  A miss recomputes exactly what
 # a hit returns, so values never depend on cache state.
 _FAMILY_CAP = 16
 _MEMO_CAP = 1 << 14
@@ -226,7 +230,8 @@ def _kept(fn):
 
 def _served(domain):
     """Serve body(fam, x) as the public evaluator (x, p), and keep each result
-    in the evaluator's own table, _RESULTS[name][float p][x].
+    in the evaluator's own table, _RESULTS[name][float p][x].  It serves the
+    evaluators here and the functionals of inequalities alike.
 
     A hit is two dict lookups and nothing else: an int, float or numpy p
     finds its float key.  A miss looks up the family, which validates p,
@@ -316,27 +321,14 @@ def _beta_tail(a: float, x: float) -> tuple[float, float]:
 
 
 def _hyp_integrand(pf: float):
-    """(1 + t^p)^(-1/p) on [0, 1]; smooth, bounded by 1."""
+    """h(u) = (1 + e^(-pu))^(-1/p): after t = e^u, arsinh_p's integrand for
+    t >= 1, and (1 + t^p)^(-1/p) itself on [0, 1] as h(-log t)."""
     import numpy as np
 
-    def f(t: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            t = np.asarray(t, dtype=float)
-            w = pf * np.log(np.abs(t) + 1e-320)
-            return np.exp(-np.log1p(np.exp(w)) / pf)
-
-    return f
-
-
-def _hyp_tail_integrand(pf: float):
-    """The same integrand after t = e^u, valid for t >= 1: (1 + e^(-pu))^(-1/p)."""
-    import numpy as np
-
-    def f(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+    def h(u: np.ndarray) -> np.ndarray:
         return np.exp(-np.log1p(np.exp(-pf * u)) / pf)
 
-    return f
+    return h
 
 
 def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
@@ -373,9 +365,13 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
 
 
 def _arsinh_quad(fam: _Family, x: float) -> Evaluation:
+    h = _hyp_integrand(fam.pf)
     if x <= 1.0:
-        return integrate(_hyp_integrand(fam.pf), x, _QUAD_ABS, _QUAD_REL)
-    tail = integrate(_hyp_tail_integrand(fam.pf), math.log(x), _QUAD_ABS, _QUAD_REL)
+        import numpy as np
+
+        # At a node t = 0, -log t = inf and h = 1, the integrand's value.
+        return integrate(lambda t: h(-np.log(t)), x, _QUAD_ABS, _QUAD_REL)
+    tail = integrate(h, math.log(x), _QUAD_ABS, _QUAD_REL)
     return fam.arsinh_one + tail
 
 

@@ -10,7 +10,11 @@ exponential bounds:
     lem23_g = p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p)  increasing, 1..p
     lem24_gap = log cosh_p - (x/p) tanh_p^(p-1)          positive for x > 0
 
-with alpha = 1/(1+p) and beta = log(pi_p/2) / log(cosh_p(pi_p/2)).
+with alpha = 1/(1+p) and beta = log(pi_p/2) / log(cosh_p(pi_p/2)).  They are
+public evaluators as core's are, through core._served on the same domains,
+[0, pi_p/2] and x >= 0: at x = 0 each returns its limit, and at pi_p/2
+thm1_f and thm2_g their end values (beta for thm2_g), while lem22_f meets
+the pole of its direct route there and raises a PoleError naming the call.
 
 Every numerator and denominator above vanishes like x^p or x^(p+1), so for
 z = x^p below the series switch (series.small_z, which the states of sin_p
@@ -40,10 +44,13 @@ from typing import NamedTuple, Optional, Union
 
 from . import series
 from .core import (
+    _circular,
     _Family,
     _family,
+    _half_line,
     _kept,
     _lcosh,
+    _served,
     _valid_p,
     _sin_state,
     _sinh_raw,
@@ -54,7 +61,6 @@ from .numerics import DomainError, Evaluation, NonConvergence, PoleError, _Recor
 __all__ = [
     "FunctionId",
     "GridSpec",
-    "GridPoint",
     "VerificationReport",
     "SharpConstants",
     "EvaluationFailed",
@@ -335,57 +341,50 @@ def _zquotient(fam: _Family, tag: FunctionId) -> tuple:
     return fam.zseries.quotient(num, den)
 
 
-def _functional(tag: FunctionId, x: float, p: float) -> Evaluation:
+def _functional(tag: FunctionId, fam: _Family, x: float) -> Evaluation:
     """The functional of tag at x, from the formula its claim declares."""
-    fam = _family(p)
-    claim = _CLAIMS[tag]
-    if claim.interval == "circular":
-        ph_v, _ = fam.half
-        if not 0.0 < x < ph_v:
-            raise DomainError(f"x must lie strictly inside (0, pi_p/2 = {ph_v}), got {x}")
-    elif not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    num, den, scale = claim.formula
+    num, den, scale = _CLAIMS[tag].formula
     z = series.small_z(fam.pf, x)
-    try:
-        if z is not None:
-            f = series.zp_ball(_zquotient(fam, tag), z)
-        else:
-            f = _DIRECT[num](fam, x)
-            if den is not None:
-                f = f / _DIRECT[den](fam, x)
-        if den is None:
-            return f
-        scale, scale_den = _constant(fam, scale)
-        return scale * f / scale_den
-    except OverflowError:  # refused as core's evaluators refuse it
-        name = tag.value.lower()
-        raise DomainError(f"{name}({x}, p={fam.pf}) exceeds floating-point range") from None
+    if z is not None:
+        f = series.zp_ball(_zquotient(fam, tag), z)
+    else:
+        f = _DIRECT[num](fam, x)
+        if den is not None:
+            f = f / _DIRECT[den](fam, x)
+    if den is None:
+        return f
+    scale, scale_den = _constant(fam, scale)
+    return scale * f / scale_den
 
 
-def thm1_f(x: float, p: float) -> Evaluation:
-    """log(x/sin_p(x)) / log(sinh_p(x)/x); increasing on (0, pi_p/2) from 1."""
-    return _functional(FunctionId.THM1_F, x, p)
+@_served(_circular)
+def thm1_f(fam: _Family, x: float) -> Evaluation:
+    """log(x/sin_p(x)) / log(sinh_p(x)/x); increasing on [0, pi_p/2] from 1."""
+    return _functional(FunctionId.THM1_F, fam, x)
 
 
-def thm2_g(x: float, p: float) -> Evaluation:
-    """log(x/sin_p(x)) / log(cosh_p(x)); increasing on (0, pi_p/2) from 1/(1+p)."""
-    return _functional(FunctionId.THM2_G, x, p)
+@_served(_circular)
+def thm2_g(fam: _Family, x: float) -> Evaluation:
+    """log(x/sin_p(x)) / log(cosh_p(x)); increasing on [0, pi_p/2] from 1/(1+p) to beta."""
+    return _functional(FunctionId.THM2_G, fam, x)
 
 
-def lem22_f(x: float, p: float) -> Evaluation:
-    """p sin_p log(x/sin_p) / (sin_p - x cos_p); decreasing on (0, pi_p/2) from 1."""
-    return _functional(FunctionId.LEM22_F, x, p)
+@_served(_circular)
+def lem22_f(fam: _Family, x: float) -> Evaluation:
+    """p sin_p log(x/sin_p) / (sin_p - x cos_p); decreasing on [0, pi_p/2) from 1."""
+    return _functional(FunctionId.LEM22_F, fam, x)
 
 
-def lem23_g(x: float, p: float) -> Evaluation:
-    """p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p); increasing on (0, inf), 1 to p."""
-    return _functional(FunctionId.LEM23_G, x, p)
+@_served(_half_line)
+def lem23_g(fam: _Family, x: float) -> Evaluation:
+    """p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p); increasing on [0, inf), 1 to p."""
+    return _functional(FunctionId.LEM23_G, fam, x)
 
 
-def lem24_gap(x: float, p: float) -> Evaluation:
-    """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), strictly positive for x > 0."""
-    return _functional(FunctionId.LEM24_GAP, x, p)
+@_served(_half_line)
+def lem24_gap(fam: _Family, x: float) -> Evaluation:
+    """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), 0 at 0 and strictly positive for x > 0."""
+    return _functional(FunctionId.LEM24_GAP, fam, x)
 
 
 # Each functional claim's evaluator is the function named after it.  The

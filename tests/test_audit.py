@@ -494,6 +494,23 @@ def test_thm1_budget_just_under_the_switch_is_near_its_error():
     assert err <= f.abs_err <= 100 * err, (f, float(err))
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0])
+@pytest.mark.parametrize("name", ["thm1_f", "thm2_g"])
+def test_end_values_at_the_half_period_lie_within_abs_err(name, p):
+    # At the float pi_p/2 thm1_f returns Theorem 1's sharp exponent and
+    # thm2_g returns beta.  The reference is taken at min(x, pi_p/2), where
+    # sin_p = 1 from the true pi_p/2 on, at 60 digits.
+    x = ptrig.pi_p(p).value / 2
+    with mp.workdps(60):
+        P = mp.mpf(p)
+        X = min(mp.mpf(x), mp.pi / (P * mp.sin(mp.pi / P)))
+        s, _ = _mp_sin_cos(X, p, ptrig.sin_p(x, p).value)
+        sh = _mp_sinh(X, P, ptrig.sinh_p(x, p).value)
+        l1 = mp.log(X / s)
+        ref = l1 / mp.log(sh / X) if name == "thm1_f" else l1 / (mp.log1p(sh ** P) / P)
+        assert _ratio(getattr(iq, name)(x, p), ref) <= 1.0
+
+
 # The chains' pair margins, which are what a chain's PASS rests on, against
 # the same roots.  Both routes certify the chain with the exact constants, so
 # the reference takes them exactly: alpha = 1/(1+p), lam = log(pi_p/2) and

@@ -22,11 +22,12 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def cold_verify_counts(p):
+def cold_verify_counts(p, exit_code):
     """(quadratures, nodes, series sums) of ``verify --claim all --p p`` from
     a cold start at p: the calls of core._arsinh_quad, the integrand nodes
     they evaluate and the calls of core._arcsin_series.  The family and
-    every kept result at p are dropped first."""
+    every kept result at p are dropped first, and the run must exit with
+    exit_code."""
     core._FAMILIES.pop(p, None)
     for results in core._RESULTS.values():
         results.pop(p, None)
@@ -55,7 +56,7 @@ def cold_verify_counts(p):
     finally:
         for name, fn in saved.items():
             setattr(core, name, fn)
-    assert code == 0
+    assert code == exit_code
     return tuple(counts.values())
 
 
@@ -168,16 +169,19 @@ class TestVerify:
     # Quadratures of arsinh_p, their integrand nodes and series sums of
     # arcsin_p in a cold verify --claim all, at most these inversions'
     # counts; a solve that needs more steps, or a quadrature that evaluates
-    # more nodes, fails here.
-    QUADRATURES = {2.0: 1702, 3.0: 1582}
-    NODES = {2.0: 327622, 3.0: 302638}
-    SERIES_SUMS = {2.0: 737, 3.0: 688}
+    # more nodes, fails here.  Counted from p = 2 to 24, as the verify pin of
+    # tests/test_pins.py, each run with its exit code: from p = 5 on the
+    # monotone claims FAIL, their steps inside their budgets near the ends.
+    QUADRATURES = {2.0: 1702, 3.0: 1582, 5.0: 1369, 10.0: 1194, 24.0: 988}
+    NODES = {2.0: 327622, 3.0: 302638, 5.0: 264217, 10.0: 277386, 24.0: 271900}
+    SERIES_SUMS = {2.0: 737, 3.0: 688, 5.0: 584, 10.0: 436, 24.0: 287}
+    EXIT = {2.0: 0, 3.0: 0, 5.0: 1, 10.0: 1, 24.0: 1}
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))
     def test_cold_verify_quadrature_count(self, p, monkeypatch):
         for results in [core._FAMILIES, *core._RESULTS.values()]:
             monkeypatch.delitem(results, p, raising=False)
-        quadratures, nodes, sums = cold_verify_counts(p)
+        quadratures, nodes, sums = cold_verify_counts(p, self.EXIT[p])
         assert quadratures <= self.QUADRATURES[p]
         assert nodes <= self.NODES[p]
         assert sums <= self.SERIES_SUMS[p]
@@ -323,6 +327,6 @@ if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py prints the counts the work
     # gates of TestVerify hold, for a change to show them equal.
     for p in sorted(TestVerify.QUADRATURES):
-        quadratures, nodes, sums = cold_verify_counts(p)
+        quadratures, nodes, sums = cold_verify_counts(p, TestVerify.EXIT[p])
         print(f"p = {p}: {quadratures} arsinh_p quadratures, {nodes} integrand nodes, "
               f"{sums} arcsin_p series sums")

@@ -547,12 +547,14 @@ class TestFamilyRegistry:
 
     @staticmethod
     def calls(p):
-        """(evaluator, args) for every public evaluator at p, over the series
-        route and the solve in log cos_p^p."""
+        """(evaluator, args) for every public evaluator at p, the functionals
+        among them, over the series route and the solve in log cos_p^p."""
         half = ptrig.pi_p(p).value / 2
-        circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_sin_p, ptrig.d_cos_p)
+        circular = (ptrig.sin_p, ptrig.cos_p, ptrig.tan_p, ptrig.d_sin_p, ptrig.d_cos_p,
+                    ptrig.thm1_f, ptrig.thm2_g, ptrig.lem22_f)
         hyperbolic = (ptrig.sinh_p, ptrig.cosh_p, ptrig.tanh_p,
-                      ptrig.d_sinh_p, ptrig.d_cosh_p, ptrig.d_tanh_p)
+                      ptrig.d_sinh_p, ptrig.d_cosh_p, ptrig.d_tanh_p,
+                      ptrig.lem23_g, ptrig.lem24_gap)
         calls = [(ptrig.pi_p, (p,)), (ptrig.arcsin_p, (0.9, p)), (ptrig.arsinh_p, (4.0, p))]
         for x in (0.01 * half, 0.6 * half, (1.0 - 1e-7) * half):
             calls += [(f, (x, p)) for f in circular]
@@ -570,7 +572,8 @@ class TestFamilyRegistry:
 
     @classmethod
     def count_solver_calls(cls, monkeypatch) -> list:
-        """Names of the solvers called from now on, one entry per call."""
+        """Names of the solvers called from now on, one entry per call, from
+        core or from the functionals of inequalities."""
         calls = []
         for name in cls.SOLVERS:
             orig = getattr(core, name)
@@ -579,7 +582,9 @@ class TestFamilyRegistry:
                 calls.append(_name)
                 return _orig(*args, **kwargs)
 
-            monkeypatch.setattr(core, name, counted)
+            for module in (core, iq):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         return calls
 
     @staticmethod
@@ -607,7 +612,7 @@ class TestFamilyRegistry:
         for _ in range(core._FAMILY_CAP):
             p = 40.0 + next(cls.fresh) / 16
             for name in core._RESULTS:
-                getattr(core, name)(0.0, p)
+                getattr(ptrig, name)(0.0, p)
 
     def test_cold_warm_and_evicted_values_are_identical(self):
         self.evict_all()
@@ -659,7 +664,7 @@ class TestFamilyRegistry:
         # With today's caps: the families' states and the evaluators' results
         # together keep at most twice what _FAMILY_CAP full memos hold.
         served = len(core._RESULTS)
-        assert served == 11
+        assert served == 16
         bound = core._FAMILY_CAP * (core._MEMO_CAP + served * core._RESULT_CAP)
         assert bound <= 2 * 16 * 16384
         # The same bound with small caps, under a loop over more p and more x
@@ -674,7 +679,7 @@ class TestFamilyRegistry:
         for p in (2.0 + k / 8 for k in range(5)):
             for x in (k * 1e-4 for k in range(12)):
                 ptrig.pi_p(p)
-                for fn in EVALUATORS:
+                for fn in EVALUATORS + FUNCTIONALS:
                     fn(x, p)
                     most = max(most, self.entries())
         assert len(EVALUATORS) == 13
@@ -691,6 +696,8 @@ class TestFamilyRegistry:
             (ptrig.sinh_p, -1.0, DomainError), (ptrig.cosh_p, -1.0, DomainError),
             (ptrig.tanh_p, -1.0, DomainError), (ptrig.d_cosh_p, -1.0, DomainError),
             (ptrig.d_tanh_p, -1.0, DomainError), (ptrig.sinh_p, 1e300, DomainError),
+            (ptrig.thm1_f, 2.0 * half, DomainError), (ptrig.lem22_f, half, PoleError),
+            (ptrig.lem24_gap, -1.0, DomainError),
         ]
         for fn, x, exc in failing:
             for _ in range(2):

@@ -413,15 +413,28 @@ class TestDispatchAndFailure:
         assert exc.value.p == 2.0
         assert isinstance(exc.value.cause, NonConvergence)
 
-    def test_domain_errors(self):
-        with pytest.raises(ptrig.DomainError):
-            iq.thm1_f(0.0, 2.0)
-        with pytest.raises(ptrig.DomainError):
-            iq.thm1_f(math.pi / 2, 2.0)
-        with pytest.raises(ptrig.DomainError):
-            iq.lem23_g(0.0, 2.0)
-        with pytest.raises(ptrig.DomainError):
-            iq.lem24_gap(-1.0, 2.0)
+    def test_end_values_and_domain_errors(self):
+        # The functionals are served on the evaluators' closed domains: at
+        # x = 0 each returns its limit, and at the float pi_p/2 thm2_g
+        # returns beta, while lem22_f's pole is refused naming the call.
+        def encloses(ev, want):
+            return abs(ev.value - want) <= ev.abs_err
+
+        for p in P_CERT:
+            for fn in (iq.thm1_f, iq.lem22_f, iq.lem23_g):
+                assert encloses(fn(0.0, p), 1.0), (fn.__name__, p)
+            assert encloses(iq.thm2_g(0.0, p), 1.0 / (1.0 + p))
+            gap = iq.lem24_gap(0.0, p).value
+            assert gap == 0.0 and math.copysign(1.0, gap) == 1.0
+            half = ptrig.pi_p(p).value / 2
+            assert encloses(iq.thm2_g(half, p), iq.sharp_constants(p).beta)
+            with pytest.raises(ptrig.PoleError) as exc:
+                iq.lem22_f(half, p)
+            assert str(exc.value).startswith("lem22_f(")
+            with pytest.raises(ptrig.DomainError):
+                iq.lem24_gap(-1.0, p)
+            with pytest.raises(ptrig.DomainError):
+                iq.thm1_f(2.0 * half, p)
 
 
 class TestReports:
