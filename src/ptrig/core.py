@@ -132,7 +132,9 @@ _RESULT_CAP = 1 << 10
 class _Family:
     """What depends on p alone: the z-series zseries, the half-period half
     (the one source of pi_p/2 for pi_p, the circular domains and the
-    verifiers), the integer exponent cosh_p snaps to (0 for none),
+    verifiers), the integer exponent cosh_p snaps to (0 for none), the
+    integrands of arsinh_p's quadrature (h(u) = (1 + e^(-pu))^(-1/p) and
+    h(-log t), built on first use so that numpy loads only then),
     arsinh_p(1), and memo, the one dict in which _kept keeps fn(fam, *key)
     under (fn, *key): the states of _sin_state and _sinh_raw and what other
     modules derive from p."""
@@ -174,6 +176,12 @@ class _Family:
         root, hq = 0.5 ** (1.0 / pf), 0.5 ** q
         v = root * (1.0 + sa / pf) + hq * sq / pf
         return v, (root * ea + hq * eq) / pf + 4.0 * _EPS * v
+
+    @cached_property
+    def integrands(self) -> tuple:
+        """arsinh_p's two integrands, from _hyp_integrand: h above 1 and
+        h(-log t) on [0, 1]."""
+        return _hyp_integrand(self.pf)
 
     @cached_property
     def arsinh_one(self) -> Evaluation:
@@ -320,15 +328,16 @@ def _beta_tail(a: float, x: float) -> tuple[float, float]:
     return total, term * r + (k + 3) * _EPS * total
 
 
-def _hyp_integrand(pf: float):
-    """h(u) = (1 + e^(-pu))^(-1/p): after t = e^u, arsinh_p's integrand for
-    t >= 1, and (1 + t^p)^(-1/p) itself on [0, 1] as h(-log t)."""
+def _hyp_integrand(pf: float) -> tuple:
+    """(h, h(-log t)) for h(u) = (1 + e^(-pu))^(-1/p): after t = e^u,
+    arsinh_p's integrand for t >= 1, and (1 + t^p)^(-1/p) itself on [0, 1].
+    At a node t = 0, -log t = inf and h = 1, the integrand's value."""
     import numpy as np
 
     def h(u: np.ndarray) -> np.ndarray:
         return np.exp(-np.log1p(np.exp(-pf * u)) / pf)
 
-    return h
+    return h, lambda t: h(-np.log(t))
 
 
 def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
@@ -365,14 +374,12 @@ def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
 
 
 def _arsinh_quad(fam: _Family, x: float) -> Evaluation:
-    h = _hyp_integrand(fam.pf)
+    """arsinh_p(x), x > 0, by one quadrature: of (1 + t^p)^(-1/p) over
+    (0, x] up to 1, else arsinh_p(1) plus h over (0, log x]."""
+    h, h_low = fam.integrands
     if x <= 1.0:
-        import numpy as np
-
-        # At a node t = 0, -log t = inf and h = 1, the integrand's value.
-        return integrate(lambda t: h(-np.log(t)), x, _QUAD_ABS, _QUAD_REL)
-    tail = integrate(h, math.log(x), _QUAD_ABS, _QUAD_REL)
-    return fam.arsinh_one + tail
+        return integrate(h_low, x, _QUAD_ABS, _QUAD_REL)
+    return fam.arsinh_one + integrate(h, math.log(x), _QUAD_ABS, _QUAD_REL)
 
 
 def pi_p(p: float) -> Evaluation:
@@ -519,8 +526,7 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
     def residual(s):
         # arsinh_p(s) - x rises at the slope 1/cosh_p(s).  Its tolerance
         # exceeds _INV_TOL s/cosh_p(s): no step is the last before it stops.
-        slope = math.exp(-_lcosh(pf, Evaluation(s, 0.0)).value)
-        return _arsinh_quad(fam, s).value - x, slope, _INV_TOL * (1.0 + x), s
+        return _arsinh_quad(fam, s).value - x, _inv_cosh(pf, s), _INV_TOL * (1.0 + x), s
 
     s, r, slope, _ = _newton(residual, *_sinh_bracket(fam, x), "sinh_p", x)
     # The residual bounded by |r| and twice the quadrature's target; the
@@ -565,6 +571,15 @@ def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
     top = one_v + one_e + math.log(s)
     pad = 4.0 * _EPS * top
     return top - 2.0 * one_e - (1.0 / fam.pf) ** 2 - pad, top + pad
+
+
+def _inv_cosh(pf: float, s: float) -> float:
+    """1/cosh_p of sinh_p = s > 0 in floats: e^(-v) for the value v that
+    _lcosh gives for the exact ball of s, by the same float expression."""
+    ls = math.log(s)
+    if s > 1.0:
+        return math.exp(-(ls + math.log1p(math.exp(-pf * ls)) / pf))
+    return math.exp(-(math.log1p(math.exp(pf * ls)) / pf))
 
 
 def _lcosh(pf: float, s: Evaluation) -> Evaluation:

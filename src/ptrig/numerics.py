@@ -10,6 +10,8 @@ which behaves as a frozen dataclass without importing :mod:`dataclasses` and
 quadrature over (0, b), internal to the package: core's arsinh_p is its one
 caller, and passes it core's fixed targets.  Its error bound is heuristic
 (refinement differences), validated against closed forms in the test suite.
+It takes an integrand finite at every node: a non-finite sample or sum raises
+:class:`NonConvergence`.
 
 numpy is imported only inside the quadrature (:func:`integrate` and its node
 helpers), so a program that never integrates never loads it.
@@ -278,10 +280,10 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
     the array of its values; b is finite and positive.  Nodes near 0 are the
     node offsets themselves and keep full resolution, so an integrable
     algebraic singularity at 0 integrates to full double precision.  Nodes
-    near b round onto it once the offset drops below half an ulp; samples
-    that come back non-finite are dropped, with their estimated mass added
-    to the error bound, which caps the accuracy near 1e-8 for a singularity
-    at b.  The integrand of arsinh_p has none.
+    near b round onto it once the offset drops below half an ulp, so f must
+    be finite at b: a non-finite sample, or a sum past the double range,
+    raises NonConvergence at the level that meets it.  The integrands of
+    arsinh_p are finite at every node.
 
     Refinement halves the node spacing per level (budget: 12 levels) and the
     returned abs_err is twice the last two-level difference plus a summation
@@ -292,14 +294,9 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
 
     half = 0.5 * b
 
-    # Midpoint node (t = 0): delta = 1/2, weight density pi/2.
-    fm = _eval_nodes(f, np.array([half]))[0]
-    clip = 0.0
-    if not math.isfinite(fm):
-        fm = 0.0
-        clip = math.inf  # a non-finite midpoint cannot be attributed to an endpoint
-
-    total = 0.5 * math.pi * fm  # running trapezoid sum in t-space, h factored out
+    # Midpoint node (t = 0): delta = 1/2, weight density pi/2.  total is the
+    # running trapezoid sum in t-space, h factored out.
+    total = 0.5 * math.pi * _eval_nodes(f, np.array([half]))[0]
     abs_total = abs(total)
     value = half * 0.5 * total  # placeholder; real values start at level 1
 
@@ -307,41 +304,23 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
         h = 2.0 ** (-level)
         delta, wdens = _node_table(level)
         x_lo = b * delta
-        f_lo = _eval_nodes(f, x_lo)
-        f_hi = _eval_nodes(f, b - x_lo)
-
-        level_clip = 0.0
-        for fv in (f_lo, f_hi):
-            bad = ~np.isfinite(fv)
-            if bad.any():
-                good = np.nonzero(~bad)[0]
-                if good.size == 0:
-                    level_clip = math.inf
-                    break
-                # Nodes are ordered by depth; the transformed integrand of an
-                # integrable singularity decays toward the tail, so the last
-                # finite sample bounds each dropped one.
-                bound = abs(fv[good[-1]] * wdens[good[-1]])
-                level_clip += bound * np.count_nonzero(bad)
-                fv[bad] = 0.0
 
         # The running sums are in h-free units (plain sums over the node
         # set, which only ever grows); the current h scales them below.
-        contrib = wdens * (f_lo + f_hi)
+        contrib = wdens * (_eval_nodes(f, x_lo) + _eval_nodes(f, b - x_lo))
         total += float(np.sum(contrib))
         abs_total += float(np.sum(np.abs(contrib)))
-        clip += level_clip
 
         prev_value = value
         # h * total is exact; scaled last, a subnormal half is rounded once
         # (half * h first would drop the level's bits of it).
         value = half * (h * total)
+        if not math.isfinite(value):
+            raise NonConvergence("integrand produced a non-finite sum")
         noise = 8.0 * _EPS * half * h * abs_total
-        est = 2.0 * abs(value - prev_value) + noise + 2.0 * half * h * clip
+        est = 2.0 * abs(value - prev_value) + noise
 
         if level >= _LEVEL_MIN and est <= max(abs_tol, rel_tol * abs(value)):
-            if not math.isfinite(value):
-                raise NonConvergence("integrand produced a non-finite sum")
             # An ulp of 0 for each rounding among the subnormals.
             return Evaluation(float(value), float(est) + 2.0 * _ULP0)
 

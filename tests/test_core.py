@@ -9,12 +9,13 @@ import sys
 import threading
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ptrig
 from ptrig import DomainError, NonConvergence, PoleError
-from ptrig import core, series
+from ptrig import core, numerics, series
 from ptrig import inequalities as iq
 from tests.conftest import central_diff, classical_pi_p
 
@@ -436,6 +437,64 @@ class TestDomains:
         for fn in (ptrig.sin_p, ptrig.sinh_p):
             with pytest.raises(NonConvergence):
                 fn(1.0000000001234567, 3.0)
+
+
+class TestHyperbolicQuadrature:
+    """What each Newton step of sinh_p's solve takes: a float slope with the
+    bits of the ball one, and one quadrature of an integrand its family
+    builds once, finite at every node the quadrature may visit."""
+
+    @given(st.floats(-52.0, math.log2(1e12 - 1.0)),
+           st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.floats(0.5, 2.0)))
+    @example(-52.0, 1e-300)
+    @example(-52.0, 1e300)
+    @example(math.log2(1e12 - 1.0), 1e300)
+    @example(1.0, math.nextafter(1.0, 0.0))
+    @example(1.0, 1.0)
+    @example(1.0, math.nextafter(1.0, 2.0))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_float_slope_is_the_ball_slope_bit_for_bit(self, e, s):
+        pf = 1.0 + 2.0 ** e
+        ball = math.exp(-core._lcosh(pf, ptrig.Evaluation(s, 0.0)).value)
+        assert core._inv_cosh(pf, s) == ball, (pf, s)
+
+    P = [1.0 + 2.0 ** -52, 1.1, 2.0, 24.0, 300.0, 1e12]
+    X = [5e-324, 1e-300, 1e-100, 1e-10, 0.3, math.nextafter(1.0, 0.0), 1.0,
+         math.nextafter(1.0, 2.0), 1.5, 40.0, 700.0, sys.float_info.max]
+
+    @pytest.mark.parametrize("p", P)
+    def test_integrands_are_finite_at_every_node(self, p):
+        # Every node of all the levels integrate may refine to, for the
+        # integrand and interval _arsinh_quad passes it, sampled as
+        # integrate samples them: no sample is non-finite, so refusing one
+        # changes no value.
+        fam = core._Family(p)
+        h, h_low = fam.integrands
+        for x in self.X:
+            f, b = (h_low, x) if x <= 1.0 else (h, math.log(x))
+            nodes = [np.array([0.5 * b])]
+            for level in range(1, numerics._LEVEL_MAX + 1):
+                x_lo = b * numerics._node_table(level)[0]
+                nodes += [x_lo, b - x_lo]
+            values = numerics._eval_nodes(f, np.concatenate(nodes))
+            assert np.isfinite(values).all(), (p, x)
+            core._arsinh_quad(fam, x)  # and converges, refusing nothing
+
+    def test_integrands_are_built_once_per_family(self, monkeypatch):
+        p, built, factory = 3.3, [], core._hyp_integrand
+
+        def counted(pf):
+            built.append(pf)
+            return factory(pf)
+
+        monkeypatch.setattr(core, "_hyp_integrand", counted)
+        core._FAMILIES.pop(p, None)
+        for results in core._RESULTS.values():
+            results.pop(p, None)
+        for k in range(1, 141):
+            for fn in (ptrig.sinh_p, ptrig.cosh_p, ptrig.arsinh_p):
+                fn(0.05 * k, p)
+        assert built == [p]
 
 
 class TestParameterNearOne:
