@@ -331,13 +331,19 @@ def _beta_tail(a: float, x: float) -> tuple[float, float]:
 def _hyp_integrand(pf: float) -> tuple:
     """(h, h(-log t)) for h(u) = (1 + e^(-pu))^(-1/p): after t = e^u,
     arsinh_p's integrand for t >= 1, and (1 + t^p)^(-1/p) itself on [0, 1].
-    At a node t = 0, -log t = inf and h = 1, the integrand's value."""
+    Both keep integrate's contract, finite and free of floating-point
+    exceptions but underflow at every node: h(-log t), the float
+    exp(-log1p(exp(p log t))/p), takes t = 0 at the smallest subnormal, where
+    h = 1 as at 0, and past p = 2.4e305, where p u may overflow, h is 1."""
     import numpy as np
+
+    if pf * 746.0 > sys.float_info.max:  # 1/p puts h within 2^-54 of 1
+        return np.ones_like, np.ones_like
 
     def h(u: np.ndarray) -> np.ndarray:
         return np.exp(-np.log1p(np.exp(-pf * u)) / pf)
 
-    return h, lambda t: h(-np.log(t))
+    return h, lambda t: np.exp(-np.log1p(np.exp(pf * np.log(np.maximum(t, _ULP0)))) / pf)
 
 
 def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:

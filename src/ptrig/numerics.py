@@ -10,11 +10,13 @@ which behaves as a frozen dataclass without importing :mod:`dataclasses` and
 quadrature over (0, b), internal to the package: core's arsinh_p is its one
 caller, and passes it core's fixed targets.  Its error bound is heuristic
 (refinement differences), validated against closed forms in the test suite.
-It takes an integrand finite at every node: a non-finite sample or sum raises
+It calls its integrand bare, in the caller's numpy error state: the
+integrand is finite and raises no floating-point exception but underflow at
+every node, 0 and b included, and a non-finite sample or sum raises
 :class:`NonConvergence`.
 
 numpy is imported only inside the quadrature (:func:`integrate` and its node
-helpers), so a program that never integrates never loads it.
+table), so a program that never integrates never loads it.
 """
 
 from __future__ import annotations
@@ -254,23 +256,13 @@ def _node_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     h = 2.0 ** (-level)
-    if level == 1:
-        k = np.arange(1, int(_T_MAX / h) + 1)
-    else:
-        k = np.arange(1, int(_T_MAX / h) + 1, 2)
+    k = np.arange(1, int(_T_MAX / h) + 1, 1 if level == 1 else 2)
     t = k * h
     y = 0.5 * math.pi * np.sinh(t)
     e = np.exp(-2.0 * y)  # underflow to 0 at the deepest nodes is benign
     delta = e / (1.0 + e)
     wdens = 0.5 * math.pi * np.cosh(t) / np.cosh(y) ** 2
     return delta, wdens
-
-
-def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        return np.asarray(f(x), dtype=float)
 
 
 def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluation:
@@ -280,10 +272,11 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
     the array of its values; b is finite and positive.  Nodes near 0 are the
     node offsets themselves and keep full resolution, so an integrable
     algebraic singularity at 0 integrates to full double precision.  Nodes
-    near b round onto it once the offset drops below half an ulp, so f must
-    be finite at b: a non-finite sample, or a sum past the double range,
-    raises NonConvergence at the level that meets it.  The integrands of
-    arsinh_p are finite at every node.
+    near b round onto it once the offset drops below half an ulp, and those
+    near 0 onto 0 once b times it underflows.  f is called bare, with no
+    error state set: it must be finite, and raise no exception but underflow,
+    at every node, 0 and b included.  A non-finite sample, or a sum past the
+    double range, raises NonConvergence at the level that meets it.
 
     Refinement halves the node spacing per level (budget: 12 levels) and the
     returned abs_err is twice the last two-level difference plus a summation
@@ -296,7 +289,7 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
 
     # Midpoint node (t = 0): delta = 1/2, weight density pi/2.  total is the
     # running trapezoid sum in t-space, h factored out.
-    total = 0.5 * math.pi * _eval_nodes(f, np.array([half]))[0]
+    total = 0.5 * math.pi * f(np.array([half]))[0]
     abs_total = abs(total)
     value = half * 0.5 * total  # placeholder; real values start at level 1
 
@@ -307,7 +300,7 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
 
         # The running sums are in h-free units (plain sums over the node
         # set, which only ever grows); the current h scales them below.
-        contrib = wdens * (_eval_nodes(f, x_lo) + _eval_nodes(f, b - x_lo))
+        contrib = wdens * (f(x_lo) + f(b - x_lo))
         total += float(np.sum(contrib))
         abs_total += float(np.sum(np.abs(contrib)))
 

@@ -458,16 +458,19 @@ class TestHyperbolicQuadrature:
         ball = math.exp(-core._lcosh(pf, ptrig.Evaluation(s, 0.0)).value)
         assert core._inv_cosh(pf, s) == ball, (pf, s)
 
-    P = [1.0 + 2.0 ** -52, 1.1, 2.0, 24.0, 300.0, 1e12]
+    P = [1.0 + 2.0 ** -52, 1.1, 2.0, 24.0, 300.0, 1e12, 1e306, sys.float_info.max]
     X = [5e-324, 1e-300, 1e-100, 1e-10, 0.3, math.nextafter(1.0, 0.0), 1.0,
          math.nextafter(1.0, 2.0), 1.5, 40.0, 700.0, sys.float_info.max]
 
     @pytest.mark.parametrize("p", P)
     def test_integrands_are_finite_at_every_node(self, p):
         # Every node of all the levels integrate may refine to, for the
-        # integrand and interval _arsinh_quad passes it, sampled as
-        # integrate samples them: no sample is non-finite, so refusing one
-        # changes no value.
+        # integrand and interval _arsinh_quad passes it, sampled bare as
+        # integrate samples them, under an error state that raises: no
+        # sample is non-finite or raises, so integrate needs no error state
+        # and refusing a non-finite sample changes no value.  At x = 5e-324
+        # b times the deepest offsets underflows to a node at t = 0; past
+        # p = 2.4e305, p u would overflow.
         fam = core._Family(p)
         h, h_low = fam.integrands
         for x in self.X:
@@ -476,9 +479,25 @@ class TestHyperbolicQuadrature:
             for level in range(1, numerics._LEVEL_MAX + 1):
                 x_lo = b * numerics._node_table(level)[0]
                 nodes += [x_lo, b - x_lo]
-            values = numerics._eval_nodes(f, np.concatenate(nodes))
+            nodes = np.concatenate(nodes)
+            assert x != 5e-324 or (nodes == 0.0).any()
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                values = f(nodes)
             assert np.isfinite(values).all(), (p, x)
             core._arsinh_quad(fam, x)  # and converges, refusing nothing
+
+    @pytest.mark.parametrize("p", [1.0 + 2.0 ** -52, 2.0, 24.0])
+    def test_integrand_at_t_zero_keeps_its_value(self, p):
+        # Below x ~ 3e-49 nodes fall on t = 0, where h(-log t) is taken at
+        # the smallest subnormal instead: h = 1 there as at t = 0, so value
+        # and abs_err keep the bits they had when log 0 = -inf was sampled.
+        pins = {5e-324: (0.0, 1e-323), 1e-320: (1e-320, 1e-323),
+                1e-300: (1e-300, 7.505152399e-314), 1e-60: (1e-60, 7.501106618660115e-74)}
+        fam = core._Family(p)
+        for x, pin in pins.items():
+            ev = core._arsinh_quad(fam, x)
+            assert (ev.value.hex(), ev.abs_err.hex()) == tuple(map(float.hex, pin)), (p, x)
+            assert ptrig.arsinh_p(x, p) == ev
 
     def test_integrands_are_built_once_per_family(self, monkeypatch):
         p, built, factory = 3.3, [], core._hyp_integrand
