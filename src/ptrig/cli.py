@@ -1,8 +1,10 @@
 """Command line front end.
 
 Four verbs: ``eval`` prints one function value with its error bound, ``table``
-streams a grid of values, ``constants`` reports pi_p and the sharp exponent
-pair, and ``verify`` runs the inequality engine and emits its report.  Output
+streams a grid of values over the window of the function's domain (each
+evaluator carries it: (0, pi_p/2), (0, 1) or (0, 3)), ``constants`` reports
+pi_p and the sharp exponent pair, and ``verify`` runs the inequality engine
+and emits its report.  A refusal prints one ``error:`` line.  Output
 is fully determined by argv; no environment variables are consulted.  Every
 verb evaluates at the library's one precision, so none takes ``--tol``.
 
@@ -20,7 +22,6 @@ from .inequalities import (
     EvaluationFailed,
     FunctionId,
     GridSpec,
-    _HYP_UPPER,
     grid_points,
     is_exploratory,
     sharp_constants,
@@ -31,22 +32,7 @@ from .numerics import NonConvergence
 # Every public evaluator of core that takes (x, p).
 _POINT_FNS = {f: getattr(core, f) for f in core.__all__ if f.endswith("_p") and f != "pi_p"}
 
-# Tabulation interval by function family: circular functions live on
-# (0, pi_p/2), arcsin_p on (0, 1), the hyperbolic family on the desk-scale
-# window of the hyperbolic claims.  Endpoints stay exclusive through GridSpec
-# offsets.
-_CIRCULAR = frozenset({"sin_p", "cos_p", "tan_p", "d_sin_p", "d_cos_p"})
-_UNIT = frozenset({"arcsin_p"})
-
 _CLAIM_NAMES = [tag.value.lower() for tag in FunctionId]
-
-
-def _table_interval(fn: str, p: float) -> tuple:
-    if fn in _CIRCULAR:
-        return 0.0, core._family(p).half[0]
-    if fn in _UNIT:
-        return 0.0, 1.0
-    return 0.0, _HYP_UPPER
 
 
 def _fmt17(v: float) -> str:
@@ -72,10 +58,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    spec = GridSpec(n=ns.n, spacing=ns.spacing)
-    lo, hi = _table_interval(ns.fn, ns.p)
-    xs = grid_points(spec, lo, hi)
+    # The window the evaluator's domain is sampled on; GridSpec's offsets
+    # keep its ends out.
     fn = _POINT_FNS[ns.fn]
+    xs = grid_points(GridSpec(n=ns.n, spacing=ns.spacing), *fn.domain.window(core._family(ns.p)))
     rows = []
     for x in xs:
         ev = fn(x, ns.p)

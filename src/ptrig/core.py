@@ -33,10 +33,12 @@ The other functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
 
-which also force the derivative formulas implemented at the bottom.  The
+which also force the derivative formulas implemented below them.  The
 circular functions are defined on [0, pi_p/2] only (no periodic extension);
 the hyperbolic ones on x >= 0 up to arsinh_p of the largest double (about
-709.8 to 710.8, growing with p), beyond which they raise DomainError.
+709.8 to 710.8, growing with p), beyond which they raise DomainError.  The
+log-space primitives of the functionals and chains of :mod:`.inequalities`
+come last, beside the states whose layout they read.
 
 The states of sin_p and sinh_p are balls over an interval that holds the
 root: one rule turns the bound on the residual at the solve's last iterate,
@@ -53,10 +55,12 @@ a ball reaches a pole (tan_p, and d_cos_p for p > 2, against pi_p/2).
 
 Each p has one family, which keeps a capped memo of per-point states, and
 each public evaluator, the functionals of :mod:`.inequalities` among them,
-is served by _served: it validates (x, p), refuses what its domain excludes,
-names the call in a PoleError and keeps its own capped table of the
-Evaluations it returned, so a repeated call returns the same object without
-recomputing it.
+is served by _served on one of three domains, _circular, _unit or
+_half_line, each with the window it is sampled on, which the evaluator
+carries as its .domain.  _served validates (x, p), refuses what the domain
+excludes, names the call in every refusal and keeps its own capped table
+of the Evaluations it returned, so a repeated call returns the same object
+without recomputing it.
 """
 
 from __future__ import annotations
@@ -243,9 +247,11 @@ def _served(domain):
 
     A hit is two dict lookups and nothing else: an int, float or numpy p
     finds its float key.  A miss looks up the family, which validates p,
-    checks x with domain(fam, name, x), which raises DomainError, as does a
-    result past the double range, and stores the result; a call that raised
-    raises again, a PoleError prefixed with the call it refuses.
+    checks x with domain(fam, name, x), which raises DomainError naming the
+    evaluator, and stores the result.  A call that raised raises again: a
+    result past the double range as a DomainError naming the call, and a
+    DomainError (PoleError included) or NonConvergence from body prefixed
+    with the call it refuses.  The evaluator carries domain as its .domain.
     """
 
     def wrap(body):
@@ -266,8 +272,8 @@ def _served(domain):
                 got = body(fam, x)
             except OverflowError:
                 raise DomainError(f"{name}({x}, p={fam.pf}) exceeds floating-point range") from None
-            except PoleError as exc:
-                raise PoleError(f"{name}({x}, p={fam.pf}): {exc}") from None
+            except (DomainError, NonConvergence) as exc:
+                raise type(exc)(f"{name}({x}, p={fam.pf}): {exc}") from None
             if len(table) >= _RESULT_CAP:
                 table.clear()
             table[x] = got
@@ -277,12 +283,17 @@ def _served(domain):
         # as the public signature.
         serve.__name__ = serve.__qualname__ = name
         serve.__doc__ = body.__doc__
+        serve.domain = domain
         return serve
 
     return wrap
 
 
-# The domains of the public evaluators; each requires a finite x.
+# The domains of the public evaluators; each requires a finite x and
+# carries the window (lo, hi) = window(fam) its evaluators are sampled on, by
+# the claims of inequalities and the CLI's tables.  The half-line's is the
+# desk-scale (0, _HYP_UPPER) of the paper's hyperbolic claims.
+_HYP_UPPER = 3.0
 
 
 def _circular(fam: _Family, name: str, x: float) -> None:
@@ -300,6 +311,11 @@ def _unit(fam: _Family, name: str, x: float) -> None:
 def _half_line(fam: _Family, name: str, x: float) -> None:
     if not 0.0 <= x < math.inf:
         raise DomainError(f"{name} requires finite x >= 0, got {x}")
+
+
+_circular.window = lambda fam: (0.0, fam.half[0])
+_unit.window = lambda fam: (0.0, 1.0)
+_half_line.window = lambda fam: (0.0, _HYP_UPPER)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +362,6 @@ def _hyp_integrand(pf: float) -> tuple:
     return h, lambda t: np.exp(-np.log1p(np.exp(pf * np.log(np.maximum(t, _ULP0)))) / pf)
 
 
-def _arcsin_quad(fam: _Family, s: float) -> tuple[float, float]:
-    """arcsin_p(s) and its error bound for 0 < s <= 1."""
-    if s >= 1.0:
-        return fam.half
-    return _arcsin_series(fam, s, -math.expm1(fam.pf * math.log(s)))
-
-
 def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
     """arcsin_p(s) and its error bound for 0 < s < 1, given om = 1 - s^p to a
     few ulp: the series in w = s^p up to w = 1/2, the endpoint series in om
@@ -393,6 +402,8 @@ def pi_p(p: float) -> Evaluation:
 
     Cross-checked in the test suite against the defining integral.
     """
+    # _family's hit, inline: a repeated call runs no other function, as a
+    # hit of a served evaluator runs none.
     try:
         return _FAMILIES[p].pi
     except (KeyError, TypeError):
@@ -404,7 +415,9 @@ def arcsin_p(fam: _Family, x: float) -> Evaluation:
     """Inverse generalized sine on [0, 1]."""
     if x == 0.0:
         return Evaluation(0.0, 0.0)
-    return Evaluation(*_arcsin_quad(fam, x))
+    if x == 1.0:
+        return Evaluation(*fam.half)
+    return Evaluation(*_arcsin_series(fam, x, -math.expm1(fam.pf * math.log(x))))
 
 
 @_served(_half_line)
@@ -419,13 +432,14 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
 # Inversion: sin_p and sinh_p
 
 
-def _newton(residual, u: float, lo: float, hi: float, name: str, x: float) -> tuple:
+def _newton(residual, u: float, lo: float, hi: float, name: str) -> tuple:
     """Safeguarded Newton from u for the root of residual, increasing in u,
     on the bracket (lo, hi).  residual(u) is (r, slope, tol, scale): the
     loop stops at |r| <= tol, or one residual after a step |r|/slope below
     _INV_TOL scale, so the caller's bound rests on the stepped u.  A step
     that leaves the bracket bisects it, halves summed separately so that
-    lo + hi cannot overflow.  Returns (u, r, slope, tol) where it stops."""
+    lo + hi cannot overflow.  Returns (u, r, slope, tol) where it stops;
+    NonConvergence names the solve, name."""
     last = False
     for _ in range(_NEWTON_STEPS):
         r, slope, tol, scale = residual(u)
@@ -438,7 +452,7 @@ def _newton(residual, u: float, lo: float, hi: float, name: str, x: float) -> tu
         last = abs(r) <= _INV_TOL * slope * scale
         step = u - r / slope
         u = step if lo < step < hi else 0.5 * lo + 0.5 * hi
-    raise NonConvergence(f"{name}({x}): no root in {_NEWTON_STEPS} steps")
+    raise NonConvergence(f"the {name} solve found no root in {_NEWTON_STEPS} steps")
 
 
 def _root_interval(R: float, m: float, c: float) -> tuple[float, float]:
@@ -501,7 +515,7 @@ def _sin_state(fam: _Family, x: float) -> tuple:
     # x(w) decreases and is concave, so Newton started above the root
     # descends onto it; the bracket only guards against rounding.
     top = min(w_top + 1.0, -math.log1p(z))
-    w, r, slope, band = _newton(residual, min(w_top, -math.log1p(z)), -math.inf, top, "sin_p", x)
+    w, r, slope, band = _newton(residual, min(w_top, -math.log1p(z)), -math.inf, top, "sin_p")
     om, sp = math.exp(w), -math.expm1(w)
     # The slope grows with w, by the rate q (1 + om/s^p) at most below it;
     # above w the ceilings bound the root too.
@@ -534,7 +548,7 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
         # exceeds _INV_TOL s/cosh_p(s): no step is the last before it stops.
         return _arsinh_quad(fam, s).value - x, _inv_cosh(pf, s), _INV_TOL * (1.0 + x), s
 
-    s, r, slope, _ = _newton(residual, *_sinh_bracket(fam, x), "sinh_p", x)
+    s, r, slope, _ = _newton(residual, *_sinh_bracket(fam, x), "sinh_p")
     # The residual bounded by |r| and twice the quadrature's target; the
     # slope falls above s, its log at the rate s^(p-1)/(1 + s^p) < 1/s.
     grow, fall = _root_interval(abs(r) + 2.0 * max(_QUAD_ABS, _QUAD_REL * x), slope, 1.0 / s)
@@ -549,8 +563,8 @@ def _sinh_bracket(fam: _Family, x: float) -> tuple[float, float, float]:
     [x - up, x - lo] for the ends (lo, up) of _arsinh_bounds at s = 1,
     widened by _BOUNDS_MARGIN (1 + x) and rounding; the solve starts at
     that floor, and as arsinh_p is concave its steps stay below the root.
-    A floor past the largest double leaves floating-point range; a ceiling
-    past it is clipped there, and one quadrature decides."""
+    A floor past the largest double raises OverflowError; a ceiling past it
+    is clipped there, and one quadrature decides."""
     a_lo, a_up = _arsinh_bounds(fam, 1.0)
     if x <= a_up:
         return 1.5 * x, x, 2.0 * x
@@ -559,7 +573,7 @@ def _sinh_bracket(fam: _Family, x: float) -> tuple[float, float, float]:
     top = math.log(sys.float_info.max)
     hi = math.exp(ceil) if ceil < top else sys.float_info.max
     if floor > top or (ceil >= top and _arsinh_quad(fam, hi).value < x):
-        raise DomainError(f"sinh_p({x}) exceeds floating-point range")
+        raise OverflowError(f"sinh_p({x}) exceeds floating-point range")
     lo = math.exp(floor)
     return lo, lo, hi
 
@@ -678,6 +692,9 @@ def d_sin_p(x: float, p: float) -> Evaluation:
     return cos_p(x, p)
 
 
+d_sin_p.domain = cos_p.domain
+
+
 @_served(_circular)
 def d_cos_p(fam: _Family, x: float) -> Evaluation:
     """d/dx cos_p = -cos_p^(2-p) sin_p^(p-1).  For p > 2 it is singular at
@@ -693,6 +710,9 @@ def d_cos_p(fam: _Family, x: float) -> Evaluation:
 def d_sinh_p(x: float, p: float) -> Evaluation:
     """d/dx sinh_p = cosh_p."""
     return cosh_p(x, p)
+
+
+d_sinh_p.domain = cosh_p.domain
 
 
 @_served(_half_line)
@@ -714,3 +734,58 @@ def d_tanh_p(fam: _Family, x: float) -> Evaluation:
     """d/dx tanh_p = 1 - tanh_p^p."""
     # 1 - tanh_p^p = cosh_p^(-p), which does not cancel as tanh_p -> 1.
     return (-fam.pf * _lcosh(fam.pf, _sinh_raw(fam, x))).exp()
+
+
+# ---------------------------------------------------------------------------
+# Log-space primitives as balls, from the states: the direct route (z above
+# the switch) of the functionals and chains of inequalities.  The four logs
+# are kept with the family, as the claims on one side share a grid.
+
+
+@_kept
+def _l1(fam: _Family, x: float) -> Evaluation:
+    """log(x / sin_p(x)) > 0, an unsigned 0 where sin_p(x) rounds to x."""
+    l1 = -((_sin_state(fam, x)[0] - x) / x).log1p()
+    return Evaluation(l1.value + 0.0, l1.abs_err)
+
+
+@_kept
+def _l4(fam: _Family, x: float) -> Evaluation:
+    """-log cos_p(x) > 0."""
+    w = _sin_state(fam, x)[2]
+    if w is None:
+        raise PoleError(f"cos_p vanished at x = {x}")
+    return -w / fam.pf
+
+
+@_kept
+def _l2(fam: _Family, x: float) -> Evaluation:
+    """log(sinh_p(x) / x) > 0."""
+    return ((_sinh_raw(fam, x) - x) / x).log1p()
+
+
+@_kept
+def _l3(fam: _Family, x: float) -> Evaluation:
+    """log cosh_p(x) > 0."""
+    return _lcosh(fam.pf, _sinh_raw(fam, x))
+
+
+def _dee(fam: _Family, x: float) -> Evaluation:
+    """(sin_p - x cos_p) / sin_p = 1 - x cos_p/sin_p, positive on the domain."""
+    return -(_l1(fam, x) - _l4(fam, x)).expm1()
+
+
+def _ee(fam: _Family, x: float) -> Evaluation:
+    """(x cosh_p - sinh_p) / sinh_p = x/tanh_p - 1, positive for x > 0."""
+    return (_l3(fam, x) - _l2(fam, x)).expm1()
+
+
+def _lem24(fam: _Family, x: float) -> Evaluation:
+    """log cosh_p(x) - (x/p) tanh_p(x)^(p-1) > 0."""
+    pf = fam.pf
+    l3 = _l3(fam, x)
+    return l3 - (x / pf) * ((pf - 1.0) * (_sinh_raw(fam, x).log() - l3)).exp()
+
+
+# Direct-route primitive behind each series.SmallZSeries name.
+_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee, "lem24": _lem24}

@@ -11,10 +11,11 @@ exponential bounds:
     lem24_gap = log cosh_p - (x/p) tanh_p^(p-1)          positive for x > 0
 
 with alpha = 1/(1+p) and beta = log(pi_p/2) / log(cosh_p(pi_p/2)).  They are
-public evaluators as core's are, through core._served on the same domains,
-[0, pi_p/2] and x >= 0: at x = 0 each returns its limit, and at pi_p/2
-thm1_f and thm2_g their end values (beta for thm2_g), while lem22_f meets
-the pole of its direct route there and raises a PoleError naming the call.
+public evaluators as core's are, through core._served on their claims'
+domains, [0, pi_p/2] and x >= 0: at x = 0 each returns its limit, and at
+pi_p/2 thm1_f and thm2_g their end values (beta for thm2_g), while lem22_f
+meets the pole of its direct route there and raises a PoleError naming the
+call.
 
 Every numerator and denominator above vanishes like x^p or x^(p+1), so for
 z = x^p below the series switch (series.small_z, which the states of sin_p
@@ -22,41 +23,29 @@ and sinh_p share) the functionals and all inequality margins are evaluated
 from truncated z-series (see :mod:`.series`): each functional from
 the one series of its quotient, exact until rounded once, so it keeps its
 accuracy down to z = 0.  A chain's log-terms are balls on both routes, from
-the series below the switch and from the evaluators' log-space primitives
+the series below the switch and from core's log-space primitives (_DIRECT)
 above it; below it, each pair of adjacent members whose constants the exact
 engine can carry takes its gap from one series formed exactly and rounded
 once, so a leading z order that cancels is exactly 0, never a difference of
 values.
 
-Each claim is declared once, in _CLAIMS: its kind, its interval, and the
+Each claim is declared once, in _CLAIMS: its kind, its domain, and the
 formula of its functional or the terms of its chain.  verify_claim samples a
-claim on a grid of strictly interior points and certifies strict
-inequalities as margin > combined error budget.  A margin inside the budget
-is inconclusive and fails the certificate; it is never reported as a
-counterexample.
+claim on a grid of strictly interior points of its domain's window, (0,
+pi_p/2) or (0, 3), and certifies strict inequalities as margin > combined
+error budget.  A margin inside the budget is inconclusive and fails the
+certificate; it is never reported as a counterexample.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import series
-from .core import (
-    _circular,
-    _Family,
-    _family,
-    _half_line,
-    _kept,
-    _lcosh,
-    _served,
-    _valid_p,
-    _sin_state,
-    _sinh_raw,
-    cosh_p,
-)
-from .numerics import DomainError, Evaluation, NonConvergence, PoleError, _Record
+from .core import _DIRECT, _circular, _Family, _family, _half_line, _kept, _served, _valid_p, cosh_p
+from .numerics import DomainError, Evaluation, NonConvergence, _Record
 
 __all__ = [
     "FunctionId",
@@ -74,10 +63,6 @@ __all__ = [
     "verify_claim",
     "is_exploratory",
 ]
-
-# The hyperbolic claims, and the CLI's hyperbolic tables, sample (0, 3).
-_HYP_UPPER = 3.0
-
 
 class FunctionId(Enum):
     """Claim identifiers: five scalar functionals and five inequality chains."""
@@ -102,9 +87,9 @@ class _Claim(NamedTuple):
 
     kind is "increasing" or "decreasing" for a monotone functional,
     "positive" for a functional that stays above 0, and "chain" for an
-    inequality chain T_0 < T_1 < ...  interval is "circular" for claims
-    sampled on (0, pi_p/2) and "hyperbolic" for those sampled on
-    (0, _HYP_UPPER), whose functionals take any x > 0.
+    inequality chain T_0 < T_1 < ...  domain is core's _circular or
+    _half_line: a functional claim's evaluator is served on it, and the
+    claim is sampled on its window, (0, pi_p/2) or (0, 3).
 
     A functional's formula is (num, den, scale): scale * num/den, or num
     alone when den is None, for primitives num and den named as in
@@ -118,7 +103,7 @@ class _Claim(NamedTuple):
     """
 
     kind: str
-    interval: str
+    domain: Callable
     formula: tuple
     route: Optional[FunctionId] = None
     p_min: float = 2.0
@@ -127,27 +112,27 @@ class _Claim(NamedTuple):
 _SIN_RATIO = (-1, "1", "l1")  # sin_p(x)/x
 
 _CLAIMS = {
-    FunctionId.THM1_F: _Claim("increasing", "circular", ("l1", "l2", "1")),
-    FunctionId.THM2_G: _Claim("increasing", "circular", ("l1", "l3", "1")),
-    FunctionId.LEM22_F: _Claim("decreasing", "circular", ("l1", "d", "p")),
-    FunctionId.LEM23_G: _Claim("increasing", "hyperbolic", ("l2", "e", "p")),
-    FunctionId.LEM24_GAP: _Claim("positive", "hyperbolic", ("lem24", None, "1"), p_min=1.0),
+    FunctionId.THM1_F: _Claim("increasing", _circular, ("l1", "l2", "1")),
+    FunctionId.THM2_G: _Claim("increasing", _circular, ("l1", "l3", "1")),
+    FunctionId.LEM22_F: _Claim("decreasing", _circular, ("l1", "d", "p")),
+    FunctionId.LEM23_G: _Claim("increasing", _half_line, ("l2", "e", "p")),
+    FunctionId.LEM24_GAP: _Claim("positive", _half_line, ("lem24", None, "1"), p_min=1.0),
     # cos_p^beta < cosh_p^-beta < sin_p/x < cosh_p^-alpha < 1
-    FunctionId.COROLLARY_CHAIN: _Claim("chain", "circular", (
+    FunctionId.COROLLARY_CHAIN: _Claim("chain", _circular, (
         (-1, "beta", "l4"), (-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3"), (1, "0", None))),
     # (x/sinh_p)^p < sin_p/x < x/sinh_p
     FunctionId.THM1_CHAIN: _Claim(
-        "chain", "circular", ((-1, "p", "l2"), _SIN_RATIO, (-1, "1", "l2"))),
+        "chain", _circular, ((-1, "p", "l2"), _SIN_RATIO, (-1, "1", "l2"))),
     # cosh_p^-beta < sin_p/x < cosh_p^-alpha
     FunctionId.THM2_CHAIN: _Claim(
-        "chain", "circular", ((-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3")),
+        "chain", _circular, ((-1, "beta", "l3"), _SIN_RATIO, (-1, "alpha", "l3")),
         route=FunctionId.THM2_G),
     # exp(-D/p) < sin_p/x < exp(-lam D), D = 1 - x cos_p/sin_p
     FunctionId.LEM22_CHAIN: _Claim(
-        "chain", "circular", ((-1, "1/p", "d"), _SIN_RATIO, (-1, "lam", "d"))),
+        "chain", _circular, ((-1, "1/p", "d"), _SIN_RATIO, (-1, "lam", "d"))),
     # exp(E/p) < sinh_p/x < exp(E), E = x cosh_p/sinh_p - 1
     FunctionId.LEM23_CHAIN: _Claim(
-        "chain", "hyperbolic", ((1, "1/p", "e"), (1, "1", "l2"), (1, "1", "e"))),
+        "chain", _half_line, ((1, "1/p", "e"), (1, "1", "l2"), (1, "1", "e"))),
 }
 
 
@@ -279,59 +264,6 @@ def sharp_constants(p: float) -> SharpConstants:
     return SharpConstants(alpha=alpha.value, beta=beta.value, p=fam.pf)
 
 
-# ---------------------------------------------------------------------------
-# log-space primitives as balls, for the direct (z above switch) route; the
-# four logs are kept with the family, as the claims on one side share a grid.
-
-@_kept
-def _l1(fam: _Family, x: float) -> Evaluation:
-    """log(x / sin_p(x)) > 0, an unsigned 0 where sin_p(x) rounds to x."""
-    l1 = -((_sin_state(fam, x)[0] - x) / x).log1p()
-    return Evaluation(l1.value + 0.0, l1.abs_err)
-
-
-@_kept
-def _l4(fam: _Family, x: float) -> Evaluation:
-    """-log cos_p(x) > 0."""
-    w = _sin_state(fam, x)[2]
-    if w is None:
-        raise PoleError(f"cos_p vanished at x = {x}")
-    return -w / fam.pf
-
-
-@_kept
-def _l2(fam: _Family, x: float) -> Evaluation:
-    """log(sinh_p(x) / x) > 0."""
-    return ((_sinh_raw(fam, x) - x) / x).log1p()
-
-
-@_kept
-def _l3(fam: _Family, x: float) -> Evaluation:
-    """log cosh_p(x) > 0."""
-    return _lcosh(fam.pf, _sinh_raw(fam, x))
-
-
-def _dee(fam: _Family, x: float) -> Evaluation:
-    """(sin_p - x cos_p) / sin_p = 1 - x cos_p/sin_p, positive on the domain."""
-    return -(_l1(fam, x) - _l4(fam, x)).expm1()
-
-
-def _ee(fam: _Family, x: float) -> Evaluation:
-    """(x cosh_p - sinh_p) / sinh_p = x/tanh_p - 1, positive for x > 0."""
-    return (_l3(fam, x) - _l2(fam, x)).expm1()
-
-
-def _lem24(fam: _Family, x: float) -> Evaluation:
-    """log cosh_p(x) - (x/p) tanh_p(x)^(p-1) > 0."""
-    pf = fam.pf
-    l3 = _l3(fam, x)
-    return l3 - (x / pf) * ((pf - 1.0) * (_sinh_raw(fam, x).log() - l3)).exp()
-
-
-# Direct-route primitive behind each series.SmallZSeries name.
-_DIRECT = {"l1": _l1, "l2": _l2, "l3": _l3, "l4": _l4, "d": _dee, "e": _ee, "lem24": _lem24}
-
-
 @_kept
 def _zquotient(fam: _Family, tag: FunctionId) -> tuple:
     """The z-series of the num/den of tag's formula, or of num alone."""
@@ -357,31 +289,31 @@ def _functional(tag: FunctionId, fam: _Family, x: float) -> Evaluation:
     return scale * f / scale_den
 
 
-@_served(_circular)
+@_served(_CLAIMS[FunctionId.THM1_F].domain)
 def thm1_f(fam: _Family, x: float) -> Evaluation:
     """log(x/sin_p(x)) / log(sinh_p(x)/x); increasing on [0, pi_p/2] from 1."""
     return _functional(FunctionId.THM1_F, fam, x)
 
 
-@_served(_circular)
+@_served(_CLAIMS[FunctionId.THM2_G].domain)
 def thm2_g(fam: _Family, x: float) -> Evaluation:
     """log(x/sin_p(x)) / log(cosh_p(x)); increasing on [0, pi_p/2] from 1/(1+p) to beta."""
     return _functional(FunctionId.THM2_G, fam, x)
 
 
-@_served(_circular)
+@_served(_CLAIMS[FunctionId.LEM22_F].domain)
 def lem22_f(fam: _Family, x: float) -> Evaluation:
     """p sin_p log(x/sin_p) / (sin_p - x cos_p); decreasing on [0, pi_p/2) from 1."""
     return _functional(FunctionId.LEM22_F, fam, x)
 
 
-@_served(_half_line)
+@_served(_CLAIMS[FunctionId.LEM23_G].domain)
 def lem23_g(fam: _Family, x: float) -> Evaluation:
     """p sinh_p log(sinh_p/x) / (x cosh_p - sinh_p); increasing on [0, inf), 1 to p."""
     return _functional(FunctionId.LEM23_G, fam, x)
 
 
-@_served(_half_line)
+@_served(_CLAIMS[FunctionId.LEM24_GAP].domain)
 def lem24_gap(fam: _Family, x: float) -> Evaluation:
     """log cosh_p(x) - (x/p) tanh_p(x)^(p-1), 0 at 0 and strictly positive for x > 0."""
     return _functional(FunctionId.LEM24_GAP, fam, x)
@@ -490,10 +422,6 @@ def _chain_at(tag: FunctionId, fam: _Family, x: float) -> tuple:
 # ---------------------------------------------------------------------------
 # the verifier: one (x, values, ball of the margin) record per point
 
-def _interval(tag: FunctionId, fam: _Family) -> tuple:
-    return 0.0, fam.half[0] if _CLAIMS[tag].interval == "circular" else _HYP_UPPER
-
-
 def _records(claim: str, fam: _Family, xs: list, at) -> list:
     """[at(x) for x in xs], a core failure at x raised as EvaluationFailed."""
     out = []
@@ -562,7 +490,7 @@ def verify_claim(
             ev = fn(x, fam.pf)
             return x, (ev.value,), ev
 
-    xs = grid_points(grid or GridSpec(), *_interval(tag, fam))
+    xs = grid_points(grid or GridSpec(), *spec.domain.window(fam))
     records = _records(tag.value, fam, xs, at)
     if spec.kind in ("chain", "positive"):
         return _report(tag.value, fam.pf, records)

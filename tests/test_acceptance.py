@@ -193,7 +193,7 @@ def test_c08_thm2(p):
     assert chain.passed
     assert claim_report(F.THM2_G, p).monotone_verdict == "increasing"
     sc = iq.sharp_constants(p)
-    lo, hi = iq._interval(F.THM2_G, ptrig.core._family(p))
+    lo, hi = iq.thm2_g.domain.window(ptrig.core._family(p))
     xs = iq.grid_points(GRID, lo, hi)
     assert abs(iq.thm2_g(float(xs[0]), p).value - sc.alpha) <= 1e-2
     assert abs(iq.thm2_g(float(xs[-1]), p).value - sc.beta) <= 1e-2

@@ -452,7 +452,7 @@ def _mp_functional(name, x, p):
 def _functional_arguments(name, p):
     """The claim's 25-point verification grid and z = x^p at the series switch."""
     fam = core._family(p)
-    xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(iq.FunctionId[name.upper()], fam))
+    xs = iq.grid_points(iq.GridSpec(n=25), *getattr(iq, name).domain.window(fam))
     return xs + _ulps(_switch_x(p))
 
 
@@ -533,7 +533,7 @@ def _mp_chain_margins(tag, x, p):
     P, X = mp.mpf(p), mp.mpf(x)
     sh, ch = _mp_sinh_cosh(x, p)
     prims = {"l2": mp.log(sh / X), "l3": mp.log1p(sh ** P) / P, "e": X * ch / sh - 1}
-    if iq._CLAIMS[tag].interval == "circular":
+    if iq._CLAIMS[tag].domain is core._circular:
         s, c = _mp_sin_cos_at(x, p)
         prims.update(l1=mp.log(X / s), l4=-mp.log(c), d=1 - X * c / s)
     const = _mp_constants(p)
@@ -549,7 +549,7 @@ CHAINS = [tag for tag, claim in iq._CLAIMS.items() if claim.kind == "chain"]
 @pytest.mark.parametrize("tag", CHAINS, ids=str)
 def test_chain_margins_lie_within_their_budgets(tag, p):
     fam = core._family(p)
-    xs = iq.grid_points(iq.GridSpec(n=25), *iq._interval(tag, fam)) + _ulps(_switch_x(p))
+    xs = iq.grid_points(iq.GridSpec(n=25), *iq._CLAIMS[tag].domain.window(fam)) + _ulps(_switch_x(p))
     # Both the z-series and the direct route are audited.
     assert {series.small_z(p, x) is None for x in xs} == {False, True}
     worst = 0.0

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from ptrig import cli, core, series
-from ptrig import inequalities as iq
 
 
 def run(*argv):
@@ -201,7 +200,6 @@ class TestVerify:
                 return state(fam, x)
 
             monkeypatch.setattr(core, name, watched)
-            monkeypatch.setattr(iq, name, watched)
         run("verify", "--claim", "all", "--p", repr(p), "--format", "json")
         assert set(calls) == {"_sin_state", "_sinh_raw"}
         assert not below, below[:5]

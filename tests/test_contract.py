@@ -8,9 +8,10 @@ and onto the pole at pi_p/2; pi_p, sharp_constants and verify_claim (on a
 or raise DomainError (PoleError included), NonConvergence or
 EvaluationFailed, never a bare ValueError, ZeroDivisionError or
 OverflowError; and no value it returns, of an Evaluation or a sharp
-constant, may be -0.0.  The command line refuses the same way: exit 2 and
-one ``error:`` line, and a PoleError's line names the call it refuses.
-Nor does ``verify`` print a -0.0.
+constant, may be -0.0.  A refusal of an (x, p) call names its evaluator
+first, or for d_sin_p and d_sinh_p the one they alias.  The command line
+refuses the same way: exit 2 and one ``error:`` line, which names the call
+it refuses.  Nor does ``verify`` print a -0.0.
 """
 
 import contextlib
@@ -38,6 +39,8 @@ P_CONTRACT = [1.0 + 2.0 ** -52, 1.0001, 1.5, 2.0, 2.5, 3.0, 7.0, 24.0, 300.0,
 X_CONTRACT = [0.0, 5e-324, 1e-320, 1e-300, 1e-30, 1e-3, 0.5, 1.0, 3.0,
               700.0, 709.0, 710.0, 711.0]
 REFUSALS = (ptrig.DomainError, ptrig.NonConvergence, ptrig.EvaluationFailed)
+# The evaluators that serve an alias under its own name.
+TARGETS = {ptrig.d_sin_p: ptrig.cos_p, ptrig.d_sinh_p: ptrig.cosh_p}
 
 
 def _arguments(p):
@@ -50,13 +53,16 @@ def _arguments(p):
     return xs
 
 
-def _breach(call):
-    """None if call() refuses with one of REFUSALS or returns no -0.0, else
-    what it did."""
+def _breach(call, name=None):
+    """None if call() refuses with one of REFUSALS, whose text starts with
+    name, the evaluator of an (x, p) call, or returns no -0.0; else what it
+    did."""
     try:
         got = call()
-    except REFUSALS:
-        return None
+    except REFUSALS as exc:
+        if name is None or re.match(rf"{name}[( ]", str(exc)):
+            return None
+        return f"refused without naming {name}: {exc!r}"
     except Exception as exc:
         return repr(exc)
     if isinstance(got, ptrig.SharpConstants):
@@ -76,7 +82,9 @@ def test_every_call_returns_or_refuses(p):
     grid = ptrig.GridSpec(n=5)
     calls += [(tag.value, None, functools.partial(ptrig.verify_claim, tag, p, grid))
               for tag in iq.FunctionId]
-    breaches = [(name, x, what) for name, x, call in calls if (what := _breach(call))]
+    named = {fn.__name__: TARGETS.get(fn, fn).__name__ for fn in EVALUATORS + FUNCTIONALS}
+    breaches = [(name, x, what) for name, x, call in calls
+                if (what := _breach(call, named[name] if x is not None else None))]
     assert not breaches, breaches[:20]
 
 
@@ -96,6 +104,14 @@ def test_cli_pole_error_names_the_call():
     proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: cosh_p(1.0, p="), proc.stderr
+
+
+def test_cli_range_error_names_the_call():
+    # Past arsinh_p of the largest double, not the sinh_p that tanh_p solves for.
+    argv = ["eval", "--fn", "tanh_p", "--x", "800", "--p", "2"]
+    proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: tanh_p(800.0, p=2.0)"), proc.stderr
 
 
 @pytest.mark.parametrize("p", ["5", "10", "50"])

@@ -375,7 +375,7 @@ class TestBoundsSandwich:
         # g at the extreme grid points hugs alpha and beta.
         for p in P_CERT:
             sc = iq.sharp_constants(p)
-            xs = iq.grid_points(iq.GridSpec(n=200), *iq._interval(F.THM2_G, ptrig.core._family(p)))
+            xs = iq.grid_points(iq.GridSpec(n=200), *iq.thm2_g.domain.window(ptrig.core._family(p)))
             assert abs(iq.thm2_g(float(xs[0]), p).value - sc.alpha) <= 1e-2
             assert abs(iq.thm2_g(float(xs[-1]), p).value - sc.beta) <= 1e-2
 
@@ -406,7 +406,7 @@ class TestDispatchAndFailure:
         # p = 2's family keeps _l2 and _l3 from earlier runs; a cold one calls boom.
         for results in [ptrig.core._FAMILIES, *ptrig.core._RESULTS.values()]:
             monkeypatch.delitem(results, 2.0, raising=False)
-        monkeypatch.setattr(iq, "_sinh_raw", boom)
+        monkeypatch.setattr(ptrig.core, "_sinh_raw", boom)
         with pytest.raises(iq.EvaluationFailed) as exc:
             iq.verify_claim(F.LEM23_CHAIN, 2.0, iq.GridSpec(n=5))
         assert exc.value.claim == "LEM23_CHAIN"

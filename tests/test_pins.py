@@ -6,8 +6,9 @@ Changes to how errors are bounded move abs_err, never a value, a margin or a
 verdict; these pins hold them to the bytes recorded before such a change.  A
 change that moves these bytes on purpose updates the pin it moves and says
 so, with the reason, in CHANGES.md; ``PYTHONPATH=src python
-tests/test_pins.py`` prints both digests, and the sha256 of each p's verify
-output, which names the p whose bytes moved.
+tests/test_pins.py`` prints both digests, the sha256 of each p's verify
+output, which names the p whose bytes moved, and the sha256 of each
+function's table values, which names the function.
 """
 
 import contextlib
@@ -41,12 +42,16 @@ def verify_digest():
     return sha.hexdigest()
 
 
+def _table_values(fn, p):
+    rows = _stdout(["table", "--fn", fn, "--n", "100", "--p", p, "--format", "csv"])
+    return "".join(row.split(",")[1] + "\n" for row in rows.splitlines()).encode()
+
+
 def table_values_digest():
     sha = hashlib.sha256()
     for p in TABLE_P:
         for fn in sorted(cli._POINT_FNS):
-            rows = _stdout(["table", "--fn", fn, "--n", "100", "--p", p, "--format", "csv"])
-            sha.update("".join(row.split(",")[1] + "\n" for row in rows.splitlines()).encode())
+            sha.update(_table_values(fn, p))
     return sha.hexdigest()
 
 
@@ -63,3 +68,6 @@ if __name__ == "__main__":  # the digests to pin
     print("TABLE_VALUES_SHA256 =", repr(table_values_digest()))
     for p in VERIFY_P:
         print(f"verify --p {p}:", hashlib.sha256(_verify_json(p)).hexdigest())
+    for fn in sorted(cli._POINT_FNS):
+        values = b"".join(_table_values(fn, p) for p in TABLE_P)
+        print(f"table --fn {fn}:", hashlib.sha256(values).hexdigest())
