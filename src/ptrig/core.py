@@ -18,7 +18,8 @@ leading terms of the two T series differenced in closed form, so no digits
 are lost as p -> 1 where pi_p/2 grows like 1/(p - 1).  Every term ratio is
 below w or om, both at most 1/2, so the dropped tail is at most the last
 term kept; with a rounding allowance per term this is the error bound.  The
-hyperbolic integral is still taken by tanh-sinh quadrature.
+hyperbolic integral is taken by tanh-sinh quadrature, and below the series
+switch by its own series, arsinh_p(x) = x f(-z) in z = x^p.
 
 sin_p and sinh_p invert the integrals by one safeguarded Newton loop, and
 near zero by reversion series in z = x^p (see :mod:`.series`), where
@@ -346,20 +347,13 @@ def _beta_tail(a: float, x: float) -> tuple[float, float]:
 
 def _hyp_integrand(pf: float) -> tuple:
     """(h, h(-log t)) for h(u) = (1 + e^(-pu))^(-1/p): after t = e^u,
-    arsinh_p's integrand for t >= 1, and (1 + t^p)^(-1/p) itself on [0, 1].
-    Both keep integrate's contract, finite and free of floating-point
-    exceptions but underflow at every node: h(-log t), the float
-    exp(-log1p(exp(p log t))/p), takes t = 0 at the smallest subnormal, where
-    h = 1 as at 0, and past p = 2.4e305, where p u may overflow, h is 1."""
+    arsinh_p's integrand for t >= 1, and (1 + t^p)^(-1/p) itself on [0, 1]."""
     import numpy as np
-
-    if pf * 746.0 > sys.float_info.max:  # 1/p puts h within 2^-54 of 1
-        return np.ones_like, np.ones_like
 
     def h(u: np.ndarray) -> np.ndarray:
         return np.exp(-np.log1p(np.exp(-pf * u)) / pf)
 
-    return h, lambda t: np.exp(-np.log1p(np.exp(pf * np.log(np.maximum(t, _ULP0)))) / pf)
+    return h, lambda t: h(-np.log(t))
 
 
 def _arcsin_series(fam: _Family, s: float, om: float) -> tuple[float, float]:
@@ -425,6 +419,8 @@ def arsinh_p(fam: _Family, x: float) -> Evaluation:
     """Inverse generalized hyperbolic sine on x >= 0."""
     if x == 0.0:
         return Evaluation(0.0, 0.0)
+    if (z := series.small_z(fam.pf, x)) is not None:
+        return series.zp_ball(fam.zseries.arsinh_ratio, z, x) + 0.0  # rounded as in sin_p
     return _arsinh_quad(fam, x)
 
 

@@ -10,10 +10,9 @@ which behaves as a frozen dataclass without importing :mod:`dataclasses` and
 quadrature over (0, b), internal to the package: core's arsinh_p is its one
 caller, and passes it core's fixed targets.  Its error bound is heuristic
 (refinement differences), validated against closed forms in the test suite.
-It calls its integrand bare, in the caller's numpy error state: the
-integrand is finite and raises no floating-point exception but underflow at
-every node, 0 and b included, and a non-finite sample or sum raises
-:class:`NonConvergence`.
+It is the one place that sets numpy's error state: it integrates with every
+floating-point exception ignored, whatever the caller's state, and judges
+only its sums, so a non-finite sample or sum raises :class:`NonConvergence`.
 
 numpy is imported only inside the quadrature (:func:`integrate` and its node
 table), so a program that never integrates never loads it.
@@ -273,9 +272,9 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
     node offsets themselves and keep full resolution, so an integrable
     algebraic singularity at 0 integrates to full double precision.  Nodes
     near b round onto it once the offset drops below half an ulp, and those
-    near 0 onto 0 once b times it underflows.  f is called bare, with no
-    error state set: it must be finite, and raise no exception but underflow,
-    at every node, 0 and b included.  A non-finite sample, or a sum past the
+    near 0 onto 0 once b times it underflows.  The node table, the calls of
+    f and the sums run under np.errstate(all="ignore"), and the caller's
+    state is restored on return: a non-finite sample, or a sum past the
     double range, raises NonConvergence at the level that meets it.
 
     Refinement halves the node spacing per level (budget: 12 levels) and the
@@ -285,38 +284,39 @@ def integrate(f: Callable, b: float, abs_tol: float, rel_tol: float) -> Evaluati
     """
     import numpy as np
 
-    half = 0.5 * b
+    with np.errstate(all="ignore"):
+        half = 0.5 * b
 
-    # Midpoint node (t = 0): delta = 1/2, weight density pi/2.  total is the
-    # running trapezoid sum in t-space, h factored out.
-    total = 0.5 * math.pi * f(np.array([half]))[0]
-    abs_total = abs(total)
-    value = half * 0.5 * total  # placeholder; real values start at level 1
+        # Midpoint node (t = 0): delta = 1/2, weight density pi/2.  total is
+        # the running trapezoid sum in t-space, h factored out.
+        total = 0.5 * math.pi * f(np.array([half]))[0]
+        abs_total = abs(total)
+        value = half * 0.5 * total  # placeholder; real values start at level 1
 
-    for level in range(1, _LEVEL_MAX + 1):
-        h = 2.0 ** (-level)
-        delta, wdens = _node_table(level)
-        x_lo = b * delta
+        for level in range(1, _LEVEL_MAX + 1):
+            h = 2.0 ** (-level)
+            delta, wdens = _node_table(level)
+            x_lo = b * delta
 
-        # The running sums are in h-free units (plain sums over the node
-        # set, which only ever grows); the current h scales them below.
-        contrib = wdens * (f(x_lo) + f(b - x_lo))
-        total += float(np.sum(contrib))
-        abs_total += float(np.sum(np.abs(contrib)))
+            # The running sums are in h-free units (plain sums over the node
+            # set, which only ever grows); the current h scales them below.
+            contrib = wdens * (f(x_lo) + f(b - x_lo))
+            total += float(np.sum(contrib))
+            abs_total += float(np.sum(np.abs(contrib)))
 
-        prev_value = value
-        # h * total is exact; scaled last, a subnormal half is rounded once
-        # (half * h first would drop the level's bits of it).
-        value = half * (h * total)
-        if not math.isfinite(value):
-            raise NonConvergence("integrand produced a non-finite sum")
-        noise = 8.0 * _EPS * half * h * abs_total
-        est = 2.0 * abs(value - prev_value) + noise
+            prev_value = value
+            # h * total is exact; scaled last, a subnormal half is rounded
+            # once (half * h first would drop the level's bits of it).
+            value = half * (h * total)
+            if not math.isfinite(value):
+                raise NonConvergence("integrand produced a non-finite sum")
+            noise = 8.0 * _EPS * half * h * abs_total
+            est = 2.0 * abs(value - prev_value) + noise
 
-        if level >= _LEVEL_MIN and est <= max(abs_tol, rel_tol * abs(value)):
-            # An ulp of 0 for each rounding among the subnormals.
-            return Evaluation(float(value), float(est) + 2.0 * _ULP0)
+            if level >= _LEVEL_MIN and est <= max(abs_tol, rel_tol * abs(value)):
+                # An ulp of 0 for each rounding among the subnormals.
+                return Evaluation(float(value), float(est) + 2.0 * _ULP0)
 
-    raise NonConvergence(
-        f"tanh-sinh estimate {est:.3e} above its target after {_LEVEL_MAX} levels"
-    )
+        raise NonConvergence(
+            f"tanh-sinh estimate {est:.3e} above its target after {_LEVEL_MAX} levels"
+        )

@@ -18,17 +18,17 @@ cancels analytically comes out exactly 0.
   Combinatorics*, Thm A.2), [z^n] H(w(z)) = [w^(n-1)] H'(w) f(w)^(-pn) / n,
   gives log(x/sin_p) (H = log f) and -log cos_p (H = -log(1 - w)/p), and
   sin_p/x = exp(-log(x/sin_p)).
-* The hyperbolic side is the circular side at -z: sinh_p/x, log(sinh_p/x)
-  and log cosh_p are sin_p/x, -log(x/sin_p) and log cos_p there.
+* The hyperbolic side is the circular side at -z: arsinh_p/x, sinh_p/x,
+  log(sinh_p/x), log cosh_p are f, sin_p/x, -log(x/sin_p), log cos_p there.
 * The rest follows by the first-order recurrences of log and exp, which
   also give the powers, and by division of series.
 
 The rounded polynomials are tuples of _DEG floats, lowest order first, and
 carry no arithmetic: a sum, difference or quotient of series is formed
 exactly and rounded once (SmallZSeries.quotient and .combination).  They
-serve z below one switch (small_z) for the states of sin_p and sinh_p in
-core and for the functionals and chains in inequalities.  This module loads
-fractions with the first series it builds, and never numpy.
+serve z below one switch (small_z) for arsinh_p and the states of sin_p and
+sinh_p in core and for the functionals and chains in inequalities.  This
+module loads fractions with the first series it builds, and never numpy.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def zp_ball(a: tuple, z: float, x: float = 1.0) -> Evaluation:
     """The ball of x a(z), x > 0, from zp_eval and zp_trunc_err.  For a
     ratio (c0 = 1) at a subnormal x, a(z) is 1 and the product exact; its
     bound, 0, is short by far less than an ulp of 0, which keeps the ball
-    of sin_p or sinh_p there clear of 0."""
+    of sin_p, sinh_p or arsinh_p there clear of 0."""
     return Evaluation(x * zp_eval(a, z), x * zp_trunc_err(a, z))
 
 
@@ -155,6 +155,7 @@ _RECIPES = {
     "l4": lambda e, P: _inverted(e, [0] + [1 / (k * P) for k in range(1, _DEG + 1)]),
     "sin_ratio": lambda e, P: _exp([-c for c in e["l1"]]),
     "d": lambda e, P: [0] + [-c for c in _exp([a - b for a, b in zip(e["l1"], e["l4"])])[1:]],
+    "arsinh_ratio": lambda e, P: _at_minus_z(e["f"]),
     "sinh_ratio": lambda e, P: _at_minus_z(e["sin_ratio"]),
     "l2": lambda e, P: [-c for c in _at_minus_z(e["l1"])],
     "l3": lambda e, P: [-c for c in _at_minus_z(e["l4"])],
@@ -178,7 +179,7 @@ def _rounded(a: list) -> tuple:
     return tuple(map(float, a[:_DEG]))
 
 
-_ATTRIBUTES = ("sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem24")
+_ATTRIBUTES = ("arsinh_ratio", "sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem24")
 
 
 class SmallZSeries:
@@ -191,6 +192,7 @@ class SmallZSeries:
     Attributes are _DEG-coefficient polynomials in z = x^p, each coefficient
     the float nearest the exact one:
 
+    * ``arsinh_ratio`` : arsinh_p(x)/x
     * ``sin_ratio``  : sin_p(x)/x
     * ``sinh_ratio`` : sinh_p(x)/x
     * ``l1`` : log(x / sin_p(x))

@@ -251,7 +251,7 @@ def test_series_balls_are_sharp_below_the_switch(p):
             assert ev.abs_err <= 16 * core._EPS * ev.value, (p, z, ev)
 
 
-P_HYPERBOLIC = [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
+P_HYPERBOLIC = [math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0]
 
 
 def _mp_arsinh(s, p):

@@ -45,13 +45,12 @@ class TestIntegrate:
 
     def test_classical_arcsine_singularity_one_arg(self):
         # Unreflected, the singularity sits at b = 1: nodes near it round
-        # onto it, where the integrand is infinite.  integrate takes only
-        # integrands finite at every node, and refuses a non-finite sample
-        # there, or at the midpoint, at once.  It sets no error state, so
-        # this integrand's division by zero at b is silenced here.
-        with np.errstate(divide="ignore"):
-            with pytest.raises(NonConvergence, match="non-finite"):
-                integrate(lambda t: (1.0 - t * t) ** -0.5, 1.0, 1e-6, 1e-6)
+        # onto it, where the integrand is infinite.  integrate refuses a
+        # non-finite sample there, or at the midpoint, at once; its own error
+        # state silences the division by zero at b, which would otherwise
+        # warn.
+        with pytest.raises(NonConvergence, match="non-finite"):
+            integrate(lambda t: (1.0 - t * t) ** -0.5, 1.0, 1e-6, 1e-6)
         with pytest.raises(NonConvergence, match="non-finite"):
             integrate(lambda t: np.where(t == 0.5, np.nan, 1.0), 1.0, *TOL)
 

@@ -21,7 +21,7 @@ VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
 VERIFY_SHA256 = "c92ec858a54f41905ac99c67e8e1fe3515382f9d77607e5777e43e7911cc9bb5"
-TABLE_VALUES_SHA256 = "07c515c6643912d1c6858e101fc3968530b6397d781d3d105c419a9ea6d9bd80"
+TABLE_VALUES_SHA256 = "d3360135c1e1aef4442f4f0de3facb7daaf1ca4bc2c13d7fe3a8e39a3c4ff06c"
 
 
 def _stdout(argv):

@@ -15,7 +15,7 @@ from ptrig.series import _DEG, SmallZSeries, zp_eval, zp_trunc_err
 from conftest import mp_primitives, mp_sin_p, mp_sinh_p
 
 # Attributes of SmallZSeries, and the quotients the functionals take.
-ATTRIBUTES = ["sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem24"]
+ATTRIBUTES = ["arsinh_ratio", "sin_ratio", "sinh_ratio", "l1", "l2", "l3", "l4", "d", "e", "lem24"]
 QUOTIENTS = [claim.formula[:2] for claim in iq._CLAIMS.values()
              if claim.kind != "chain" and claim.formula[1] is not None]
 P_EXACT = [1.0 + 2.0 ** -52, 1.5, 2.0, 3.7, 10.0, 300.0]
@@ -88,6 +88,7 @@ def _mp_series(p):
         cos_pow = [a - b for a, b in zip(one, sin_pow)]  # cos_p^p = 1 - sin_p^p
         cosh_pow = [a + b for a, b in zip(one, sinh_pow)]
         ref = {
+            "arsinh_ratio": [mp.binomial(-1 / P, k) / (k * P + 1) for k in range(_N)],
             "sin_ratio": g,
             "sinh_ratio": h,
             "l1": [-c for c in _log(g)],
