@@ -29,7 +29,8 @@ is solved for w = log cos_p^p = log om, so that s^p = -expm1(w) and om = e^w
 keep full relative accuracy up to a corner within the uncertainty of pi_p/2
 (or with om below the double range), where only a bound on om is reported.
 sinh_p is solved for s on a bracket taken from closed-form bounds on
-arsinh_p, from its floor where x is above arsinh_p(1), so the steps climb.
+arsinh_p, from its floor where x is above arsinh_p(1), raised by a
+second-order term, so the steps climb.
 The other functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
@@ -557,15 +558,23 @@ def _sinh_bracket(fam: _Family, x: float) -> tuple[float, float, float]:
     Up to the top of arsinh_p(1)'s enclosure it is 1 at most, but for
     rounding, where arsinh_p(s) > s/2, so below 2x.  Above, log s lies in
     [x - up, x - lo] for the ends (lo, up) of _arsinh_bounds at s = 1,
-    widened by _BOUNDS_MARGIN (1 + x) and rounding; the solve starts at
-    that floor, and as arsinh_p is concave its steps stay below the root.
+    widened by _BOUNDS_MARGIN (1 + x) and rounding (g's among it), the floor
+    then raised by g(s) = (1 - y)/p^2 - (p + 1)(1 - y^2)/(4 p^3) at it,
+    y = s^(-p) (0 up to s = 1): g, the binomial bound's first two terms
+    integrated, is at most the deficit log s + arsinh_p(1) - arsinh_p(s),
+    and both rise with s, so g at the floor is at most the root's deficit.
+    The solve starts at that floor, and as arsinh_p is concave its steps
+    stay below the root.
     A floor past the largest double raises OverflowError; a ceiling past it
     is clipped there, and one quadrature decides."""
     a_lo, a_up = _arsinh_bounds(fam, 1.0)
     if x <= a_up:
         return 1.5 * x, x, 2.0 * x
-    pad = (_BOUNDS_MARGIN + 4.0 * _EPS) * (1.0 + x)
+    pad = (_BOUNDS_MARGIN + 8.0 * _EPS) * (1.0 + x)
     floor, ceil = x - a_up - pad, x - a_lo + pad
+    pf = fam.pf
+    y = math.exp(-pf * max(floor, 0.0))
+    floor += (1.0 - y) * (1.0 - (1.0 + 1.0 / pf) * (1.0 + y) / 4.0) * (1.0 / pf) ** 2
     top = math.log(sys.float_info.max)
     hi = math.exp(ceil) if ceil < top else sys.float_info.max
     if floor > top or (ceil >= top and _arsinh_quad(fam, hi).value < x):
@@ -579,7 +588,8 @@ def _arsinh_bounds(fam: _Family, s: float) -> tuple[float, float]:
 
     On [0, 1] the integrand lies in [2^(-1/p), 1]; for t >= 1 it lies in
     [(1 - t^(-p)/p)/t, 1/t] (Bernoulli), whose integrals over [1, s] differ
-    by at most 1/p^2.  The 4 eps pad covers the rounding of the sums.
+    by at most 1/p^2 (_sinh_bracket's floor takes back part of that).  The
+    4 eps pad covers the rounding of the sums.
     """
     if s < 1.0:
         return 0.5 ** (1.0 / fam.pf) * s, s

@@ -32,8 +32,9 @@ switch between the z-series and the direct route, at p from 1.1 to 100,
 where the grid's first z = x^p underflow, and the hyperbolic ones from one
 ulp above p = 1, where the float composition of the z-series lost
 lem24_gap's z^2 term to cancellation.  The closed-form
-enclosure of arsinh_p that sets sinh_p's bracket is checked against the same
-arsinh_p reference, and the bracket against the quadrature's root.
+enclosure of arsinh_p that sets sinh_p's bracket, and the second-order bound
+that raises its floor, are checked against the same arsinh_p reference, and
+the bracket against the quadrature's root.
 """
 
 import contextlib
@@ -366,6 +367,23 @@ def test_arsinh_bounds_enclose_the_integral(p, monkeypatch):
         below = quad(floor).value - x
         assert below < 0.0 or (below == 0.0 and floor == x), (s, floor, below)
         assert quad(ceil).value - x >= 0.0, (s, ceil)
+
+
+@pytest.mark.parametrize("p", P_BOUNDS)
+def test_deficit_lies_between_the_binomial_bounds(p):
+    # Above arsinh_p(1)'s enclosure sinh_p's floor is raised by g(s), the
+    # integral over [1, s] of the first two terms of the binomial bound on
+    # 1/t - (1 + t^p)^(-1/p), t^(-1) (u/p - (p + 1) u^2/(2 p^2)) with
+    # u = t^(-p); the first term alone integrates to arsinh_p's 1/p^2 gap.
+    with mp.workdps(50):
+        P = mp.mpf(p)
+        one = _mp_arsinh(mp.mpf(1), P)
+        for s in (mp.mpf(s) for s in S_BOUNDS if s > 1.0):
+            y = s ** -P
+            deficit = mp.log(s) - (_mp_arsinh(s, P) - one)
+            first = (1 - y) / P ** 2
+            g = first - (P + 1) * (1 - y ** 2) / (4 * P ** 3)
+            assert 0 <= g <= deficit <= first, (s, g, deficit, first)
 
 
 def _cli_eval(fn, x, p):

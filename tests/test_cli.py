@@ -22,16 +22,20 @@ def run(*argv):
 
 
 def cold_verify_counts(p, exit_code):
-    """(quadratures, nodes, series sums) of ``verify --claim all --p p`` from
-    a cold start at p: the calls of core._arsinh_quad, the integrand nodes
-    they evaluate and the calls of core._arcsin_series.  The family and
-    every kept result at p are dropped first, and the run must exit with
-    exit_code."""
+    """(quadratures, nodes, series sums, sinh_p routes) of ``verify --claim
+    all --p p`` from a cold start at p: the calls of core._arsinh_quad, the
+    integrand nodes they evaluate, the calls of core._arcsin_series, and for
+    each route of a sinh_p state (the z-series, a solve up to the top of
+    arsinh_p(1)'s enclosure, one above it) its states computed and the
+    quadratures they took, arsinh_p(1) with the first that needs it.  The
+    family and every kept result at p are dropped first, and the run must
+    exit with exit_code."""
     core._FAMILIES.pop(p, None)
     for results in core._RESULTS.values():
         results.pop(p, None)
     counts = {"_arsinh_quad": 0, "integrate": 0, "_arcsin_series": 0}
-    saved = {name: getattr(core, name) for name in counts}
+    saved = {name: getattr(core, name) for name in (*counts, "_sinh_raw")}
+    routes = {"series": [0, 0], "below": [0, 0], "above": [0, 0]}
 
     def counting(name):
         def counted(*args):
@@ -47,16 +51,32 @@ def cold_verify_counts(p, exit_code):
 
         return saved["integrate"](counted, b, *targets)
 
+    def sinh_raw(fam, x):
+        # A state the family keeps, or sinh_p(0), takes no route.
+        kept = saved["_sinh_raw"]
+        if x == 0.0 or (kept.__wrapped__, x) in fam.memo:
+            return kept(fam, x)
+        before = counts["_arsinh_quad"]
+        got = kept(fam, x)
+        if series.small_z(fam.pf, x) is not None:
+            route = routes["series"]
+        else:
+            route = routes["below" if x <= core._arsinh_bounds(fam, 1.0)[1] else "above"]
+        route[0] += 1
+        route[1] += counts["_arsinh_quad"] - before
+        return got
+
     try:
         core._arsinh_quad = counting("_arsinh_quad")
         core._arcsin_series = counting("_arcsin_series")
         core.integrate = integrate
+        core._sinh_raw = sinh_raw
         code, _, _ = run("verify", "--claim", "all", "--p", str(p), "--format", "json")
     finally:
         for name, fn in saved.items():
             setattr(core, name, fn)
     assert code == exit_code
-    return tuple(counts.values())
+    return counts["_arsinh_quad"], counts["integrate"], counts["_arcsin_series"], routes
 
 
 class TestEval:
@@ -171,8 +191,8 @@ class TestVerify:
     # more nodes, fails here.  Counted from p = 2 to 24, as the verify pin of
     # tests/test_pins.py, each run with its exit code: from p = 5 on the
     # monotone claims FAIL, their steps inside their budgets near the ends.
-    QUADRATURES = {2.0: 1702, 3.0: 1582, 5.0: 1369, 10.0: 1194, 24.0: 988}
-    NODES = {2.0: 327622, 3.0: 302638, 5.0: 264217, 10.0: 277386, 24.0: 271900}
+    QUADRATURES = {2.0: 1512, 3.0: 1475, 5.0: 1363, 10.0: 1073, 24.0: 870}
+    NODES = {2.0: 290952, 3.0: 282083, 5.0: 263059, 10.0: 241937, 24.0: 230886}
     SERIES_SUMS = {2.0: 737, 3.0: 688, 5.0: 584, 10.0: 436, 24.0: 287}
     EXIT = {2.0: 0, 3.0: 0, 5.0: 1, 10.0: 1, 24.0: 1}
 
@@ -180,7 +200,7 @@ class TestVerify:
     def test_cold_verify_quadrature_count(self, p, monkeypatch):
         for results in [core._FAMILIES, *core._RESULTS.values()]:
             monkeypatch.delitem(results, p, raising=False)
-        quadratures, nodes, sums = cold_verify_counts(p, self.EXIT[p])
+        quadratures, nodes, sums, _ = cold_verify_counts(p, self.EXIT[p])
         assert quadratures <= self.QUADRATURES[p]
         assert nodes <= self.NODES[p]
         assert sums <= self.SERIES_SUMS[p]
@@ -323,8 +343,12 @@ assert "numpy" in sys.modules, "sinh_p should integrate with numpy"
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py prints the counts the work
-    # gates of TestVerify hold, for a change to show them equal.
+    # gates of TestVerify hold, for a change to show them equal, and the
+    # sinh_p states on each route with their quadratures per state.
     for p in sorted(TestVerify.QUADRATURES):
-        quadratures, nodes, sums = cold_verify_counts(p, TestVerify.EXIT[p])
+        quadratures, nodes, sums, routes = cold_verify_counts(p, TestVerify.EXIT[p])
         print(f"p = {p}: {quadratures} arsinh_p quadratures, {nodes} integrand nodes, "
               f"{sums} arcsin_p series sums")
+        for route, (states, quads) in routes.items():
+            per = f"{quads / states:.2f}" if states else "-"
+            print(f"  sinh_p {route}: {states} states, {quads} quadratures, {per} per state")

@@ -397,7 +397,20 @@ class TestDomains:
         calls = self.count_quadratures(monkeypatch)
         s = core._sinh_raw(core._Family(2.0), x).value
         assert abs(math.asinh(s) - x) <= 1e-12 * x
-        assert len(calls) <= 6
+        assert len(calls) <= 5
+
+    def test_floor_near_one_saves_a_quadrature(self, monkeypatch):
+        # The first-order floor sits below the root by its deficit
+        # log s + arsinh_p(1) - arsinh_p(s), which near p = 1 comes close to
+        # the ceiling 1/p^2; the second-order term takes most of it back, so
+        # each solve takes at most 5 quadratures (6 from the first-order floor).
+        fam = core._Family(1.1)
+        fam.arsinh_one
+        calls = self.count_quadratures(monkeypatch)
+        for x in (2.3, 2.6, 2.9):
+            calls.clear()
+            core._sinh_raw(fam, x)
+            assert len(calls) <= 5, (x, calls)
 
     @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0])
     def test_sinh_solve_climbs_from_the_floor(self, p, monkeypatch):

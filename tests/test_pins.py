@@ -20,8 +20,8 @@ from ptrig import cli
 VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
-VERIFY_SHA256 = "c92ec858a54f41905ac99c67e8e1fe3515382f9d77607e5777e43e7911cc9bb5"
-TABLE_VALUES_SHA256 = "d3360135c1e1aef4442f4f0de3facb7daaf1ca4bc2c13d7fe3a8e39a3c4ff06c"
+VERIFY_SHA256 = "666008d45b9a52a8071922335ef3381984672be6e66b1f526501f5076096e0d3"
+TABLE_VALUES_SHA256 = "7758a9bf91124b42233c9d83d747d724903abe4fdd240ad41499b49eb8526b69"
 
 
 def _stdout(argv):
