@@ -29,8 +29,9 @@ is solved for w = log cos_p^p = log om, so that s^p = -expm1(w) and om = e^w
 keep full relative accuracy up to a corner within the uncertainty of pi_p/2
 (or with om below the double range), where only a bound on om is reported.
 sinh_p is solved for s on a bracket taken from closed-form bounds on
-arsinh_p, from its floor where x is above arsinh_p(1), raised by a
-second-order term, so the steps climb.
+arsinh_p, from its floor, so the steps climb: below arsinh_p(1) the root of
+an upper bound on arsinh_p, its binomial series through the second term,
+and above it the enclosure's floor, raised by a second-order term.
 The other functions follow from the identities
 
     cos_p = (1 - sin_p^p)^(1/p),      cosh_p = (1 + sinh_p^p)^(1/p),
@@ -103,8 +104,9 @@ _QUAD_REL = 5e-14
 _INV_TOL = 1e-13
 # Step cap of the Newton loop of _sin_state and _sinh_raw.
 _NEWTON_STEPS = 80
-# _sinh_bracket widens the closed-form enclosure of the root in log s by this
-# times 1 + x, some 2e4 times the quadrature's error, to hold its root too.
+# _sinh_bracket widens the closed-form enclosure of the root by this times
+# 1 + x (in log s above arsinh_p(1), in s below), some 2e4 times the
+# quadrature's error, to hold its root too.
 _BOUNDS_MARGIN = 1e-9
 
 
@@ -555,24 +557,40 @@ def _sinh_raw(fam: _Family, x: float) -> Evaluation:
 def _sinh_bracket(fam: _Family, x: float) -> tuple[float, float, float]:
     """(start, lo, hi) of the solve of arsinh_p(s) = x > 0, a bracket that
     holds the quadrature's root.  The root lies above x, as arsinh_p(s) < s.
-    Up to the top of arsinh_p(1)'s enclosure it is 1 at most, but for
-    rounding, where arsinh_p(s) > s/2, so below 2x.  Above, log s lies in
-    [x - up, x - lo] for the ends (lo, up) of _arsinh_bounds at s = 1,
-    widened by _BOUNDS_MARGIN (1 + x) and rounding (g's among it), the floor
-    then raised by g(s) = (1 - y)/p^2 - (p + 1)(1 - y^2)/(4 p^3) at it,
-    y = s^(-p) (0 up to s = 1): g, the binomial bound's first two terms
-    integrated, is at most the deficit log s + arsinh_p(1) - arsinh_p(s),
-    and both rise with s, so g at the floor is at most the root's deficit.
-    The solve starts at that floor, and as arsinh_p is concave its steps
-    stay below the root.
-    A floor past the largest double raises OverflowError; a ceiling past it
-    is clipped there, and one quadrature decides."""
+    The solve starts at the floor, lowered by pad, _BOUNDS_MARGIN (1 + x)
+    and rounding, to hold the quadrature's root; as arsinh_p is concave, its
+    steps stay below the root.
+
+    Up to the top of arsinh_p(1)'s enclosure the root is 1 at most, but for
+    rounding, and below 2x, as arsinh_p(s) > s/2 there.  The floor is the
+    root of U(s) = x, clipped at 1, for U(s) = s (1 - y/(p (p + 1)) +
+    (p + 1) y^2/(2 p^2 (2 p + 1))), y = s^p: on [0, 1] the binomial series
+    of (1 + t^p)^(-1/p) alternates with falling terms, so U, its integral
+    through the y^2 term, is at least arsinh_p.  As 3/4 <= U' <= 1 there,
+    each step s + x - U(s) from min(x, 1) stays below U's root and closes at
+    least 3/4 of the gap; they stop at one below _BOUNDS_MARGIN x.
+
+    Above, log s lies in [x - up, x - lo] for the ends (lo, up) of
+    _arsinh_bounds at s = 1, widened by the pad in log s (g's rounding
+    among it), the floor then raised by g(s) = (1 - y)/p^2 -
+    (p + 1)(1 - y^2)/(4 p^3) at it, y = s^(-p) (0 up to s = 1): g, the
+    binomial bound's first two terms integrated, is at most the deficit
+    log s + arsinh_p(1) - arsinh_p(s), and both rise with s, so g at the
+    floor is at most the root's deficit.  A floor past the largest double
+    raises OverflowError; a ceiling past it is clipped there, and one
+    quadrature decides."""
     a_lo, a_up = _arsinh_bounds(fam, 1.0)
-    if x <= a_up:
-        return 1.5 * x, x, 2.0 * x
     pad = (_BOUNDS_MARGIN + 8.0 * _EPS) * (1.0 + x)
-    floor, ceil = x - a_up - pad, x - a_lo + pad
     pf = fam.pf
+    if x <= a_up:
+        a, b = 1.0 / (pf * (pf + 1.0)), (pf + 1.0) / (2.0 * pf * pf * (2.0 * pf + 1.0))
+        s, step = min(x, 1.0), x
+        while step > _BOUNDS_MARGIN * x:
+            y = s ** pf
+            step = min(s + x - s * (1.0 - y * (a - b * y)), 1.0) - s
+            s += step
+        return s - pad, s - pad, 2.0 * x
+    floor, ceil = x - a_up - pad, x - a_lo + pad
     y = math.exp(-pf * max(floor, 0.0))
     floor += (1.0 - y) * (1.0 - (1.0 + 1.0 / pf) * (1.0 + y) / 4.0) * (1.0 / pf) ** 2
     top = math.log(sys.float_info.max)

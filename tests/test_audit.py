@@ -32,9 +32,10 @@ switch between the z-series and the direct route, at p from 1.1 to 100,
 where the grid's first z = x^p underflow, and the hyperbolic ones from one
 ulp above p = 1, where the float composition of the z-series lost
 lem24_gap's z^2 term to cancellation.  The closed-form
-enclosure of arsinh_p that sets sinh_p's bracket, and the second-order bound
-that raises its floor, are checked against the same arsinh_p reference, and
-the bracket against the quadrature's root.
+enclosure of arsinh_p that sets sinh_p's bracket, the second-order bound
+that raises its floor above arsinh_p(1) and the binomial upper bound whose
+root is its floor below are checked against the same arsinh_p reference,
+and the bracket against the quadrature's root.
 """
 
 import contextlib
@@ -311,10 +312,12 @@ def test_hyperbolic_values_lie_within_abs_err(p):
 
 # Calls near the largest p at which the hyperbolic solve's ball, raised to
 # the p-th power, stays clear of a pole or of the double range: cosh_p near
-# x = 1 and the functions built on it, lem23_g, thm1_f at x = 1, and beta,
+# x = 1 (up to p = 1e13, below the 1.09e13 where its ball first reaches the
+# pole) and the functions built on it, lem23_g, thm1_f at x = 1, and beta,
 # on which verify_claim's THM2_CHAIN rests, at p = 1e12.  Each must answer,
 # and within its abs_err.
-EDGE_CALLS = [("cosh_p", 1.0, 2.05e12), ("cosh_p", 1.0, 6.5e12), ("tanh_p", 1.0, 6.5e12),
+EDGE_CALLS = [("cosh_p", 1.0, 2.05e12), ("cosh_p", 1.0, 6.5e12), ("cosh_p", 1.0, 7.5e12),
+              ("cosh_p", 1.0, 1e13), ("tanh_p", 1.0, 6.5e12),
               ("d_tanh_p", 1.0, 6.5e12), ("d_cosh_p", 1.0, 6.5e12), ("lem24_gap", 1.0, 6.5e12),
               ("d_cosh_p", 1.05, 3.16e15), ("lem23_g", 1.0, 1e12), ("thm1_f", 1.0, 1.5e6)]
 
@@ -367,6 +370,27 @@ def test_arsinh_bounds_enclose_the_integral(p, monkeypatch):
         below = quad(floor).value - x
         assert below < 0.0 or (below == 0.0 and floor == x), (s, floor, below)
         assert quad(ceil).value - x >= 0.0, (s, ceil)
+
+
+@pytest.mark.parametrize("p", P_BOUNDS)
+def test_floor_below_arsinh_one_lies_below_the_root(p):
+    # Up to the top of arsinh_p(1)'s enclosure sinh_p's floor is the root of
+    # U(s) = s (1 - y/(p (p + 1)) + (p + 1) y^2/(2 p^2 (2 p + 1))), y = s^p:
+    # the binomial series of (1 + t^p)^(-1/p) integrated through its t^(2p)
+    # term, which bounds arsinh_p from above on [0, 1].  arsinh_p rises, so
+    # the floor lies below sinh_p(x) where arsinh_p(floor) < x.
+    fam = core._Family(p)
+    top = core._arsinh_bounds(fam, 1.0)[1]
+    low = _switch_x(p) * (1.0 + 1e-4)
+    with mp.workdps(50):
+        P = mp.mpf(p)
+        for s in (mp.mpf(s) for s in S_BOUNDS if s <= 1.0):
+            y = s ** P
+            U = s * (1 - y / (P * (P + 1)) + (P + 1) * y ** 2 / (2 * P ** 2 * (2 * P + 1)))
+            assert _mp_arsinh(s, P) <= U, (s, U)
+        for x in [low + (top - low) * k / 16 for k in range(16)] + [top]:
+            start, floor, _ = core._sinh_bracket(fam, x)
+            assert start == floor and _mp_arsinh(mp.mpf(floor), P) < x, (x, floor)
 
 
 @pytest.mark.parametrize("p", P_BOUNDS)

@@ -22,20 +22,22 @@ def run(*argv):
 
 
 def cold_verify_counts(p, exit_code):
-    """(quadratures, nodes, series sums, sinh_p routes) of ``verify --claim
-    all --p p`` from a cold start at p: the calls of core._arsinh_quad, the
-    integrand nodes they evaluate, the calls of core._arcsin_series, and for
-    each route of a sinh_p state (the z-series, a solve up to the top of
-    arsinh_p(1)'s enclosure, one above it) its states computed and the
-    quadratures they took, arsinh_p(1) with the first that needs it.  The
-    family and every kept result at p are dropped first, and the run must
-    exit with exit_code."""
+    """(quadratures, nodes, series sums, sinh_p routes, most) of ``verify
+    --claim all --p p`` from a cold start at p: the calls of
+    core._arsinh_quad, the integrand nodes they evaluate, the calls of
+    core._arcsin_series, for each route of a sinh_p state (the z-series, a
+    solve up to the top of arsinh_p(1)'s enclosure, one above it) its states
+    computed and the quadratures they took, and the most quadratures any one
+    state took, arsinh_p(1) with the first that needs it.  The family and
+    every kept result at p are dropped first, and the run must exit with
+    exit_code."""
     core._FAMILIES.pop(p, None)
     for results in core._RESULTS.values():
         results.pop(p, None)
     counts = {"_arsinh_quad": 0, "integrate": 0, "_arcsin_series": 0}
     saved = {name: getattr(core, name) for name in (*counts, "_sinh_raw")}
     routes = {"series": [0, 0], "below": [0, 0], "above": [0, 0]}
+    most = 0
 
     def counting(name):
         def counted(*args):
@@ -53,6 +55,7 @@ def cold_verify_counts(p, exit_code):
 
     def sinh_raw(fam, x):
         # A state the family keeps, or sinh_p(0), takes no route.
+        nonlocal most
         kept = saved["_sinh_raw"]
         if x == 0.0 or (kept.__wrapped__, x) in fam.memo:
             return kept(fam, x)
@@ -64,6 +67,7 @@ def cold_verify_counts(p, exit_code):
             route = routes["below" if x <= core._arsinh_bounds(fam, 1.0)[1] else "above"]
         route[0] += 1
         route[1] += counts["_arsinh_quad"] - before
+        most = max(most, counts["_arsinh_quad"] - before)
         return got
 
     try:
@@ -76,7 +80,7 @@ def cold_verify_counts(p, exit_code):
         for name, fn in saved.items():
             setattr(core, name, fn)
     assert code == exit_code
-    return counts["_arsinh_quad"], counts["integrate"], counts["_arcsin_series"], routes
+    return counts["_arsinh_quad"], counts["integrate"], counts["_arcsin_series"], routes, most
 
 
 class TestEval:
@@ -191,19 +195,26 @@ class TestVerify:
     # more nodes, fails here.  Counted from p = 2 to 24, as the verify pin of
     # tests/test_pins.py, each run with its exit code: from p = 5 on the
     # monotone claims FAIL, their steps inside their budgets near the ends.
-    QUADRATURES = {2.0: 1512, 3.0: 1475, 5.0: 1363, 10.0: 1073, 24.0: 870}
-    NODES = {2.0: 290952, 3.0: 282083, 5.0: 263059, 10.0: 241937, 24.0: 230886}
+    # Both sinh_p floors hold every state to PER_STATE quadratures, and
+    # those below arsinh_p(1) to BELOW_PER_STATE on average.
+    QUADRATURES = {2.0: 1285, 3.0: 1136, 5.0: 962, 10.0: 662, 24.0: 544}
+    NODES = {2.0: 247237, 3.0: 217904, 5.0: 186050, 10.0: 162806, 24.0: 165568}
     SERIES_SUMS = {2.0: 737, 3.0: 688, 5.0: 584, 10.0: 436, 24.0: 287}
+    PER_STATE = 4
+    BELOW_PER_STATE = 3.0
     EXIT = {2.0: 0, 3.0: 0, 5.0: 1, 10.0: 1, 24.0: 1}
 
     @pytest.mark.parametrize("p", sorted(QUADRATURES))
     def test_cold_verify_quadrature_count(self, p, monkeypatch):
         for results in [core._FAMILIES, *core._RESULTS.values()]:
             monkeypatch.delitem(results, p, raising=False)
-        quadratures, nodes, sums, _ = cold_verify_counts(p, self.EXIT[p])
+        quadratures, nodes, sums, routes, most = cold_verify_counts(p, self.EXIT[p])
         assert quadratures <= self.QUADRATURES[p]
         assert nodes <= self.NODES[p]
         assert sums <= self.SERIES_SUMS[p]
+        assert most <= self.PER_STATE
+        states, quads = routes["below"]
+        assert states and quads <= self.BELOW_PER_STATE * states
 
     @pytest.mark.parametrize("p", [2.0, 10.0])
     def test_cold_verify_takes_no_state_below_the_switch(self, p, monkeypatch):
@@ -346,9 +357,9 @@ if __name__ == "__main__":
     # gates of TestVerify hold, for a change to show them equal, and the
     # sinh_p states on each route with their quadratures per state.
     for p in sorted(TestVerify.QUADRATURES):
-        quadratures, nodes, sums, routes = cold_verify_counts(p, TestVerify.EXIT[p])
+        quadratures, nodes, sums, routes, most = cold_verify_counts(p, TestVerify.EXIT[p])
         print(f"p = {p}: {quadratures} arsinh_p quadratures, {nodes} integrand nodes, "
-              f"{sums} arcsin_p series sums")
+              f"{sums} arcsin_p series sums, at most {most} quadratures per sinh_p state")
         for route, (states, quads) in routes.items():
             per = f"{quads / states:.2f}" if states else "-"
             print(f"  sinh_p {route}: {states} states, {quads} quadratures, {per} per state")

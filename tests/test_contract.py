@@ -100,10 +100,11 @@ def test_cli_refuses_with_one_error_line(argv):
 
 
 def test_cli_pole_error_names_the_call():
-    argv = ["eval", "--fn", "cosh_p", "--x", "1", "--p", "1e13"]
+    # tan_p at the float nearest pi_p/2, where the ball of cos_p reaches 0.
+    argv = ["eval", "--fn", "tan_p", "--x", "1.2091995761561452", "--p", "3"]
     proc = subprocess.run([sys.executable, "-m", "ptrig.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: cosh_p(1.0, p="), proc.stderr
+    assert proc.stderr.startswith("error: tan_p(1.2091995761561452, p=3.0): "), proc.stderr
 
 
 def test_cli_range_error_names_the_call():

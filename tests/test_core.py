@@ -414,9 +414,11 @@ class TestDomains:
 
     @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 3.7, 10.0, 50.0, 300.0])
     def test_sinh_solve_climbs_from_the_floor(self, p, monkeypatch):
-        # Above arsinh_p(1)'s enclosure the solve starts at the bracket's
-        # floor; arsinh_p is concave, so every iterate is a Newton step
-        # that stays below the root: the iterates rise, and none bisects.
+        # On either side of the top of arsinh_p(1)'s enclosure the solve
+        # starts at the bracket's floor; arsinh_p is concave, so every
+        # iterate is a Newton step that stays below the root: the iterates
+        # rise, and none bisects.  Below the top, from just above the series
+        # switch, the floor is the root of arsinh_p's binomial upper bound.
         fam, steps, newton = core._Family(p), [], core._newton
 
         def watched(residual, *args):
@@ -428,8 +430,10 @@ class TestDomains:
             return newton(traced, *args)
 
         monkeypatch.setattr(core, "_newton", watched)
-        seam = math.nextafter(core._arsinh_bounds(fam, 1.0)[1], math.inf)
-        for x in (seam, 1.0, 2.9, 7.0, 40.0, 700.0):
+        top = core._arsinh_bounds(fam, 1.0)[1]
+        low = series._Z_SWITCH ** (1.0 / p) * (1.0 + 1e-4)
+        xs = [x for x in (low, 0.3, 0.7, 1.0, top) if series.small_z(p, x) is None]
+        for x in (*xs, math.nextafter(top, math.inf), 2.9, 7.0, 40.0, 700.0):
             steps.clear()
             core._sinh_raw(fam, x)
             assert len(steps) >= 2, (x, steps)

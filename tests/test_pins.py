@@ -20,8 +20,8 @@ from ptrig import cli
 VERIFY_P = ["1.5", "2", "3", "5", "10", "24", "50"]
 TABLE_P = ["1.5", "3", "10"]
 
-VERIFY_SHA256 = "666008d45b9a52a8071922335ef3381984672be6e66b1f526501f5076096e0d3"
-TABLE_VALUES_SHA256 = "7758a9bf91124b42233c9d83d747d724903abe4fdd240ad41499b49eb8526b69"
+VERIFY_SHA256 = "161e326f68805b388d5e1cdec38ef3f4570f9ab848262ffe4f9774f7ddffb9f7"
+TABLE_VALUES_SHA256 = "137632ecc9725488e535d33d8906790f9b2daa02fe7fc4ca01c1ad532ed057f0"
 
 
 def _stdout(argv):
